@@ -1,8 +1,7 @@
 //! Open-loop many-client service benchmark for the reactor front-end.
 //!
-//! Unlike the closed-loop service section of `parallel_speedup` (each
-//! client waits for its reply before sending the next query), senders
-//! here issue queries on a fixed pacing interval regardless of reply
+//! Unlike a closed loop (each client waits for its reply before
+//! sending the next query), senders here issue queries on a fixed pacing interval regardless of reply
 //! progress — the open-loop model that exposes queueing delay instead
 //! of hiding it in client think time. Per connection, a sender thread
 //! paces `SET SEED n` + aggregate-`QUERY` pairs (monotonically
@@ -23,7 +22,7 @@
 //! `PIP_BENCH_JSON=1`, and the full summary written to the path in
 //! `PIP_BENCH_SERVICE_OUT` — `BENCH_service.json` at the repo root is a
 //! recorded run (`cores`/`speedup_comparable` document the hardware
-//! caveat; see `BENCH_parallel.json` for the closed-loop baseline).
+//! caveat).
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};

@@ -24,7 +24,7 @@ use pip_core::{Column, DataType, PipError, Result, Schema, Value};
 use pip_expr::Equation;
 
 use pip_ctable::{algebra, CRow, CTable};
-use pip_sampling::parallel::{conf_rows_parallel, ParallelSampler};
+use pip_sampling::parallel::run_indexed;
 use pip_sampling::{
     aconf, conf, expected_avg, expected_count, expected_max_const, expected_sum, SamplerConfig,
 };
@@ -334,9 +334,9 @@ pub(crate) fn aggregate_schema(
 /// returning one output cell vector per group (in group order).
 ///
 /// Per-group sampling sites derive from the group's row contents (row
-/// index within the part), never from scheduling, so groups can fan out
-/// onto the shared pool without changing any number; the fold back into
-/// the result rows stays in group order. Both executors call this.
+/// index within the part), never from scheduling, so groups go through
+/// [`run_indexed`] without changing any number; the fold back into the
+/// result rows stays in group order. Both executors call this.
 pub(crate) fn group_head_rows(
     groups: &[(Vec<Value>, CTable)],
     aggs: &[AggFunc],
@@ -366,13 +366,7 @@ pub(crate) fn group_head_rows(
         Ok(cells)
     };
 
-    let rows: Vec<Result<Vec<Equation>>> = if cfg.threads > 1 && groups.len() > 1 {
-        let pool = ParallelSampler::global();
-        pool.run(cfg.threads, groups.len(), |i| group_row(&groups[i]))
-    } else {
-        groups.iter().map(group_row).collect()
-    };
-    rows.into_iter().collect()
+    run_indexed(cfg, groups.len(), |i| group_row(&groups[i]))
 }
 
 /// Execute the aggregate head: group, then run sampling operators.
@@ -400,25 +394,16 @@ fn aggregate(
 
 /// The row-level confidence operator: append `conf()`, strip conditions.
 ///
-/// Each row's `conf` is seeded by its row index, so with `threads > 1`
-/// the rows fan out onto the shared pool bit-identically to the serial
-/// loop.
+/// Each row's `conf` is seeded by its row index, so the rows go through
+/// [`run_indexed`].
 fn conf_table(table: &CTable, cfg: &SamplerConfig) -> Result<CTable> {
     let mut cols = table.schema().columns().to_vec();
     cols.push(Column::new("conf()", DataType::Float));
     let out_schema = Schema::new(cols)?;
     let mut out = CTable::empty(out_schema);
-    let probs: Vec<f64> = if cfg.threads > 1 {
-        conf_rows_parallel(table, cfg, ParallelSampler::global())?
-    } else {
-        table
-            .rows()
-            .iter()
-            .enumerate()
-            .map(|(i, row)| conf(&row.condition, cfg, i as u64))
-            .collect::<Result<_>>()?
-    };
-    for (row, p) in table.rows().iter().zip(probs) {
+    let rows = table.rows();
+    let probs = run_indexed(cfg, rows.len(), |i| conf(&rows[i].condition, cfg, i as u64))?;
+    for (row, p) in rows.iter().zip(probs) {
         let mut cells = row.cells.clone();
         cells.push(Equation::val(p));
         out.push(CRow::unconditional(cells))?;
@@ -691,18 +676,32 @@ mod tests {
         let serial = SamplerConfig::default();
         let t1_agg = execute(&db, &agg_plan, &serial).unwrap();
         let t1_conf = execute(&db, &conf_plan, &serial).unwrap();
+        // The conf column is row i's `conf` at site i.
+        let Plan::Conf(conf_input) = &conf_plan else {
+            unreachable!()
+        };
+        let symbolic = execute(&db, conf_input, &serial).unwrap();
+        for (i, (row, out)) in symbolic.rows().iter().zip(t1_conf.rows()).enumerate() {
+            let p = conf(&row.condition, &serial, i as u64).unwrap();
+            assert_eq!(out.cells.last().unwrap(), &Equation::val(p), "row {i}");
+        }
         for threads in [2usize, 4, 8] {
             let par = serial.clone().with_threads(threads);
-            assert_eq!(
-                execute(&db, &agg_plan, &par).unwrap().rows(),
-                t1_agg.rows(),
-                "aggregate head diverged at {threads} threads"
-            );
-            assert_eq!(
-                execute(&db, &conf_plan, &par).unwrap().rows(),
-                t1_conf.rows(),
-                "conf head diverged at {threads} threads"
-            );
+            for (exec, which) in [
+                (execute as fn(&_, &_, &_) -> _, "streaming"),
+                (execute_materialized, "materialized"),
+            ] {
+                assert_eq!(
+                    exec(&db, &agg_plan, &par).unwrap().rows(),
+                    t1_agg.rows(),
+                    "{which} aggregate head diverged at {threads} threads"
+                );
+                assert_eq!(
+                    exec(&db, &conf_plan, &par).unwrap().rows(),
+                    t1_conf.rows(),
+                    "{which} conf head diverged at {threads} threads"
+                );
+            }
         }
     }
 

@@ -34,7 +34,6 @@ use pip_core::{PipError, Result, Schema, Value};
 use pip_expr::{Atom, Equation};
 
 use pip_ctable::{algebra, filter_row, join_rows, map_row, CRow, CTable, OrderedIndex};
-use pip_sampling::parallel::ParallelSampler;
 use pip_sampling::{ConfStream, SamplerConfig, StreamingGroups};
 
 use crate::catalog::Database;
@@ -605,7 +604,7 @@ fn build_op<'a>(
             Ok(OpNode::new(
                 ConfOp {
                     input,
-                    stream: ConfStream::new(cfg, ParallelSampler::global()),
+                    stream: ConfStream::new(cfg),
                     out: std::collections::VecDeque::new(),
                     done: false,
                 },
@@ -1207,7 +1206,7 @@ impl<'a> Operator<'a> for AggregateOp<'a> {
 /// while upstream rows are still being produced.
 struct ConfOp<'a> {
     input: OpNode<'a>,
-    stream: ConfStream<'static>,
+    stream: ConfStream,
     out: std::collections::VecDeque<CRow>,
     done: bool,
 }

@@ -26,6 +26,7 @@ use pip_ctable::CTable;
 use crate::confidence::conf;
 use crate::config::SamplerConfig;
 use crate::expectation::expectation;
+use crate::parallel::{concurrency, run_indexed};
 use crate::worlds::sample_worlds;
 
 /// Result of an aggregate operator.
@@ -37,32 +38,29 @@ pub struct AggregateResult {
     pub n_samples: usize,
 }
 
-/// Resolve the aggregated column to per-row expressions.
-fn column_exprs<'t>(table: &'t CTable, col: &str) -> Result<(usize, &'t CTable)> {
-    let idx = table.schema().index_of(col)?;
-    Ok((idx, table))
-}
-
 /// `expected_sum(col)` — Σ rows E[χ_φ · cell] = Σ E[cell | φ]·P[φ]
 /// (linearity of expectation, Section II-C).
 ///
 /// Per-row sample budgets are relaxed by √N (law of large numbers: the
-/// per-row errors average out in the sum, Section IV-C).
+/// per-row errors average out in the sum, Section IV-C). Row `i` owns
+/// the stream `(world_seed, i)`, so rows go through [`run_indexed`] and
+/// fold in row order.
 pub fn expected_sum(table: &CTable, col: &str, cfg: &SamplerConfig) -> Result<AggregateResult> {
-    if cfg.threads > 1 {
-        return crate::parallel::expected_sum_parallel(
-            table,
-            col,
-            cfg,
-            crate::parallel::ParallelSampler::global(),
-        );
-    }
-    let (idx, table) = column_exprs(table, col)?;
+    let idx = table.schema().index_of(col)?;
     let row_cfg = cfg.scaled_for_rows(table.len());
+    let rows = table.rows();
+    let per_row = run_indexed(cfg, rows.len(), |i| {
+        expectation(
+            &rows[i].cells[idx],
+            &rows[i].condition,
+            true,
+            &row_cfg,
+            i as u64,
+        )
+    })?;
     let mut total = 0.0;
     let mut n_samples = 0;
-    for (i, row) in table.rows().iter().enumerate() {
-        let r = expectation(&row.cells[idx], &row.condition, true, &row_cfg, i as u64)?;
+    for r in per_row {
         n_samples += r.n_samples;
         if r.expectation.is_nan() {
             continue; // unsatisfiable row: present in no world
@@ -77,16 +75,10 @@ pub fn expected_sum(table: &CTable, col: &str, cfg: &SamplerConfig) -> Result<Ag
 
 /// `expected_count()` — Σ rows P[φ] (the `h ≡ 1` special case).
 pub fn expected_count(table: &CTable, cfg: &SamplerConfig) -> Result<AggregateResult> {
-    if cfg.threads > 1 {
-        return crate::parallel::expected_count_parallel(
-            table,
-            cfg,
-            crate::parallel::ParallelSampler::global(),
-        );
-    }
+    let rows = table.rows();
     let mut total = 0.0;
-    for (i, row) in table.rows().iter().enumerate() {
-        total += conf(&row.condition, cfg, i as u64)?;
+    for p in run_indexed(cfg, rows.len(), |i| conf(&rows[i].condition, cfg, i as u64))? {
+        total += p;
     }
     Ok(AggregateResult {
         value: total,
@@ -125,24 +117,22 @@ pub fn expected_avg(table: &CTable, col: &str, cfg: &SamplerConfig) -> Result<Ag
 /// `|vᵢ| · Π_{j<i}(1 − pⱼ)` drops below `precision` — the paper's
 /// "maximum any later record can change the result" bound. Worlds in
 /// which no row is present contribute 0.
+///
+/// Confidences are computed a wave of [`concurrency`] rows ahead of the
+/// scan, which consumes them strictly in sorted order: a wave's
+/// unconsumed tail past the early-exit bound is discarded, failures
+/// included, so value and error behaviour do not depend on the wave
+/// size — and one lane computes exactly the rows the scan consumes.
 pub fn expected_max_const(
     table: &CTable,
     col: &str,
     cfg: &SamplerConfig,
     precision: f64,
 ) -> Result<AggregateResult> {
-    if cfg.threads > 1 {
-        return crate::parallel::expected_max_const_parallel(
-            table,
-            col,
-            cfg,
-            precision,
-            crate::parallel::ParallelSampler::global(),
-        );
-    }
-    let (idx, table) = column_exprs(table, col)?;
+    let idx = table.schema().index_of(col)?;
+    let trows = table.rows();
     let mut rows: Vec<(f64, usize)> = Vec::with_capacity(table.len());
-    for (i, row) in table.rows().iter().enumerate() {
+    for (i, row) in trows.iter().enumerate() {
         let v = row.cells[idx]
             .as_const()
             .ok_or_else(|| {
@@ -155,13 +145,25 @@ pub fn expected_max_const(
     }
     rows.sort_by(|a, b| b.0.total_cmp(&a.0));
 
+    let lanes = concurrency(cfg);
+    let mut wave = Vec::new().into_iter();
     let mut acc = 0.0;
     let mut carry = 1.0; // Π (1 − p_j) over rows scanned so far
-    for &(v, i) in &rows {
+    for (pos, &(v, _)) in rows.iter().enumerate() {
         if v.abs() * carry <= precision {
             break;
         }
-        let p = conf(&table.rows()[i].condition, cfg, i as u64)?;
+        if wave.len() == 0 {
+            let ahead = &rows[pos..(pos + lanes).min(rows.len())];
+            // Each conf's own outcome is the item: a failure only counts
+            // once the scan reaches it.
+            wave = run_indexed(cfg, ahead.len(), |k| {
+                let i = ahead[k].1;
+                Ok(conf(&trows[i].condition, cfg, i as u64))
+            })?
+            .into_iter();
+        }
+        let p = wave.next().expect("wave covers the scanned row")?;
         acc += v * p * carry;
         carry *= 1.0 - p;
         if carry <= 0.0 {
@@ -200,8 +202,7 @@ enum WorldAgg {
 
 /// Evaluate `col` in every sampled world, aggregating across present
 /// rows. Worlds are independent (world `i` is seeded by `i` alone), so
-/// with `cfg.threads > 1` their evaluation fans out onto the shared
-/// [`crate::parallel::ParallelSampler`]; outputs stay in world order.
+/// they go through [`run_indexed`]; outputs stay in world order.
 fn per_world_aggregate(
     table: &CTable,
     col: &str,
@@ -226,14 +227,7 @@ fn per_world_aggregate(
         }
         Ok(acc.unwrap_or(0.0))
     };
-    if cfg.threads > 1 {
-        let pool = crate::parallel::ParallelSampler::global();
-        return pool
-            .run(cfg.threads, worlds.len(), |i| eval_world(&worlds[i]))
-            .into_iter()
-            .collect();
-    }
-    worlds.iter().map(eval_world).collect()
+    run_indexed(cfg, worlds.len(), |i| eval_world(&worlds[i]))
 }
 
 /// `expected_sum_hist(col)` — the raw per-world sums (paper Section V-C:
@@ -464,9 +458,26 @@ mod tests {
             ],
         )
         .unwrap();
+        // The sorted scan, with enough rows for several prefetch waves.
+        let mut scan = CTable::empty(sym_schema());
+        for i in 0..12 {
+            let z = special::inverse_normal_cdf(1.0 - 0.8 / (1.0 + i as f64 * 0.3));
+            scan.push(CRow::new(
+                vec![Equation::val((12 - i) as f64)],
+                Conjunction::single(atoms::gt(Equation::from(normal(0.0, 1.0)), z)),
+            ))
+            .unwrap();
+        }
         let serial = SamplerConfig::fixed_samples(300);
         for threads in [2usize, 4, 8] {
             let par = serial.clone().with_threads(threads);
+            for precision in [0.0, 0.1] {
+                assert_eq!(
+                    expected_max_const(&scan, "v", &serial, precision).unwrap(),
+                    expected_max_const(&scan, "v", &par, precision).unwrap(),
+                    "expected_max_const({precision}), threads={threads}"
+                );
+            }
             assert_eq!(
                 expected_sum(&t, "v", &serial).unwrap(),
                 expected_sum(&t, "v", &par).unwrap(),

@@ -14,9 +14,8 @@
 //!
 //! * whole blocks, keyed by `(kernel signatures incl. counters, RNG
 //!   state, requested length, sampling knobs)` — reused when the same
-//!   `(group, seed-site, chunk)` is sampled again (repeated prepared
-//!   statements, `expected_sum` + `expected_avg` over the same rows,
-//!   re-executed chunks);
+//!   `(group, seed-site)` is sampled again (repeated prepared
+//!   statements, `expected_sum` + `expected_avg` over the same rows);
 //! * probe runs (fixed-budget acceptance estimation for `conf()` /
 //!   `P[condition]`), keyed the same way, storing just the counters and
 //!   the RNG end state so a hit fast-forwards the generator without
@@ -261,7 +260,7 @@ fn fill_block(
 /// (counters and RNG state are restored from the stored block), a miss
 /// fills and publishes. Pure memoization — hit or miss, the caller
 /// observes identical kernels, RNG state, and samples.
-pub(crate) fn fill_block_cached(
+fn fill_block_cached(
     kernels: &mut [GroupKernel],
     rng: &mut PipRng,
     cfg: &SamplerConfig,
@@ -332,11 +331,11 @@ pub(crate) fn probe_estimate_cached(
 // The compiled query and its averaging-loop drivers.
 // ---------------------------------------------------------------------
 
-/// Everything [`crate::expectation::expectation`] and the chunked
-/// executor need to run Algorithm 4.3's averaging loop compiled: the
-/// slot layout, the target-expression tape, and one kernel per relevant
-/// group (in `prep.relevant` order).
-#[derive(Debug, Clone)]
+/// Everything [`crate::expectation::expectation`] needs to run
+/// Algorithm 4.3's averaging loop compiled: the slot layout, the
+/// target-expression tape, and one kernel per relevant group (in
+/// `prep.relevant` order).
+#[derive(Debug)]
 pub(crate) struct CompiledQuery {
     pub(crate) slots: SlotMap,
     pub(crate) expr: Tape,
@@ -368,7 +367,7 @@ impl CompiledQuery {
     }
 }
 
-/// Monte-Carlo sums of one compiled averaging loop.
+/// Monte-Carlo sums of one averaging loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LoopStats {
     pub(crate) n: usize,
@@ -378,23 +377,32 @@ pub(crate) struct LoopStats {
 
 impl LoopStats {
     #[inline]
-    fn push(&mut self, value: f64) {
+    pub(crate) fn push(&mut self, value: f64) {
         self.n += 1;
         self.sum += value;
         self.sum_sq += value * value;
     }
 
-    /// The ε–δ stopping rule of Algorithm 4.3, applied after every
-    /// sample exactly like the interpreted loop.
+    /// Running mean.
     #[inline]
-    fn should_stop(&self, cfg: &SamplerConfig, target: f64) -> bool {
-        if self.n < cfg.min_samples {
-            return false;
-        }
-        let mean = self.sum / self.n as f64;
+    pub(crate) fn mean(&self) -> f64 {
+        self.sum / self.n as f64
+    }
+
+    /// Standard error of the running mean.
+    #[inline]
+    pub(crate) fn std_error(&self) -> f64 {
+        let mean = self.mean();
         let var = (self.sum_sq / self.n as f64 - mean * mean).max(0.0);
-        let se = (var / self.n as f64).sqrt();
-        target * se <= cfg.delta * mean.abs()
+        (var / self.n as f64).sqrt()
+    }
+
+    /// The ε–δ stopping rule of Algorithm 4.3, applied after every
+    /// sample by every averaging loop (interpreted, per-sample,
+    /// blocked): z·SE ≤ δ·|mean| once past the sample floor.
+    #[inline]
+    pub(crate) fn should_stop(&self, cfg: &SamplerConfig, target: f64) -> bool {
+        self.n >= cfg.min_samples && target * self.std_error() <= cfg.delta * self.mean().abs()
     }
 }
 

@@ -37,16 +37,12 @@ pub struct SamplerConfig {
     /// Seed from which all per-world, per-variable generator seeds derive.
     pub world_seed: u64,
     /// Worker threads for the parallel Monte-Carlo runtime. `1` keeps
-    /// every operator on the caller's thread; `> 1` routes aggregate and
-    /// confidence heads through [`crate::parallel`]. Results are
-    /// bit-identical for every thread count (per-row / per-chunk RNG
-    /// streams are derived from `(world_seed, site)` alone).
+    /// every operator on the caller's thread; `> 1` lets
+    /// [`crate::parallel::run_indexed`] fan the aggregate and confidence
+    /// heads' per-row work out. Results are bit-identical for every
+    /// thread count (per-row RNG streams are derived from
+    /// `(world_seed, site)` alone).
     pub threads: usize,
-    /// Samples per work chunk in the chunked expectation executor
-    /// ([`crate::parallel::expectation_chunked`]). Chunk boundaries are
-    /// part of the result's definition: the adaptive stopping rule is
-    /// evaluated at chunk granularity, in chunk order.
-    pub chunk_samples: usize,
     /// Run the sampling phase through the compiled kernels of
     /// [`crate::tape`] (slot-indexed evaluation tapes + columnar sample
     /// blocks) instead of the interpreted tree-walking loop. The two
@@ -80,7 +76,6 @@ impl Default for SamplerConfig {
             use_exact_cdf: true,
             world_seed: 0x5151_5151,
             threads: 1,
-            chunk_samples: 128,
             compile: true,
             reuse_blocks: true,
         }
@@ -207,7 +202,6 @@ mod tests {
     fn threads_default_serial_and_clamped() {
         let c = SamplerConfig::default();
         assert_eq!(c.threads, 1);
-        assert!(c.chunk_samples > 0);
         assert_eq!(c.clone().with_threads(0).threads, 1);
         assert_eq!(c.clone().with_threads(8).threads, 8);
     }

@@ -23,6 +23,7 @@ use pip_expr::{independent_groups, Assignment, Conjunction, Equation};
 
 use pip_ctable::{consistency_check, BoundsMap, Consistency};
 
+use crate::blocks::LoopStats;
 use crate::config::SamplerConfig;
 use crate::strategy::{exact_group_probability, GroupSampler};
 
@@ -57,8 +58,7 @@ impl ExpectationResult {
     }
 }
 
-/// State shared by [`expectation`], the histogram variant, and the
-/// chunked parallel executor in [`crate::parallel`].
+/// State shared by [`expectation`] and the histogram variant.
 pub(crate) struct Prepared {
     pub(crate) samplers: Vec<GroupSampler>,
     /// Indices of samplers relevant to the expression (must be sampled in
@@ -66,18 +66,6 @@ pub(crate) struct Prepared {
     pub(crate) relevant: Vec<usize>,
     pub(crate) bounds: BoundsMap,
     pub(crate) condition: Conjunction,
-}
-
-impl Prepared {
-    /// Fresh, state-free samplers over the same groups and bounds — the
-    /// chunked executor gives every chunk its own sampler state so chunk
-    /// results depend only on the chunk's RNG stream.
-    pub(crate) fn fresh_samplers(&self, cfg: &SamplerConfig) -> Vec<GroupSampler> {
-        self.samplers
-            .iter()
-            .map(|s| GroupSampler::new(s.group.clone(), &self.bounds, cfg))
-            .collect()
-    }
 }
 
 /// Consistency + grouping + strategy selection (lines 1–10).
@@ -144,10 +132,8 @@ fn rng_for_site(cfg: &SamplerConfig, site: u64) -> PipRng {
 
 /// Exact shortcut (linearity of expectation): an unconstrained affine
 /// expression `c + Σ aᵢXᵢ` has expectation `c + Σ aᵢ·E[Xᵢ]` whenever
-/// every class exposes its mean — no sampling at all. Shared with the
-/// chunked parallel executor, which must take the same fast path to stay
-/// bit-identical with the serial operator.
-pub(crate) fn linear_exact(expr: &Equation, prep: &Prepared, cfg: &SamplerConfig) -> Option<f64> {
+/// every class exposes its mean — no sampling at all.
+fn linear_exact(expr: &Equation, prep: &Prepared, cfg: &SamplerConfig) -> Option<f64> {
     if !prep.condition.is_trivially_true() || !cfg.use_exact_cdf {
         return None;
     }
@@ -214,57 +200,26 @@ pub fn expectation(
         });
     }
 
-    // Compiled averaging loop: slot-indexed kernels + tapes, bit-identical
-    // to the interpreted loop below (which stays the semantics oracle and
-    // the fallback for escalations and uncompilable expressions).
-    if cfg.compile {
-        if let Some(r) = compiled_expectation(&expr, &mut prep, want_probability, cfg, &rng)? {
-            return Ok(r);
-        }
-    }
-
-    // Averaging loop (lines 11–28).
-    let target = cfg.z_target();
-    let mut a = Assignment::new();
-    let (mut n, mut sum, mut sum_sq) = (0usize, 0.0f64, 0.0f64);
-    let mut sampling_error: Option<pip_core::PipError> = None;
-    while n < cfg.max_samples {
-        for &i in &prep.relevant {
-            let s = &mut prep.samplers[i];
-            if let Err(e) = s.sample_into(&mut rng, cfg, &prep.bounds, &mut a) {
-                sampling_error = Some(e);
-                break;
-            }
-        }
-        if sampling_error.is_some() {
-            break;
-        }
-        let value = expr.eval_f64(&a)?;
-        n += 1;
-        sum += value;
-        sum_sq += value * value;
-
-        // Stopping rule: z·SE ≤ δ·|mean| once past the floor.
-        if n >= cfg.min_samples {
-            let mean = sum / n as f64;
-            let var = (sum_sq / n as f64 - mean * mean).max(0.0);
-            let se = (var / n as f64).sqrt();
-            if target * se <= cfg.delta * mean.abs() {
-                break;
-            }
-        }
-    }
-    if n == 0 {
+    // Averaging loop (lines 11–28): compiled (slot-indexed kernels +
+    // tapes) when the query is within the compiler's reach, else the
+    // interpreted loop — the semantics oracle, and the fallback when a
+    // group escalates to Metropolis — from the same untouched generator.
+    let compiled = if cfg.compile {
+        compiled_loop(&expr, &mut prep, want_probability, cfg, &mut rng)?
+    } else {
+        None
+    };
+    let stats = match compiled {
+        Some(stats) => stats,
+        None => interpreted_loop(&expr, &mut prep, cfg, &mut rng)?,
+    };
+    if stats.n == 0 {
         // Could not draw a single satisfying sample: treat the context as
         // (numerically) unsatisfiable, per Algorithm 4.3 line 25.
         return Ok(ExpectationResult::nan(want_probability));
     }
 
-    let mean = sum / n as f64;
-    let var = (sum_sq / n as f64 - mean * mean).max(0.0);
-    let std_error = (var / n as f64).sqrt();
     let used_metropolis = prep.samplers.iter().any(|s| s.uses_metropolis());
-
     let probability = if want_probability {
         let relevant = prep.relevant.clone();
         condition_probability(&mut prep, &relevant, cfg, &mut rng)?
@@ -273,28 +228,58 @@ pub fn expectation(
     };
 
     Ok(ExpectationResult {
-        expectation: mean,
+        expectation: stats.mean(),
         probability,
-        n_samples: n,
-        std_error,
+        n_samples: stats.n,
+        std_error: stats.std_error(),
         used_metropolis,
     })
 }
 
+/// The interpreted averaging loop: tree-walking samplers and evaluation,
+/// the ε–δ rule applied after every sample. A sampling failure ends the
+/// loop and the partial estimate stands (Algorithm 4.3 line 25); an
+/// evaluation failure is fatal.
+fn interpreted_loop(
+    expr: &Equation,
+    prep: &mut Prepared,
+    cfg: &SamplerConfig,
+    rng: &mut PipRng,
+) -> Result<LoopStats> {
+    let target = cfg.z_target();
+    let mut a = Assignment::new();
+    let mut stats = LoopStats::default();
+    'sampling: while stats.n < cfg.max_samples {
+        for &i in &prep.relevant {
+            let s = &mut prep.samplers[i];
+            if s.sample_into(rng, cfg, &prep.bounds, &mut a).is_err() {
+                break 'sampling;
+            }
+        }
+        stats.push(expr.eval_f64(&a)?);
+        if stats.should_stop(cfg, target) {
+            break;
+        }
+    }
+    Ok(stats)
+}
+
 /// The compiled averaging loop: kernels draw into slot buffers and the
 /// expression evaluates as a tape (columnar over whole sample blocks
-/// when nothing downstream needs the RNG). Returns `Ok(None)` when the
-/// query is out of the compiler's reach or a group escalates to
-/// Metropolis — the caller reruns the interpreted loop, whose results
-/// this path reproduces bit for bit (same draws, same float ops, same
-/// stopping point, same counters feeding the probability pass).
-fn compiled_expectation(
+/// when nothing downstream needs the RNG). Returns the loop's sums,
+/// leaving `rng` as the loop left it — or `Ok(None)` with `rng`
+/// untouched when the query is out of the compiler's reach or a group
+/// escalates to Metropolis: the caller then runs [`interpreted_loop`],
+/// whose results this reproduces bit for bit (same draws, same float
+/// ops, same stopping point, same counters feeding the probability
+/// pass).
+fn compiled_loop(
     expr: &Equation,
     prep: &mut Prepared,
     want_probability: bool,
     cfg: &SamplerConfig,
-    rng: &PipRng,
-) -> Result<Option<ExpectationResult>> {
+    rng: &mut PipRng,
+) -> Result<Option<LoopStats>> {
     use crate::blocks::{serial_blocked, serial_per_sample, CompiledQuery};
 
     let Some(mut cq) = CompiledQuery::compile(expr, prep) else {
@@ -302,7 +287,7 @@ fn compiled_expectation(
     };
     // Work on a clone of the caller's generator: a bail below leaves the
     // interpreted fallback's stream untouched.
-    let mut rng = rng.clone();
+    let mut local = rng.clone();
 
     // Does anything after the averaging loop consume the *loop's
     // sampling state*? With `want_probability`, a group without an
@@ -320,16 +305,13 @@ fn compiled_expectation(
     let loop_state_needed_after =
         want_probability && prep.samplers.iter().any(sampling_state_consumed_after);
     let stats = if loop_state_needed_after {
-        serial_per_sample(&mut cq, cfg, &mut rng)?
+        serial_per_sample(&mut cq, cfg, &mut local)?
     } else {
-        serial_blocked(&mut cq, cfg, &mut rng, cfg.reuse_blocks)?
+        serial_blocked(&mut cq, cfg, &mut local, cfg.reuse_blocks)?
     };
     let Some(stats) = stats else {
         return Ok(None); // Metropolis escalation: interpreted rerun
     };
-    if stats.n == 0 {
-        return Ok(Some(ExpectationResult::nan(want_probability)));
-    }
 
     // Publish the kernels' acceptance counters so the probability pass
     // sees exactly the interpreted loop's sampler state.
@@ -337,29 +319,14 @@ fn compiled_expectation(
         prep.samplers[i].attempts = kernel.attempts;
         prep.samplers[i].accepts = kernel.accepts;
     }
-
-    let mean = stats.sum / stats.n as f64;
-    let var = (stats.sum_sq / stats.n as f64 - mean * mean).max(0.0);
-    let std_error = (var / stats.n as f64).sqrt();
-    let probability = if want_probability {
-        let relevant = prep.relevant.clone();
-        condition_probability(prep, &relevant, cfg, &mut rng)?
-    } else {
-        f64::NAN
-    };
-    Ok(Some(ExpectationResult {
-        expectation: mean,
-        probability,
-        n_samples: stats.n,
-        std_error,
-        used_metropolis: false,
-    }))
+    *rng = local;
+    Ok(Some(stats))
 }
 
 /// `P[C]` as the product over independent groups (lines 29–35):
 /// already-sampled groups contribute their acceptance estimate; the rest
 /// use the exact CDF path when available and sampling otherwise.
-pub(crate) fn condition_probability(
+fn condition_probability(
     prep: &mut Prepared,
     already_sampled: &[usize],
     cfg: &SamplerConfig,

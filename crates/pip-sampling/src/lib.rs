@@ -6,6 +6,12 @@
 //! integration, inverse-CDF bounded sampling, independence-decomposed
 //! rejection sampling, and Metropolis.
 //!
+//! Every operator is a pure function of `(inputs, SamplerConfig sampling
+//! parameters)`: a draw's seed comes from its identity (`world_seed`,
+//! row index), never from execution order, so each head has one body and
+//! hands its per-row work to [`parallel::run_indexed`], which alone
+//! decides between the calling thread and the shared pool.
+//!
 //! ```
 //! use pip_dist::prelude::builtin;
 //! use pip_expr::{atoms, Conjunction, Equation, RandomVar};
@@ -49,7 +55,7 @@ pub use confidence::{aconf, conf};
 pub use config::SamplerConfig;
 pub use expectation::{expectation, expectation_samples, ExpectationResult};
 pub use histogram::{quantile, Histogram};
-pub use parallel::{expectation_chunked, ChunkAccumulator, ParallelSampler};
+pub use parallel::ParallelSampler;
 pub use strategy::{exact_group_probability, GroupSampler};
 pub use streaming::{ConfStream, StreamingGroups};
 pub use tape::{CondTape, Tape, TapeOp};
@@ -65,7 +71,7 @@ pub mod prelude {
     pub use crate::config::SamplerConfig;
     pub use crate::expectation::{expectation, expectation_samples, ExpectationResult};
     pub use crate::histogram::{quantile, Histogram};
-    pub use crate::parallel::{expectation_chunked, ChunkAccumulator, ParallelSampler};
+    pub use crate::parallel::ParallelSampler;
     pub use crate::strategy::{exact_group_probability, GroupSampler};
     pub use crate::streaming::{ConfStream, StreamingGroups};
     pub use crate::worlds::sample_worlds;

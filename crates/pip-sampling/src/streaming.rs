@@ -8,9 +8,9 @@
 //!
 //! * [`ConfStream`] — the row-level `conf()` head. Rows are admitted in
 //!   arrival order and their confidences computed a fixed-size wave at a
-//!   time on the shared pool. Each row's sampler is seeded by its global
-//!   row index (never by wave or thread), so every wave size and thread
-//!   count produces the serial operator's numbers. With
+//!   time through [`run_indexed`]. Each row's sampler is seeded by its
+//!   global row index (never by wave or thread), so every wave size and
+//!   thread count produces the table operator's numbers. With
 //!   `SamplerConfig::compile` (the default) each `conf` runs through the
 //!   compiled kernels of [`crate::tape`] and the probe cache of
 //!   [`crate::blocks`] — join fan-outs that re-evaluate one gate group
@@ -29,29 +29,26 @@ use pip_ctable::{CRow, CTable};
 
 use crate::confidence::conf;
 use crate::config::SamplerConfig;
-use crate::parallel::ParallelSampler;
+use crate::parallel::run_indexed;
 
-/// Rows whose confidences are evaluated per wave of [`ConfStream`]. A
-/// constant, like the chunked executor's wave size: the *values* are
-/// wave-size independent (each row's stream derives from its global
-/// index), this only bounds latency and batch overhead.
+/// Rows whose confidences are evaluated per wave of [`ConfStream`]. The
+/// *values* are wave-size independent (each row's stream derives from
+/// its global index), this only bounds latency and batch overhead.
 pub const CONF_WAVE: usize = 16;
 
 /// Streaming row-level confidence head: push rows, pop `(row, conf)`
 /// pairs in row order.
-pub struct ConfStream<'p> {
+pub struct ConfStream {
     cfg: SamplerConfig,
-    pool: &'p ParallelSampler,
     pending: Vec<CRow>,
     /// Global index of `pending[0]` (rows admitted so far minus pending).
     base_index: u64,
 }
 
-impl<'p> ConfStream<'p> {
-    pub fn new(cfg: &SamplerConfig, pool: &'p ParallelSampler) -> Self {
+impl ConfStream {
+    pub fn new(cfg: &SamplerConfig) -> Self {
         ConfStream {
             cfg: cfg.clone(),
-            pool,
             pending: Vec::new(),
             base_index: 0,
         }
@@ -62,13 +59,10 @@ impl<'p> ConfStream<'p> {
         let rows = std::mem::take(&mut self.pending);
         let base = self.base_index;
         self.base_index += rows.len() as u64;
-        let confs: Vec<Result<f64>> = self.pool.run(self.cfg.threads, rows.len(), |i| {
+        let confs = run_indexed(&self.cfg, rows.len(), |i| {
             conf(&rows[i].condition, &self.cfg, base + i as u64)
-        });
-        rows.into_iter()
-            .zip(confs)
-            .map(|(r, p)| Ok((r, p?)))
-            .collect()
+        })?;
+        Ok(rows.into_iter().zip(confs).collect())
     }
 
     /// Admit one row. Returns a completed wave's `(row, conf)` pairs
@@ -188,8 +182,7 @@ mod tests {
         // 37 rows: crosses two wave boundaries plus a partial tail.
         let t = gated_table(37);
         let cfg = SamplerConfig::default();
-        let pool = ParallelSampler::new(4);
-        let mut stream = ConfStream::new(&cfg.clone().with_threads(4), &pool);
+        let mut stream = ConfStream::new(&cfg.clone().with_threads(4));
         let mut got: Vec<(CRow, f64)> = Vec::new();
         for row in t.rows() {
             got.extend(stream.push(row.clone()).unwrap());

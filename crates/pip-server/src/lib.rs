@@ -62,7 +62,3 @@ pub use protocol::{handle_line, parse_command, Command, Reply};
 pub use scheduler::{DedupMap, ServingCounters, ServingSnapshot};
 pub use server::{serve, ServerHandle, ServerOptions};
 pub use session::{QueryReply, ReplWait, Session, SessionManager, SessionStats};
-
-// The parallel runtime the service executes on, re-exported for callers
-// that talk to the engine directly.
-pub use pip_sampling::parallel::ParallelSampler;

@@ -204,13 +204,12 @@ impl Session {
     /// cannot invalidate a cached result.
     fn cache_suffix(&self) -> String {
         format!(
-            "|seed={}|min={}|max={}|eps={}|delta={}|chunk={}|v={}",
+            "|seed={}|min={}|max={}|eps={}|delta={}|v={}",
             self.cfg.world_seed,
             self.cfg.min_samples,
             self.cfg.max_samples,
             self.cfg.epsilon,
             self.cfg.delta,
-            self.cfg.chunk_samples,
             self.db.version()
         )
     }
@@ -242,6 +241,59 @@ impl Session {
         }
     }
 
+    /// Optimize and execute an uncached `SELECT` under `shared_key`
+    /// (see [`Session::run_select_shared`]), store the result under
+    /// `cache_key` and close the span.
+    fn run_plan(
+        &mut self,
+        cache_key: String,
+        shared_key: &str,
+        plan: Arc<Plan>,
+        mut rec: Option<SpanRecorder>,
+    ) -> Result<QueryReply> {
+        let db = Arc::clone(&self.db);
+        let cfg = self.cfg.clone();
+        // The stats slot carries the leader's phase timings out for the
+        // span — a dedup follower's closure never runs, so a `None` slot
+        // after the call marks the span as a follower.
+        let stats_slot: Arc<Mutex<Option<(u64, QueryStats)>>> = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&stats_slot);
+        let table = self.run_select_shared(shared_key, move || {
+            // Optimization is catalog-dependent (schema lookups), so it
+            // runs per execution against the current catalog; the plan is
+            // cloned per run because a failed dedup leader is re-run.
+            let t0 = std::time::Instant::now();
+            let optimized = optimize(&db, (*plan).clone())?;
+            let optimize_nanos = t0.elapsed().as_nanos() as u64;
+            let (table, qs) = execute_with_stats(&db, &optimized, &cfg)?;
+            *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some((optimize_nanos, qs));
+            Ok(table)
+        })?;
+        self.results.put(cache_key, Arc::clone(&table));
+        if let Some(mut r) = rec.take() {
+            let wall = r.lap();
+            match stats_slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
+                Some((optimize_nanos, qs)) => {
+                    r.span.optimize_nanos = optimize_nanos;
+                    r.span.execute_nanos = (qs.query_secs * 1e9) as u64;
+                    r.span.sample_nanos = (qs.sample_secs * 1e9) as u64;
+                }
+                None => {
+                    // Served by another session's leader: the whole
+                    // wait is accounted as execute time.
+                    r.span.dedup_follower = true;
+                    r.span.execute_nanos = wall;
+                }
+            }
+            r.span.rows = table.len() as u64;
+            self.observe_span(r);
+        }
+        Ok(QueryReply {
+            table,
+            cached: false,
+        })
+    }
+
     /// Parse and run one SQL statement, consulting the sample-result
     /// cache for `SELECT`s.
     pub fn query(&mut self, sql_text: &str) -> Result<QueryReply> {
@@ -253,7 +305,7 @@ impl Session {
             r.span.parse_nanos = r.lap();
         }
         match stmt {
-            Statement::Select(_) => {
+            Statement::Select(plan) => {
                 let key = format!("Q:{}{}", sql_text.trim(), self.cache_suffix());
                 if let Some(hit) = self.results.get(&key) {
                     self.stats.cache_hits += 1;
@@ -271,51 +323,7 @@ impl Session {
                         cached: true,
                     });
                 }
-                // The closure re-parses so it can be re-run verbatim if
-                // a dedup leader fails; parsing is noise next to the
-                // sampling it guards. The stats slot carries the
-                // leader's phase timings out for the span — a dedup
-                // follower's closure never runs, so a `None` slot after
-                // the call marks the span as a follower.
-                let db = Arc::clone(&self.db);
-                let cfg = self.cfg.clone();
-                let stats_slot: Arc<Mutex<Option<(u64, QueryStats)>>> = Arc::new(Mutex::new(None));
-                let slot = Arc::clone(&stats_slot);
-                let table = self.run_select_shared(&key, move || match sql::parse(sql_text)? {
-                    Statement::Select(plan) => {
-                        let t0 = std::time::Instant::now();
-                        let optimized = optimize(&db, plan)?;
-                        let optimize_nanos = t0.elapsed().as_nanos() as u64;
-                        let (table, qs) = execute_with_stats(&db, &optimized, &cfg)?;
-                        *slot.lock().unwrap_or_else(|e| e.into_inner()) =
-                            Some((optimize_nanos, qs));
-                        Ok(table)
-                    }
-                    other => sql::run_statement(&db, other, &cfg),
-                })?;
-                self.results.put(key, Arc::clone(&table));
-                if let Some(mut r) = rec.take() {
-                    let wall = r.lap();
-                    match stats_slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                        Some((optimize_nanos, qs)) => {
-                            r.span.optimize_nanos = optimize_nanos;
-                            r.span.execute_nanos = (qs.query_secs * 1e9) as u64;
-                            r.span.sample_nanos = (qs.sample_secs * 1e9) as u64;
-                        }
-                        None => {
-                            // Served by another session's leader: the
-                            // whole wait is accounted as execute time.
-                            r.span.dedup_follower = true;
-                            r.span.execute_nanos = wall;
-                        }
-                    }
-                    r.span.rows = table.len() as u64;
-                    self.observe_span(r);
-                }
-                Ok(QueryReply {
-                    table,
-                    cached: false,
-                })
+                self.run_plan(key.clone(), &key, Arc::new(plan), rec)
             }
             other => {
                 // DDL/DML: the catalog version bump retires stale cache
@@ -435,41 +443,7 @@ impl Session {
         // both paths are optimize-then-execute against the current
         // catalog, bit-identical by construction.
         let shared_key = format!("Q:{sql}{}", self.cache_suffix());
-        let db = Arc::clone(&self.db);
-        let cfg = self.cfg.clone();
-        let stats_slot: Arc<Mutex<Option<(u64, QueryStats)>>> = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&stats_slot);
-        let table = self.run_select_shared(&shared_key, move || {
-            // Optimization is catalog-dependent (schema lookups), so it
-            // runs per execution against the current catalog.
-            let t0 = std::time::Instant::now();
-            let optimized = optimize(&db, (*plan).clone())?;
-            let optimize_nanos = t0.elapsed().as_nanos() as u64;
-            let (table, qs) = execute_with_stats(&db, &optimized, &cfg)?;
-            *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some((optimize_nanos, qs));
-            Ok(table)
-        })?;
-        self.results.put(key, Arc::clone(&table));
-        if let Some(mut r) = rec.take() {
-            let wall = r.lap();
-            match stats_slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                Some((optimize_nanos, qs)) => {
-                    r.span.optimize_nanos = optimize_nanos;
-                    r.span.execute_nanos = (qs.query_secs * 1e9) as u64;
-                    r.span.sample_nanos = (qs.sample_secs * 1e9) as u64;
-                }
-                None => {
-                    r.span.dedup_follower = true;
-                    r.span.execute_nanos = wall;
-                }
-            }
-            r.span.rows = table.len() as u64;
-            self.observe_span(r);
-        }
-        Ok(QueryReply {
-            table,
-            cached: false,
-        })
+        self.run_plan(key, &shared_key, plan, rec)
     }
 
     /// Forget one prepared statement.

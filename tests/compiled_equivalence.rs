@@ -6,22 +6,20 @@
 //! * tape vs tree: `Tape::eval` == `Equation::eval_f64` and
 //!   `CondTape::eval_bool` == `Conjunction::eval` over random
 //!   expressions and assignments, to the bit (including errors);
-//! * operator level: `expectation` / `expectation_chunked` / `conf`
-//!   with the compiler on == off, for both `want_probability` settings,
+//! * operator level: `expectation` / `conf` with the compiler on ==
+//!   off, for both `want_probability` settings,
 //!   across sampler configurations that exercise CDF-bounded sampling,
 //!   rejection, multi-group independence, and the Metropolis
 //!   escalation bail-out;
 //! * the sample-block cache is pure memoization: cold, warm, and
-//!   disabled runs produce the same `ExpectationResult` at 1/2/4
-//!   threads.
+//!   disabled runs produce the same `ExpectationResult`.
 
 use proptest::prelude::*;
 
 use pip::dist::prelude::builtin;
 use pip::expr::{atoms, Assignment, Conjunction, Equation, RandomVar, SlotMap};
 use pip::sampling::{
-    block_cache_clear, conf, expectation, expectation_chunked, CondTape, ExpectationResult,
-    ParallelSampler, SamplerConfig, Tape,
+    block_cache_clear, conf, expectation, CondTape, ExpectationResult, SamplerConfig, Tape,
 };
 
 /// Deterministic pseudo-stream for structure generation (the proptest
@@ -243,36 +241,6 @@ proptest! {
         }
     }
 
-    /// Same property through the chunked parallel executor, at 1/2/4
-    /// threads, with the cache both cold and warm.
-    #[test]
-    fn chunked_compiled_matches_interpreted_across_threads(
-        structure in 0u64..u64::MAX,
-        site in 0u64..32,
-        n in 100usize..400,
-    ) {
-        let mut g = Gen(structure);
-        let pool = var_pool(&mut g, 3);
-        let expr = random_expr(&mut g, &pool, 3);
-        let n_atoms = (g.below(3) + 1) as usize;
-        let cond = random_cond(&mut g, &pool, n_atoms);
-        let interpreted_cfg = SamplerConfig::fixed_samples(n).with_compile(false);
-        let pool1 = ParallelSampler::new(1);
-        let reference = expectation_chunked(&expr, &cond, true, &interpreted_cfg, site, &pool1);
-        for threads in [1usize, 2, 4] {
-            let cfg = SamplerConfig::fixed_samples(n)
-                .with_compile(true)
-                .with_threads(threads);
-            let tpool = ParallelSampler::new(threads);
-            let compiled = expectation_chunked(&expr, &cond, true, &cfg, site, &tpool);
-            match (&reference, compiled) {
-                (Ok(a), Ok(b)) => assert_results_identical(a, &b, "chunked"),
-                (Err(ea), Err(eb)) => prop_assert_eq!(ea.to_string(), eb.to_string()),
-                (a, b) => prop_assert!(false, "interpreted {:?} vs compiled {:?}", a, b),
-            }
-        }
-    }
-
     /// `conf` through kernels + the probe cache equals interpreted
     /// `conf`, bit for bit.
     #[test]
@@ -365,8 +333,7 @@ fn escalation_falls_back_bit_identically() {
 }
 
 /// Satellite regression: the sample-block cache never changes an
-/// `ExpectationResult` — cold cache, warm cache, and cache-off agree at
-/// every thread count.
+/// `ExpectationResult` — cold cache, warm cache, and cache-off agree.
 #[test]
 fn block_cache_never_changes_results() {
     let mut g = Gen(0xB10C);
@@ -375,24 +342,6 @@ fn block_cache_never_changes_results() {
     let cond = random_cond(&mut g, &pool, 2);
 
     block_cache_clear();
-    let mut reference: Option<ExpectationResult> = None;
-    for threads in [1usize, 2, 4] {
-        for reuse in [true, true, false] {
-            let cfg = SamplerConfig::fixed_samples(300)
-                .with_threads(threads)
-                .with_block_reuse(reuse);
-            let pool_t = ParallelSampler::new(threads);
-            let r = expectation_chunked(&expr, &cond, true, &cfg, 7, &pool_t).unwrap();
-            match &reference {
-                None => reference = Some(r),
-                Some(base) => {
-                    assert_results_identical(base, &r, &format!("threads={threads} reuse={reuse}"))
-                }
-            }
-        }
-    }
-
-    // Serial operator too: cold, warm, and disabled cache agree.
     let serial_ref = expectation(
         &expr,
         &cond,
@@ -416,7 +365,7 @@ fn block_cache_never_changes_results() {
 
 /// Satellite fix: `probability` is NAN — never a fake 0 or 1 — when the
 /// caller did not request it, on every path (sampled, exact-constant,
-/// linear-exact, unsatisfiable, chunked).
+/// linear-exact, unsatisfiable).
 #[test]
 fn probability_is_nan_when_not_requested() {
     let y = RandomVar::create(builtin::normal(), &[1.0, 2.0]).unwrap();
@@ -425,7 +374,6 @@ fn probability_is_nan_when_not_requested() {
         atoms::gt(Equation::from(y.clone()), 5.0),
         atoms::lt(Equation::from(y.clone()), 3.0),
     ]);
-    let pool = ParallelSampler::new(2);
     for compile in [false, true] {
         let cfg = SamplerConfig::fixed_samples(100).with_compile(compile);
         // Sampled path.
@@ -447,11 +395,6 @@ fn probability_is_nan_when_not_requested() {
         // Unsatisfiable context.
         let r = expectation(&Equation::from(y.clone()), &dead, false, &cfg, 0).unwrap();
         assert!(r.expectation.is_nan() && r.probability.is_nan());
-        // Chunked executor, same contract.
-        let cfg = cfg.with_threads(2);
-        let r =
-            expectation_chunked(&Equation::from(y.clone()), &cond, false, &cfg, 0, &pool).unwrap();
-        assert!(r.probability.is_nan(), "chunked: {}", r.probability);
         // And the probability is still real when requested.
         let r = expectation(&Equation::from(y.clone()), &cond, true, &cfg, 0).unwrap();
         assert!(r.probability > 0.0 && r.probability <= 1.0);

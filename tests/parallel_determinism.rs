@@ -1,13 +1,16 @@
 //! `samplers_agree`-style determinism tests for the parallel runtime:
 //! serial and parallel (2, 4, 8 threads) sampling must produce
-//! *bit-identical* results for the same seed — through the chunked
-//! expectation executor, the aggregate operators, and full SQL queries.
+//! *bit-identical* results — and the same errors — for the same seed,
+//! through the aggregate operators, the `conf()` heads, and full SQL
+//! queries.
 
 use pip::ctable::{CRow, CTable};
+use pip::engine::{execute, execute_materialized, PlanBuilder};
 use pip::expr::{atoms, Conjunction, Equation, RandomVar};
-use pip::prelude::{scalar_result, sql, DataType, Database, Schema};
-use pip::sampling::parallel::{expectation_chunked, ParallelSampler};
-use pip::sampling::{conf, expectation, expected_avg, expected_sum, SamplerConfig};
+use pip::prelude::{scalar_result, sql, DataType, Database, Schema, Value};
+use pip::sampling::{
+    conf, expectation, expected_avg, expected_max_const, expected_sum, SamplerConfig,
+};
 
 fn normal(mu: f64, sigma: f64) -> RandomVar {
     RandomVar::create(pip::dist::prelude::builtin::normal(), &[mu, sigma]).unwrap()
@@ -33,29 +36,6 @@ fn mixed_table(rows: usize) -> CTable {
         t.push(row).unwrap();
     }
     t
-}
-
-#[test]
-fn chunked_expectation_identical_at_1_2_4_8_threads() {
-    let y = normal(0.0, 1.0);
-    let cond = Conjunction::of(vec![
-        atoms::gt(Equation::from(y.clone()), 0.5),
-        atoms::lt(Equation::from(y.clone()), 3.0),
-    ]);
-    let expr = Equation::from(y) * 2.0 + 1.0;
-    let serial_pool = ParallelSampler::new(1);
-    let cfg1 = SamplerConfig::fixed_samples(3000);
-    let baseline = expectation_chunked(&expr, &cond, true, &cfg1, 11, &serial_pool).unwrap();
-    assert!(baseline.n_samples > 0, "must actually sample");
-    for threads in [2usize, 4, 8] {
-        let pool = ParallelSampler::new(threads);
-        let cfg = cfg1.clone().with_threads(threads);
-        let r = expectation_chunked(&expr, &cond, true, &cfg, 11, &pool).unwrap();
-        assert_eq!(
-            r, baseline,
-            "chunked executor diverged at {threads} threads"
-        );
-    }
 }
 
 #[test]
@@ -153,5 +133,99 @@ fn scalar_aggregate_identical_and_sane() {
         let v =
             scalar_result(&sql::run(&db, "SELECT expected_sum(x) FROM t", &par).unwrap()).unwrap();
         assert_eq!(v.to_bits(), v1.to_bits(), "threads={threads}");
+    }
+}
+
+/// `'<tag>' + y`: evaluates to a type error naming `tag`, so a test can
+/// tell *which* row's failure an operator reported.
+fn poisoned(tag: &str, y: &RandomVar) -> Equation {
+    Equation::val(Value::str(tag)) + Equation::from(y.clone())
+}
+
+#[test]
+fn first_failing_row_is_the_error_at_every_thread_count() {
+    // Cells 2 and 5 fail evaluation (expected_sum), conditions 3 and 6
+    // do (conf heads); row order, not completion order, picks the error.
+    let schema = Schema::of(&[("v", DataType::Symbolic)]);
+    let mut t = CTable::empty(schema);
+    for i in 0..8 {
+        let (y, z) = (normal(i as f64, 1.0), normal(0.0, 1.0));
+        let cell = match i {
+            2 | 5 => poisoned(&format!("cell{i}"), &y),
+            _ => Equation::from(y.clone()) * 2.0,
+        };
+        let lhs = match i {
+            3 | 6 => poisoned(&format!("cond{i}"), &z),
+            _ => Equation::from(z),
+        };
+        // Cross-variable atom: `conf` has to evaluate it per candidate.
+        let cond = Conjunction::single(atoms::gt(lhs, Equation::from(y) - i as f64));
+        t.push(CRow::new(vec![cell], cond)).unwrap();
+    }
+    let db = Database::new();
+    db.register_table("t", t.clone()).unwrap();
+    let conf_plan = PlanBuilder::scan("t").conf().build();
+
+    for threads in [1usize, 2, 4] {
+        let cfg = SamplerConfig::fixed_samples(200).with_threads(threads);
+        let results = [
+            ("cell2", expected_sum(&t, "v", &cfg).map(|_| ())),
+            ("cond3", execute(&db, &conf_plan, &cfg).map(|_| ())),
+            (
+                "cond3",
+                execute_materialized(&db, &conf_plan, &cfg).map(|_| ()),
+            ),
+        ];
+        for (first_failure, r) in results {
+            let msg = r.expect_err(first_failure).to_string();
+            assert!(msg.contains(first_failure), "{threads} threads: '{msg}'");
+        }
+    }
+}
+
+#[test]
+fn conf_failure_past_the_early_exit_never_fails_expected_max() {
+    // Sorted scan: 10 (certain) then 9, 8, ... — the scan exits after the
+    // first row (carry = 0), so the poisoned conf of the row valued 7 must
+    // stay uncomputed or be discarded, whatever the wave size.
+    let schema = Schema::of(&[("v", DataType::Symbolic)]);
+    let mut t = CTable::empty(schema);
+    t.push(CRow::unconditional(vec![Equation::val(10.0)]))
+        .unwrap();
+    for i in 1..8 {
+        let (y, z) = (normal(0.0, 1.0), normal(0.0, 1.0));
+        let lhs = if i == 3 {
+            poisoned("late", &z)
+        } else {
+            Equation::from(z)
+        };
+        t.push(CRow::new(
+            vec![Equation::val(10.0 - i as f64)],
+            Conjunction::single(atoms::gt(lhs, Equation::from(y))),
+        ))
+        .unwrap();
+    }
+    let serial = SamplerConfig::fixed_samples(200);
+    assert!(
+        conf(&t.rows()[3].condition, &serial, 3).is_err(),
+        "test setup: the late row's conf must fail when computed"
+    );
+    for threads in [1usize, 2, 4, 8] {
+        let cfg = serial.clone().with_threads(threads);
+        for precision in [0.0, 0.1] {
+            let r = expected_max_const(&t, "v", &cfg, precision).unwrap();
+            assert_eq!(r.value, 10.0, "threads={threads} precision={precision}");
+        }
+    }
+    // Moved ahead of the exit point, the same failure is the result.
+    let mut rows = t.rows().to_vec();
+    rows[0].cells[0] = Equation::val(0.5);
+    let t = CTable::new(t.schema().clone(), rows).unwrap();
+    for threads in [1usize, 2, 4, 8] {
+        let cfg = serial.clone().with_threads(threads);
+        let msg = expected_max_const(&t, "v", &cfg, 0.0)
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("late"), "threads={threads}: {msg}");
     }
 }
