@@ -401,10 +401,14 @@ impl Parser {
             Statement::Select(plan.build())
         };
 
-        // Lower to a plan head.
+        // Lower to a plan head. A lone `conf()` aggregates (one row per
+        // group, `aconf` over the group's rows) under GROUP BY or with no
+        // plain target; beside plain targets alone it is the row-level
+        // operator below.
         let has_real_agg = aggs.iter().any(|a| !matches!(a, AggFunc::Conf));
-        if has_real_agg || (!aggs.is_empty() && !star && targets.is_empty() && group_by.is_empty())
-        {
+        let conf_aggregates =
+            !aggs.is_empty() && (!group_by.is_empty() || (!star && targets.is_empty()));
+        if has_real_agg || conf_aggregates {
             if !targets.is_empty() && group_by.is_empty() {
                 return Err(PipError::Sql(
                     "non-aggregate targets require GROUP BY".into(),
@@ -764,6 +768,22 @@ mod tests {
                 assert!(matches!(*inner, Plan::Project { .. }));
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn lone_conf_under_group_by_is_the_aggregate_head() {
+        for sql in [
+            "SELECT g, conf() FROM t WHERE x > 11.3 GROUP BY g",
+            "SELECT conf() FROM t WHERE x > 11.3 GROUP BY g",
+        ] {
+            match parse(sql).unwrap() {
+                Statement::Select(Plan::Aggregate { group_by, aggs, .. }) => {
+                    assert_eq!(group_by, vec!["g"], "{sql}");
+                    assert_eq!(aggs, vec![AggFunc::Conf], "{sql}");
+                }
+                other => panic!("{sql}: {other:?}"),
+            }
         }
     }
 

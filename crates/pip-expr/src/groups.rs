@@ -8,6 +8,10 @@
 //! expression. Components of one multivariate distribution (same
 //! [`crate::vars::VarId`], different subscripts) are statistically
 //! dependent, so grouping unifies on `VarId`, not `VarKey`.
+//!
+//! The same analysis one level up — which *disjuncts* of a DNF share a
+//! variable — is [`independent_components`]: `aconf` multiplies across
+//! components and samples only inside one.
 
 use std::collections::HashMap;
 
@@ -55,6 +59,21 @@ impl Dsu {
             self.parent[ra] = rb;
         }
     }
+
+    /// Each element's class index, and the class count. Classes are
+    /// numbered by their first member, so the numbering is a pure
+    /// function of the element order.
+    fn classes(&mut self) -> (Vec<usize>, usize) {
+        let mut root_to_class: HashMap<usize, usize> = HashMap::new();
+        let class_of = (0..self.parent.len())
+            .map(|x| {
+                let root = self.find(x);
+                let next = root_to_class.len();
+                *root_to_class.entry(root).or_insert(next)
+            })
+            .collect();
+        (class_of, root_to_class.len())
+    }
 }
 
 /// Partition `condition` into minimal independent subsets.
@@ -101,31 +120,54 @@ pub fn independent_groups(condition: &Conjunction, extra_vars: &[RandomVar]) -> 
         }
     }
 
-    // Collect groups keyed by DSU root.
-    let mut root_to_group: HashMap<usize, usize> = HashMap::new();
-    let mut groups: Vec<VarGroup> = Vec::new();
-    for (idx, vars) in id_vars.iter().enumerate().take(n) {
-        let root = dsu.find(idx);
-        let g = *root_to_group.entry(root).or_insert_with(|| {
-            groups.push(VarGroup {
-                atoms: Vec::new(),
-                vars: Vec::new(),
-            });
-            groups.len() - 1
-        });
+    let (group_of, n_groups) = dsu.classes();
+    let mut groups: Vec<VarGroup> = (0..n_groups)
+        .map(|_| VarGroup {
+            atoms: Vec::new(),
+            vars: Vec::new(),
+        })
+        .collect();
+    for (vars, &g) in id_vars.iter().zip(&group_of) {
         groups[g].vars.extend(vars.iter().cloned());
     }
     for (atom, vars) in condition.atoms().iter().zip(&atom_vars) {
         if let Some(&first) = vars.first() {
-            let root = dsu.find(first);
-            let g = root_to_group[&root];
-            groups[g].atoms.push(atom.clone());
+            groups[group_of[first]].atoms.push(atom.clone());
         }
         // Atoms with no variables were simplified away upstream; if one
         // survives (caller skipped simplify) it holds in every world and
         // can be ignored for grouping purposes.
     }
     groups
+}
+
+/// Partition the disjuncts of a DNF into variable-connected components:
+/// two disjuncts land together iff a chain of shared [`VarId`]s links
+/// them, so events of different components are independent and
+/// `P[∨ all] = 1 − Π_components (1 − P[∨ component])`.
+///
+/// Components are lists of indices into `disjuncts`, each ascending,
+/// ordered by their first index — a pure function of the input order. A
+/// variable-free disjunct is a component of its own.
+pub fn independent_components(disjuncts: &[Conjunction]) -> Vec<Vec<usize>> {
+    let mut dsu = Dsu::new(disjuncts.len());
+    let mut owner: HashMap<VarId, usize> = HashMap::new();
+    for (i, d) in disjuncts.iter().enumerate() {
+        for v in d.variables() {
+            match owner.get(&v.key.id) {
+                Some(&j) => dsu.union(i, j),
+                None => {
+                    owner.insert(v.key.id, i);
+                }
+            }
+        }
+    }
+    let (component_of, n_components) = dsu.classes();
+    let mut components = vec![Vec::new(); n_components];
+    for (i, &c) in component_of.iter().enumerate() {
+        components[c].push(i);
+    }
+    components
 }
 
 #[cfg(test)]
@@ -198,6 +240,25 @@ mod tests {
     #[test]
     fn empty_condition_no_groups() {
         assert!(independent_groups(&Conjunction::top(), &[]).is_empty());
+    }
+
+    #[test]
+    fn disjunct_components_follow_shared_ids_in_input_order() {
+        let (a, b, c) = (y(), y(), y());
+        let on = |v: &RandomVar| Conjunction::single(gt(Equation::from(v.clone()), 0.0));
+        // 0:{a} 1:{b} 2:{a,c} 3:{} 4:{c.component(1)} — a links 0–2, c's id links 2–4.
+        let disjuncts = vec![
+            on(&a),
+            on(&b),
+            Conjunction::single(lt(Equation::from(a.clone()), Equation::from(c.clone()))),
+            Conjunction::top(),
+            on(&c.component(1)),
+        ];
+        assert_eq!(
+            independent_components(&disjuncts),
+            vec![vec![0, 2, 4], vec![1], vec![3]]
+        );
+        assert!(independent_components(&[]).is_empty());
     }
 
     #[test]

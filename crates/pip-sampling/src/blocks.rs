@@ -42,8 +42,12 @@ use crate::tape::{div_by_zero, GroupKernel, KernelStep, Tape};
 /// discarded unconsumed).
 pub(crate) const SERIAL_BLOCK: usize = 256;
 
-/// Upper bound on cached sample payload, in `f64`s (~16 MiB).
-const CACHE_CAPACITY_F64: usize = 2 << 20;
+/// Upper bound on cached sample payload, in `f64`s (1 MiB). Reuse is
+/// within a statement (`expected_sum` beside `expected_avg`, a join
+/// fan-out re-probing one gate group) or between back-to-back runs of
+/// one statement at one seed, so the cache needs to hold a statement's
+/// blocks, not a history: statements at fresh seeds only ever fill it.
+const CACHE_CAPACITY_F64: usize = 1 << 17;
 
 /// One filled columnar block of accepted samples.
 #[derive(Debug)]

@@ -1,39 +1,78 @@
 //! The confidence operators `conf()` and `aconf()` (paper Section V-C).
 //!
+//! Both take closed forms before draws (Sections III-A, IV-A(c)):
+//!
 //! * `conf` — probability of one row's (conjunctive) condition: product
 //!   over independent groups of exact CDF integrals where available and
 //!   Monte Carlo acceptance estimates elsewhere.
-//! * `aconf` — joint probability of a *disjunction* of conditions (the
-//!   coalesced condition of duplicate rows after `distinct`): general
-//!   Monte Carlo integration over all variables of the DNF.
+//! * `aconf` — probability of a *disjunction* of conditions (the
+//!   coalesced condition of duplicate rows after `distinct`, or "this
+//!   group is non-empty"): disjuncts that share no variable are
+//!   independent events, so the DNF factorises over its
+//!   variable-connected components, `P[∨φ] = 1 − Π (1 − p_c)`. A
+//!   one-disjunct component is `conf`; only a component whose disjuncts
+//!   truly share variables is integrated by Monte Carlo, over its own
+//!   variables alone.
 
 use pip_core::Result;
 use pip_dist::{mix64, rng_from_seed};
-use pip_expr::{independent_groups, Assignment, Conjunction, Dnf};
+use pip_expr::{independent_components, independent_groups, Assignment, Conjunction, Dnf, Truth};
 
 use pip_ctable::{consistency_check, BoundsMap, Consistency};
 
+use crate::blocks::LoopStats;
 use crate::config::SamplerConfig;
 use crate::strategy::{exact_group_probability, GroupSampler};
 
-/// `P[condition]` for a conjunctive row condition.
-pub fn conf(condition: &Conjunction, cfg: &SamplerConfig, site: u64) -> Result<f64> {
+/// What the static checks leave of a row condition.
+enum Checked {
+    /// Holds in no world (folds to false, or fails Algorithm 3.2).
+    Dead,
+    /// Holds in every world.
+    Certain,
+    /// Simplified and consistent, with the bounds the check derived.
+    Open(Conjunction, BoundsMap),
+}
+
+/// Simplify, then run the consistency check when the config allows.
+fn check(condition: &Conjunction, cfg: &SamplerConfig) -> Checked {
     let (condition, truth) = condition.simplify();
     match truth {
-        pip_expr::Truth::False => return Ok(0.0),
-        pip_expr::Truth::True => return Ok(1.0),
-        pip_expr::Truth::Unknown => {}
+        Truth::False => return Checked::Dead,
+        Truth::True => return Checked::Certain,
+        Truth::Unknown => {}
     }
     let bounds = if cfg.use_consistency {
         match consistency_check(&condition) {
-            Consistency::Inconsistent => return Ok(0.0),
+            Consistency::Inconsistent => return Checked::Dead,
             Consistency::Consistent { bounds, .. } => bounds,
         }
     } else {
         BoundsMap::new()
     };
+    Checked::Open(condition, bounds)
+}
+
+/// `P[condition]` for a conjunctive row condition.
+pub fn conf(condition: &Conjunction, cfg: &SamplerConfig, site: u64) -> Result<f64> {
+    Ok(match check(condition, cfg) {
+        Checked::Dead => 0.0,
+        Checked::Certain => 1.0,
+        Checked::Open(condition, bounds) => conf_open(&condition, &bounds, cfg, site)?.0,
+    })
+}
+
+/// `P[condition]` of a [`Checked::Open`] condition, with the number of
+/// candidate worlds the estimate rests on — 0 when every group had a
+/// closed form.
+fn conf_open(
+    condition: &Conjunction,
+    bounds: &BoundsMap,
+    cfg: &SamplerConfig,
+    site: u64,
+) -> Result<(f64, u64)> {
     let groups = if cfg.use_independence {
-        independent_groups(&condition, &[])
+        independent_groups(condition, &[])
     } else {
         vec![pip_expr::VarGroup {
             atoms: condition.atoms().to_vec(),
@@ -42,6 +81,7 @@ pub fn conf(condition: &Conjunction, cfg: &SamplerConfig, site: u64) -> Result<f
     };
     let mut rng = rng_from_seed(mix64(cfg.world_seed ^ site ^ 0xC0FF));
     let mut prob = 1.0;
+    let mut draws = 0;
     for g in groups {
         if g.atoms.is_empty() {
             continue;
@@ -53,14 +93,14 @@ pub fn conf(condition: &Conjunction, cfg: &SamplerConfig, site: u64) -> Result<f
             }
         }
         let budget = cfg.max_samples.max(cfg.min_samples).max(1) as u64;
+        draws += budget;
         // Compiled path: the same fixed-budget candidate sequence, drawn
         // through a slot-indexed kernel (and skipped entirely when the
         // sample-block cache already holds this (group, stream) probe).
         if cfg.compile {
             let mut slots = pip_expr::SlotMap::new();
             slots.intern_all(&g.vars);
-            if let Some(mut kernel) = crate::tape::GroupKernel::for_group(&g, &bounds, cfg, &slots)
-            {
+            if let Some(mut kernel) = crate::tape::GroupKernel::for_group(&g, bounds, cfg, &slots) {
                 prob *= crate::blocks::probe_estimate_cached(
                     &mut kernel,
                     &mut rng,
@@ -72,58 +112,107 @@ pub fn conf(condition: &Conjunction, cfg: &SamplerConfig, site: u64) -> Result<f
                 continue;
             }
         }
-        let mut s = GroupSampler::new(g, &bounds, cfg);
+        let mut s = GroupSampler::new(g, bounds, cfg);
         prob *= s.estimate_probability(&mut rng, budget)?;
     }
-    Ok(prob)
+    Ok((prob, draws))
 }
 
 /// `P[φ₁ ∨ … ∨ φₖ]` for the DNF of a distinct group.
 ///
-/// Disjuncts generally share variables, so the factorized per-group path
-/// of `conf` does not apply; `aconf` samples all variables of the DNF
-/// jointly from their *unconditioned* distributions and counts worlds
-/// satisfying any disjunct. With a single disjunct it defers to [`conf`].
+/// Prune the statically-dead disjuncts, partition the live ones into
+/// variable-connected components (one monolithic component with
+/// `use_independence` off), and combine the components' probabilities as
+/// independent events. A one-disjunct component is [`conf`] — closed-form
+/// wherever `conf` is; a component whose disjuncts share variables is
+/// [`sampled_union`]. Each component's stream derives from `site` and
+/// the index of its first disjunct, never from evaluation order (the
+/// component of disjunct 0 runs at `site` itself, so a one-disjunct DNF
+/// is exactly `conf` at the same site).
 pub fn aconf(dnf: &Dnf, cfg: &SamplerConfig, site: u64) -> Result<f64> {
-    if dnf.is_trivially_false() {
-        return Ok(0.0);
-    }
-    if dnf.is_trivially_true() {
-        return Ok(1.0);
-    }
-    let disjuncts = dnf.disjuncts();
-    if disjuncts.len() == 1 {
-        return conf(&disjuncts[0], cfg, site);
-    }
-    // Prune statically-dead disjuncts first; re-check triviality.
-    let mut live: Vec<Conjunction> = Vec::new();
-    for d in disjuncts {
-        match consistency_check(d) {
-            Consistency::Inconsistent => {}
-            Consistency::Consistent { .. } => live.push(d.clone()),
+    let mut live = Vec::new();
+    let mut origin = Vec::new(); // per live disjunct: (index in `dnf`, bounds)
+    for (i, d) in dnf.disjuncts().iter().enumerate() {
+        match check(d, cfg) {
+            Checked::Dead => {}
+            Checked::Certain => return Ok(1.0),
+            Checked::Open(condition, bounds) => {
+                live.push(condition);
+                origin.push((i, bounds));
+            }
         }
     }
     if live.is_empty() {
         return Ok(0.0);
     }
-    if live.len() == 1 {
-        return conf(&live[0], cfg, site);
+    let components = if cfg.use_independence {
+        independent_components(&live)
+    } else {
+        vec![(0..live.len()).collect()]
+    };
+    let metrics = crate::obs::metrics();
+    // 1 − Π(1 − p_c), accumulated as P[A ∪ B] = P[A] + P[B]·(1 − P[A]):
+    // exact for a lone component and for tail-sized probabilities.
+    let mut any_holds = 0.0;
+    for component in components {
+        let (first, bounds) = &origin[component[0]];
+        let component_site = site ^ (*first as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (p, draws) = match component.as_slice() {
+            &[only] => conf_open(&live[only], bounds, cfg, component_site)?,
+            shared => {
+                let union = Dnf::of(shared.iter().map(|&i| live[i].clone()).collect());
+                sampled_union(&union, cfg, component_site)?
+            }
+        };
+        if draws == 0 {
+            metrics.aconf_exact_components_total.inc();
+        } else {
+            metrics.aconf_sampled_components_total.inc();
+            metrics.aconf_draws_total.add(draws);
+        }
+        any_holds += p * (1.0 - any_holds);
     }
-    let dnf = Dnf::of(live);
-    let vars = dnf.variables();
+    Ok(any_holds)
+}
+
+/// Monte Carlo `P[∨ disjuncts]` for disjuncts that share variables:
+/// draw the union's variables jointly from their *unconditioned*
+/// distributions and count the worlds satisfying any disjunct, with the
+/// number of worlds drawn.
+///
+/// The hit indicator runs through the one ε–δ rule
+/// ([`LoopStats::should_stop`]) between `min_samples` and `max_samples`.
+/// The plain frequency would hand that rule a zero variance on a prefix
+/// of all hits or all misses, and a vanishing one just after the first
+/// exception — exactly where a Wilson interval is at its widest. So the
+/// rule sees the frequency shrunk towards ½ by two pseudo-hits and two
+/// pseudo-misses (the Agresti–Coull form of the 95 % Wilson interval);
+/// the returned estimate is the plain frequency.
+fn sampled_union(union: &Dnf, cfg: &SamplerConfig, site: u64) -> Result<(f64, u64)> {
+    let vars = union.variables();
     let mut rng = rng_from_seed(mix64(cfg.world_seed ^ site ^ 0xACED));
+    let target = cfg.z_target();
+    let cap = cfg.max_samples.max(cfg.min_samples).max(1);
     let mut a = Assignment::new();
-    let n = cfg.max_samples.max(cfg.min_samples).max(1);
-    let mut hits = 0usize;
-    for _ in 0..n {
+    let mut wilson = LoopStats {
+        n: 4,
+        sum: 2.0,
+        sum_sq: 2.0,
+    };
+    let (mut n, mut hits) = (0usize, 0usize);
+    while n < cap {
         for v in &vars {
             a.set(v.key, v.class.generate(&v.params, &mut rng));
         }
-        if dnf.eval(&a)? {
-            hits += 1;
+        let hit = union.eval(&a)?;
+        n += 1;
+        hits += hit as usize;
+        wilson.push(if hit { 1.0 } else { 0.0 });
+        if n >= cfg.min_samples && wilson.should_stop(cfg, target) {
+            break;
         }
     }
-    Ok(hits as f64 / n as f64)
+    Ok((hits as f64 / n as f64, n as u64))
 }
 
 #[cfg(test)]
@@ -170,14 +259,36 @@ mod tests {
     }
 
     #[test]
-    fn conf_monte_carlo_for_cross_variable_atoms() {
-        // P[Y1 > Y2] for iid normals = 0.5 — needs sampling.
+    fn conf_monte_carlo_where_no_closed_form_exists() {
+        // P[Y1·Y2 > 0] for iid centred normals = 0.5 — a product has no
+        // CDF path, so this samples.
         let y1 = normal();
         let y2 = normal();
-        let cond = Conjunction::single(atoms::gt(Equation::from(y1), Equation::from(y2)));
-        let cfg = SamplerConfig::fixed_samples(4000);
-        let p = conf(&cond, &cfg, 3).unwrap();
-        assert!((p - 0.5).abs() < 0.05, "{p}");
+        let cond = Conjunction::single(atoms::gt(Equation::from(y1) * Equation::from(y2), 0.0));
+        let p = |seed| {
+            conf(
+                &cond,
+                &SamplerConfig::fixed_samples(4000).with_seed(seed),
+                3,
+            )
+            .unwrap()
+        };
+        assert!((p(1) - 0.5).abs() < 0.05, "{}", p(1));
+        assert_ne!(p(1), p(2), "a sampled estimate moves with the seed");
+    }
+
+    #[test]
+    fn conf_of_a_normal_sum_is_exact() {
+        // P[Y1 > Y2] = P[Y1 − Y2 > 0] with Y1 − Y2 ~ Normal(0, √2): ½,
+        // from the CDF, at any seed and budget.
+        let cond = Conjunction::single(atoms::gt(
+            Equation::from(normal()),
+            Equation::from(normal()),
+        ));
+        for seed in [1, 2] {
+            let cfg = SamplerConfig::fixed_samples(1).with_seed(seed);
+            assert_eq!(conf(&cond, &cfg, 3).unwrap(), 0.5);
+        }
     }
 
     #[test]
@@ -240,5 +351,97 @@ mod tests {
         // Only the live disjunct matters — and it goes through the exact
         // CDF path because pruning leaves a single conjunction.
         assert!((p - (1.0 - special::normal_cdf(1.0))).abs() < 1e-9);
+    }
+
+    #[test]
+    fn aconf_factorises_variable_disjoint_disjuncts_without_drawing() {
+        for k in [2usize, 4, 8] {
+            let thresholds: Vec<f64> = (0..k).map(|i| -1.0 + 0.4 * i as f64).collect();
+            let d = Dnf::of(
+                thresholds
+                    .iter()
+                    .map(|&t| Conjunction::single(atoms::gt(Equation::from(normal()), t)))
+                    .collect(),
+            );
+            let truth = 1.0
+                - thresholds
+                    .iter()
+                    .map(|&t| special::normal_cdf(t))
+                    .product::<f64>();
+            // No draw: a budget of one sample, at any seed, cannot matter.
+            for seed in [1, 2, 3] {
+                let cfg = SamplerConfig::fixed_samples(1).with_seed(seed);
+                let p = aconf(&d, &cfg, 9).unwrap();
+                assert!((p - truth).abs() < 1e-12, "k={k}: {p} vs {truth}");
+            }
+        }
+    }
+
+    #[test]
+    fn aconf_mixed_dnf_samples_only_the_shared_component() {
+        // (Y>0) ∨ (Y>1) shares Y: sampled, P = ½ (not ½ + P[Y>1]).
+        // (Z>0.5) is independent: exact. Union = 1 − ½·Φ(0.5).
+        let y = normal();
+        let d = Dnf::of(vec![
+            Conjunction::single(atoms::gt(Equation::from(y.clone()), 0.0)),
+            Conjunction::single(atoms::gt(Equation::from(normal()), 0.5)),
+            Conjunction::single(atoms::gt(Equation::from(y), 1.0)),
+        ]);
+        let q = special::normal_cdf(0.5);
+        let truth = 1.0 - 0.5 * q;
+        let n = 4000;
+        // σ of one estimate: q·√(¼/n). Each seed within 4σ, and their
+        // mean — where a bias such as double counting would show — within
+        // 3σ of the mean.
+        let sigma = q * (0.25 / n as f64).sqrt();
+        let seeds = 20;
+        let mut mean = 0.0;
+        for seed in 0..seeds {
+            let cfg = SamplerConfig::fixed_samples(n).with_seed(seed);
+            let p = aconf(&d, &cfg, 5).unwrap();
+            assert!(
+                (p - truth).abs() < 4.0 * sigma,
+                "seed {seed}: {p} vs {truth}"
+            );
+            mean += p / seeds as f64;
+        }
+        let sigma_mean = sigma / (seeds as f64).sqrt();
+        assert!((mean - truth).abs() < 3.0 * sigma_mean, "{mean} vs {truth}");
+    }
+
+    #[test]
+    fn aconf_stopping_rule_never_stops_on_an_all_hit_prefix() {
+        // (Y > z) ∨ (Y > z+1) with P[Y > z] = 0.97: the first ~30 worlds
+        // are usually all hits, where the sample variance is zero and an
+        // unguarded rule would stop at min_samples and answer exactly 1.
+        let z = -1.880_793_608_151_250_9;
+        let y = normal();
+        let d = Dnf::of(vec![
+            Conjunction::single(atoms::gt(Equation::from(y.clone()), z)),
+            Conjunction::single(atoms::gt(Equation::from(y), z + 1.0)),
+        ]);
+        for seed in 0..200 {
+            let cfg = SamplerConfig::default().with_seed(seed);
+            let p = aconf(&d, &cfg, 0).unwrap();
+            assert!(p < 1.0, "seed {seed} stopped on an all-hit prefix");
+            assert!((p - 0.97).abs() < 0.02, "seed {seed}: {p}");
+        }
+    }
+
+    #[test]
+    fn aconf_honours_the_independence_switch() {
+        // With use_independence off the DNF is one sampled component.
+        let d = Dnf::of(vec![
+            Conjunction::single(atoms::gt(Equation::from(normal()), 0.0)),
+            Conjunction::single(atoms::gt(Equation::from(normal()), 0.0)),
+        ]);
+        let cfg = SamplerConfig {
+            use_independence: false,
+            ..SamplerConfig::fixed_samples(4000)
+        };
+        let p = aconf(&d, &cfg, 0).unwrap();
+        assert_ne!(p, 0.75, "must be an estimate, not the product form");
+        assert!((p - 0.75).abs() < 0.05, "{p}");
+        assert_eq!(aconf(&d, &SamplerConfig::default(), 0).unwrap(), 0.75);
     }
 }

@@ -4,7 +4,8 @@
 //! atoms and produces joint samples of its variables that satisfy those
 //! atoms. It combines, in order of preference:
 //!
-//! * **exact CDF integration** — single-variable interval constraints
+//! * **exact CDF integration** — interval constraints on one variable,
+//!   or on an affine combination of independent Normals (itself Normal),
 //!   need no sampling at all to compute their probability;
 //! * **inverse-CDF bounded sampling** — the uniform input is restricted
 //!   to `[CDF(lo), CDF(hi)]` using the consistency checker's bounds map,
@@ -14,9 +15,12 @@
 //! * **Metropolis** — engaged when the observed rejection rate crosses
 //!   the configured threshold (Algorithm 4.3 lines 19–24).
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use pip_core::{PipError, Result};
 use pip_dist::PipRng;
-use pip_expr::{Assignment, CmpOp, RandomVar, VarGroup};
+use pip_expr::{Assignment, CmpOp, RandomVar, VarGroup, VarKey};
 use rand::Rng;
 
 use pip_ctable::{BoundsMap, Interval};
@@ -288,13 +292,64 @@ impl GroupSampler {
     }
 }
 
-/// Exact interval of a single-variable affine constraint set, honouring
-/// strictness on the integer grid for discrete variables.
-fn single_var_interval(group: &VarGroup) -> Option<(RandomVar, Interval)> {
-    if group.vars.len() != 1 {
+/// The scalar `S = Σ dᵢ·Xᵢ` an exact group's atoms all constrain, as
+/// `(S, d)` with `d` in `group.vars` order:
+///
+/// * a single-variable group is its variable, `d = 1`;
+/// * several *independent* `Normal`s reduce along the first atom's
+///   affine coefficients to the derived `Normal(Σdᵢμᵢ, √Σdᵢ²σᵢ²)` — a
+///   linear combination of independent Normals is Normal.
+///
+/// The derived variable exists only to carry `(class, params)` into the
+/// CDF helpers: it is never sampled and its key never looked up.
+fn exact_scalar(group: &VarGroup) -> Option<(RandomVar, Vec<(VarKey, f64)>)> {
+    if let [v] = group.vars.as_slice() {
+        return Some((v.clone(), vec![(v.key, 1.0)]));
+    }
+    // Components of one joint variable (equal id) are dependent.
+    let independent_normals = group.vars.iter().enumerate().all(|(i, v)| {
+        v.class.name() == "Normal" && group.vars[..i].iter().all(|o| o.key.id != v.key.id)
+    });
+    if !independent_normals {
         return None;
     }
-    let v = group.vars[0].clone();
+    let (coeffs, _) = group.atoms.first()?.normalized().0.linear_coeffs()?;
+    // Summed in `group.vars` order (never map order): bit-reproducible.
+    let (mut dir, mut mean, mut variance) = (Vec::new(), 0.0, 0.0);
+    for v in &group.vars {
+        if let Some(&d) = coeffs.get(&v.key) {
+            dir.push((v.key, d));
+            mean += d * v.class.mean(&v.params)?;
+            variance += d * d * v.class.variance(&v.params)?;
+        }
+    }
+    let first = group.vars.first()?;
+    let derived = RandomVar {
+        key: first.key,
+        class: Arc::clone(&first.class),
+        params: Arc::from([mean, variance.sqrt()]),
+    };
+    (!dir.is_empty()).then_some((derived, dir))
+}
+
+/// The `a` with `coeffs = a·dir` exactly (same variables, one common
+/// ratio — non-zero, as both sides hold non-zero coefficients only);
+/// `None` when the atom is not parallel to `dir`.
+fn parallel_scale(coeffs: &HashMap<VarKey, f64>, dir: &[(VarKey, f64)]) -> Option<f64> {
+    let &(k0, d0) = dir.first()?;
+    let a = *coeffs.get(&k0)? / d0;
+    let parallel = coeffs.len() == dir.len()
+        && dir
+            .iter()
+            .all(|(key, d)| coeffs.get(key).is_some_and(|&c| c == a * d));
+    parallel.then_some(a)
+}
+
+/// Exact interval of an affine constraint set over one scalar (see
+/// [`exact_scalar`]), honouring strictness on the integer grid for
+/// discrete variables.
+fn exact_interval(group: &VarGroup) -> Option<(RandomVar, Interval)> {
+    let (v, dir) = exact_scalar(group)?;
     let discrete = v.is_discrete();
     let mut iv = {
         let (lo, hi) = v.class.support(&v.params);
@@ -303,14 +358,8 @@ fn single_var_interval(group: &VarGroup) -> Option<(RandomVar, Interval)> {
     for atom in &group.atoms {
         let (expr, op) = atom.normalized();
         let (coeffs, c) = expr.linear_coeffs()?;
-        if coeffs.len() != 1 {
-            return None;
-        }
-        let (&key, &a) = coeffs.iter().next()?;
-        if key != v.key || a == 0.0 {
-            return None;
-        }
-        // a·x + c (op) 0  →  x (op') t
+        let a = parallel_scale(&coeffs, &dir)?;
+        // a·s + c (op) 0  →  s (op') t
         let t = -c / a;
         let op = if a < 0.0 { op.flip() } else { op };
         let bound = match op {
@@ -356,10 +405,14 @@ fn grid_above(t: f64) -> f64 {
     }
 }
 
-/// `P[atoms]` for a single-variable affine group via two CDF evaluations
-/// (the paper's headline exact path).
+/// `P[atoms]` via two CDF evaluations (the paper's headline exact path)
+/// for a group whose atoms are parallel affine constraints on one scalar
+/// with a known CDF: a single variable, or an affine combination of
+/// independent `Normal`s (`x + y > c`, a two-sided band on `2x − y`).
+/// `None` — the caller samples — for anything else: a non-Normal member,
+/// a non-affine atom, atoms along different directions.
 pub fn exact_group_probability(group: &VarGroup) -> Option<f64> {
-    let (v, iv) = single_var_interval(group)?;
+    let (v, iv) = exact_interval(group)?;
     if iv.is_empty() {
         return Some(0.0);
     }
@@ -508,16 +561,114 @@ mod tests {
         assert_eq!(exact_group_probability(&g), Some(0.0));
     }
 
+    /// The one group of `atoms` (they must share variables).
+    fn only_group(atoms: Vec<pip_expr::Atom>) -> VarGroup {
+        let groups = independent_groups(&Conjunction::of(atoms), &[]);
+        assert_eq!(groups.len(), 1);
+        groups.into_iter().next().unwrap()
+    }
+
     #[test]
-    fn exact_probability_refuses_multivar() {
-        let a = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
-        let b = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
-        let cond = Conjunction::single(atoms::gt(
+    fn exact_probability_of_affine_normal_combinations() {
+        let x = RandomVar::create(builtin::normal(), &[1.0, 2.0]).unwrap();
+        let y = RandomVar::create(builtin::normal(), &[-3.0, 0.5]).unwrap();
+        let (ex, ey) = (Equation::from(x.clone()), Equation::from(y.clone()));
+        // Φ of the derived Normal(mean, √var) at t.
+        let phi = |t: f64, mean: f64, var: f64| special::normal_cdf((t - mean) / var.sqrt());
+        let sum = (-2.0, 4.25); // x + y
+        let diff = (11.0, 4.0 * 4.0 + 9.0 * 0.25); // 2x − 3y
+        let cases: Vec<(Vec<pip_expr::Atom>, f64)> = vec![
+            // x + y > c, the sampling_heavy template.
+            (
+                vec![atoms::gt(ex.clone() + ey.clone(), -1.0)],
+                1.0 - phi(-1.0, sum.0, sum.1),
+            ),
+            // Negative coefficient, `<=`.
+            (
+                vec![atoms::le(ex.clone() * 2.0 - ey.clone() * 3.0, 9.0)],
+                phi(9.0, diff.0, diff.1),
+            ),
+            // Variables and constant offsets on both sides, `>=`:
+            // x + 1.5 ≥ 4 − y  ⇔  x + y ≥ 2.5.
+            (
+                vec![atoms::ge(ex.clone() + 1.5, Equation::val(4.0) - ey.clone())],
+                1.0 - phi(2.5, sum.0, sum.1),
+            ),
+            // A negative common scale flips the operator, `<`:
+            // −x − y < 3  ⇔  x + y > −3.
+            (
+                vec![atoms::lt(-ex.clone() - ey.clone(), 3.0)],
+                1.0 - phi(-3.0, sum.0, sum.1),
+            ),
+            // Zero coefficient: y is in the group but not in the sum.
+            (
+                vec![atoms::gt(ex.clone() + ey.clone() * 0.0, 2.0)],
+                1.0 - phi(2.0, 1.0, 4.0),
+            ),
+            // Two-sided band, the upper atom scaled: −4 < x + y, 2x + 2y < 1.
+            (
+                vec![
+                    atoms::gt(ex.clone() + ey.clone(), -4.0),
+                    atoms::lt(ex.clone() * 2.0 + ey.clone() * 2.0, 1.0),
+                ],
+                phi(0.5, sum.0, sum.1) - phi(-4.0, sum.0, sum.1),
+            ),
+            // Empty band.
+            (
+                vec![
+                    atoms::gt(ex.clone() + ey.clone(), 1.0),
+                    atoms::lt(ex.clone() + ey.clone(), 0.0),
+                ],
+                0.0,
+            ),
+            // P[x > y] for the old multi-variable refusal case.
+            (
+                vec![atoms::gt(ex.clone(), ey.clone())],
+                1.0 - phi(0.0, 4.0, 4.25),
+            ),
+        ];
+        for (atoms, truth) in cases {
+            let shown = Conjunction::of(atoms.clone()).to_string();
+            let p = exact_group_probability(&only_group(atoms)).unwrap();
+            assert!((p - truth).abs() < 1e-12, "{shown}: {p} vs {truth}");
+        }
+    }
+
+    #[test]
+    fn exact_probability_refuses_groups_without_a_closed_form() {
+        let normal = || RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
+        let (a, b) = (normal(), normal());
+        let e = RandomVar::create(builtin::exponential(), &[1.0]).unwrap();
+        let (ea, eb, ee) = (
             Equation::from(a.clone()),
             Equation::from(b.clone()),
-        ));
-        let g = independent_groups(&cond, &[]).into_iter().next().unwrap();
-        assert_eq!(exact_group_probability(&g), None);
+            Equation::from(e),
+        );
+        let joint = (
+            Equation::from(a.component(0)),
+            Equation::from(a.component(1)),
+        );
+        let refused: Vec<Vec<pip_expr::Atom>> = vec![
+            // A product of two variables is not affine.
+            vec![atoms::gt(ea.clone() * eb.clone(), 0.0)],
+            // A repeated variable in a non-affine atom.
+            vec![atoms::gt(ea.clone() * ea.clone() + eb.clone(), 1.0)],
+            // A non-Normal member: Normal + Exponential is not Normal.
+            vec![atoms::gt(ea.clone() + ee, 1.0)],
+            // Atoms along different directions: a wedge, not a band.
+            vec![
+                atoms::gt(ea.clone() + eb.clone(), 0.0),
+                atoms::gt(ea.clone() - eb.clone(), 0.0),
+            ],
+            // Components of one joint variable are not independent.
+            vec![atoms::gt(joint.0 + joint.1, 0.0)],
+            // `≠` is no interval.
+            vec![atoms::ne(ea + eb, 0.0)],
+        ];
+        for atoms in refused {
+            let shown = Conjunction::of(atoms.clone()).to_string();
+            assert_eq!(exact_group_probability(&only_group(atoms)), None, "{shown}");
+        }
     }
 
     #[test]

@@ -163,6 +163,16 @@ fn metrics_verb_and_http_scrape_expose_the_same_families() {
         );
     }
 
+    // The grouped `conf()` above went through `aconf`, whose path
+    // counters are part of the exposition.
+    for family in [
+        "pip_sampling_aconf_exact_components_total",
+        "pip_sampling_aconf_sampled_components_total",
+        "pip_sampling_aconf_draws_total",
+    ] {
+        assert!(verb.contains(family), "METRICS lacks {family}: {verb:?}");
+    }
+
     // The scrape endpoint answers the very same exposition.
     let addr = server.metrics_addr().expect("metrics addr");
     let mut http = TcpStream::connect(addr).expect("connect scrape");

@@ -14,6 +14,8 @@
 //! * the sample-block cache is pure memoization: cold, warm, and
 //!   disabled runs produce the same `ExpectationResult`.
 
+mod common;
+
 use proptest::prelude::*;
 
 use pip::dist::prelude::builtin;
@@ -271,12 +273,13 @@ proptest! {
 /// multi-variable group that has no exact CDF path, the probability
 /// comes from the averaging loop's acceptance counters — a compiled
 /// block that overdraws past the stopping point would inflate them.
-/// `E[X | X+Y > 0]` at delta=0.1 must agree to the bit, probability
-/// included.
+/// `E[X | X+Y > 0]` for Normal `X` and Exponential `Y` (two Normals
+/// would take the exact Normal-sum path) at delta=0.1 must agree to the
+/// bit, probability included.
 #[test]
 fn adaptive_stop_counters_feed_probability_bit_identically() {
     let x = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
-    let y = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
+    let y = RandomVar::create(builtin::exponential(), &[1.0]).unwrap();
     let cond = Conjunction::single(atoms::gt(
         Equation::from(x.clone()) + Equation::from(y.clone()),
         0.0,
@@ -305,6 +308,35 @@ fn adaptive_stop_counters_feed_probability_bit_identically() {
         )
         .unwrap();
         assert_results_identical(&a, &b, &format!("adaptive site {site}"));
+    }
+}
+
+/// Grouped `conf()` over multi-row groups — `aconf`'s factorised,
+/// sampled-component and probe paths — is bit-identical with the
+/// compiler on or off, at one thread and at four, cold cache and warm.
+#[test]
+fn grouped_conf_compiled_matches_interpreted() {
+    use pip::engine::{execute, AggFunc, Database, PlanBuilder};
+    let (t, _) = common::grouped_conf_table();
+    let db = Database::new();
+    db.register_table("t", t).unwrap();
+    let plan = PlanBuilder::scan("t")
+        .aggregate(vec!["g"], vec![AggFunc::Conf])
+        .build();
+    let interpreted = execute(&db, &plan, &SamplerConfig::default().with_compile(false)).unwrap();
+    assert_eq!(interpreted.len(), 3);
+    for threads in [1usize, 4] {
+        // Twice: the second pass finds the probe cache warm.
+        for _ in 0..2 {
+            let cfg = SamplerConfig::default()
+                .with_compile(true)
+                .with_threads(threads);
+            assert_eq!(
+                execute(&db, &plan, &cfg).unwrap().rows(),
+                interpreted.rows(),
+                "compiled grouped conf() diverged at {threads} threads"
+            );
+        }
     }
 }
 

@@ -116,6 +116,61 @@ fn group_by_with_uncertain_measures() {
 }
 
 #[test]
+fn lone_conf_under_group_by_answers_per_group() {
+    // `GROUP BY` with `conf()` as the only aggregate: one row per group
+    // (P[the group is non-empty]), the `conf()` column of the same query
+    // with another aggregate beside it — not one row per input row.
+    let (db, cfg) = setup();
+    sql::run(&db, "CREATE TABLE t (g TEXT, x SYMBOLIC)", &cfg).unwrap();
+    let rows: Vec<String> = (0..8)
+        .map(|i| {
+            let (mu, sd) = (10.0 + 0.1 * i as f64, 1.8 + 0.05 * i as f64);
+            format!("('g{}', create_variable('Normal', {mu}, {sd}))", i % 4)
+        })
+        .collect();
+    sql::run(
+        &db,
+        &format!("INSERT INTO t VALUES {}", rows.join(", ")),
+        &cfg,
+    )
+    .unwrap();
+    let lone = sql::run(
+        &db,
+        "SELECT g, conf() FROM t WHERE x > 11.3 GROUP BY g",
+        &cfg,
+    )
+    .unwrap();
+    let beside = sql::run(
+        &db,
+        "SELECT g, expected_sum(x), conf() FROM t WHERE x > 11.3 GROUP BY g",
+        &cfg,
+    )
+    .unwrap();
+    assert_eq!(lone.len(), 4);
+    assert_eq!(beside.len(), 4);
+    for (a, b) in lone.rows().iter().zip(beside.rows()) {
+        assert_eq!(a.cells[0], b.cells[0], "group key");
+        assert_eq!(a.cells[1], b.cells[2], "conf() of {:?}", a.cells[0]);
+    }
+
+    // STAGED (goes with `exec::whole_result_conf`): without `GROUP BY` the
+    // same eight rows are still one joint estimate — right to sampling
+    // error, and moving with the seed, which a closed form would not.
+    let p = |r: &CTable, row: usize, col: usize| {
+        let cell = r.rows()[row].cells[col].as_const().unwrap();
+        cell.as_f64().unwrap()
+    };
+    let any_group = 1.0 - (0..4).map(|g| 1.0 - p(&lone, g, 1)).product::<f64>();
+    let whole = |seed| {
+        let sql = "SELECT expected_sum(x), conf() FROM t WHERE x > 11.3";
+        let reply = sql::run(&db, sql, &cfg.clone().with_seed(seed)).unwrap();
+        p(&reply, 0, 1)
+    };
+    assert!((whole(1) - any_group).abs() < 0.02, "{}", whole(1));
+    assert_ne!(whole(1), whole(2));
+}
+
+#[test]
 fn discrete_and_continuous_mix_in_one_query() {
     // A Bernoulli gate on a Normal payout: E = p · μ.
     let (db, cfg) = setup();

@@ -4,8 +4,10 @@
 //! through the aggregate operators, the `conf()` heads, and full SQL
 //! queries.
 
+mod common;
+
 use pip::ctable::{CRow, CTable};
-use pip::engine::{execute, execute_materialized, PlanBuilder};
+use pip::engine::{execute, execute_materialized, AggFunc, PlanBuilder};
 use pip::expr::{atoms, Conjunction, Equation, RandomVar};
 use pip::prelude::{scalar_result, sql, DataType, Database, Schema, Value};
 use pip::sampling::{
@@ -27,10 +29,14 @@ fn mixed_table(rows: usize) -> CTable {
         let row = if i % 3 == 0 {
             CRow::unconditional(vec![Equation::from(y)])
         } else {
-            // z > y - i: genuinely multivariate, so `conf` has to sample.
+            // z² > y - i: no closed form (an affine `z > y - i` over two
+            // Normals would have one), so `conf` has to sample.
             CRow::new(
                 vec![Equation::from(y.clone())],
-                Conjunction::single(atoms::gt(Equation::from(z), Equation::from(y) - i as f64)),
+                Conjunction::single(atoms::gt(
+                    Equation::from(z.clone()) * Equation::from(z),
+                    Equation::from(y) - i as f64,
+                )),
             )
         };
         t.push(row).unwrap();
@@ -110,6 +116,33 @@ fn sql_query_results_identical_at_1_2_4_8_threads() {
             baseline.rows(),
             "SQL results diverged at {threads} threads"
         );
+    }
+}
+
+#[test]
+fn grouped_conf_identical_at_1_2_4_8_threads() {
+    // Multi-row groups: factorised, sampled-component and probe paths of
+    // `aconf`, whose streams derive from (site, first disjunct) alone.
+    let (t, disjoint_truth) = common::grouped_conf_table();
+    let db = Database::new();
+    db.register_table("t", t).unwrap();
+    let plan = PlanBuilder::scan("t")
+        .aggregate(vec!["g"], vec![AggFunc::Conf])
+        .build();
+    let serial = SamplerConfig::default();
+    let baseline = execute(&db, &plan, &serial).unwrap();
+    assert_eq!(baseline.len(), 3);
+    let disjoint = baseline.rows()[0].cells[1].as_const().unwrap();
+    assert!((disjoint.as_f64().unwrap() - disjoint_truth).abs() < 1e-12);
+    for threads in [1usize, 2, 4, 8] {
+        let cfg = serial.clone().with_threads(threads);
+        for run in [execute, execute_materialized] {
+            assert_eq!(
+                run(&db, &plan, &cfg).unwrap().rows(),
+                baseline.rows(),
+                "grouped conf() diverged at {threads} threads"
+            );
+        }
     }
 }
 

@@ -50,10 +50,11 @@ fn test_db() -> (Database, Vec<RandomVar>) {
             0 => Conjunction::top(),
             1 => Conjunction::single(atoms::gt(Equation::from(s.clone()), (i - 2) as f64)),
             _ => {
-                // Cross-variable: the sampler cannot use a CDF shortcut.
+                // Cross-variable and not affine: the sampler cannot use
+                // a CDF shortcut.
                 let gate = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
                 let cond = Conjunction::single(atoms::gt(
-                    Equation::from(gate.clone()),
+                    Equation::from(gate.clone()) * Equation::from(gate.clone()),
                     Equation::from(s.clone()) - i as f64,
                 ));
                 vars.push(gate);
