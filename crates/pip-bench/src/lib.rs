@@ -1,11 +1,13 @@
-//! Shared helpers for the figure-regeneration binaries.
+//! Shared helpers for the figure-regeneration binaries (`fig5`–`fig8`,
+//! `fig6_queries`, `ablation`).
 //!
 //! Every binary prints a self-describing table of rows (TSV to stdout,
 //! one JSON line per row to stderr when `PIP_BENCH_JSON=1`), so results
 //! can be eyeballed or scraped. `PIP_BENCH_SCALE` scales workload sizes
 //! (default 1.0 is laptop-friendly; the paper's hardware is long gone,
-//! shapes — not absolute seconds — are the reproduction target, see
-//! EXPERIMENTS.md).
+//! so shapes — not absolute seconds — are the reproduction target; see
+//! the README's "Benchmarks" section). The server as a whole is measured
+//! end to end by `pip-e2e`, not here.
 
 use serde::Serialize;
 

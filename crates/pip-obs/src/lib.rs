@@ -8,13 +8,13 @@
 //!
 //! Per-query tracing lives in [`span`]: a [`span::QuerySpan`] captures
 //! phase timings (parse / optimize / execute / sample), row counts, cache
-//! and dedup hits, and admission wait, driven by an injectable [`span::Clock`]
+//! hits, and admission wait, driven by an injectable [`span::Clock`]
 //! so tests stay deterministic. Spans over a configurable threshold land in
 //! the [`slowlog::SlowLog`] ring buffer, readable via the `SLOWLOG` verb.
 //!
 //! The global [`set_enabled`] switch turns every recording site into a
-//! single relaxed atomic load + branch, which is what the `obs_overhead`
-//! bench measures against the <3% hot-path budget.
+//! single relaxed atomic load + branch. It never changes a query's answer
+//! (the root package's `tests/obs_switch.rs` checks this bit for bit).
 
 pub mod log;
 pub mod metrics;

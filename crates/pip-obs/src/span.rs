@@ -2,7 +2,7 @@
 //!
 //! A [`QuerySpan`] captures everything an operator needs to explain one
 //! query: phase timings (parse / optimize / execute / sample), row count,
-//! cache and dedup hits, admission wait, and park duration. Spans are
+//! cache hits, admission wait, and park duration. Spans are
 //! assembled by the session layer through a [`SpanRecorder`], which takes
 //! its notion of time from a [`Clock`] so tests can drive a [`ManualClock`]
 //! and assert exact durations.
@@ -65,7 +65,6 @@ pub struct QuerySpan {
     pub total_nanos: u64,
     pub rows: u64,
     pub cache_hit: bool,
-    pub dedup_follower: bool,
     pub admission_wait_nanos: u64,
     pub park_nanos: u64,
 }
@@ -79,7 +78,7 @@ impl QuerySpan {
     pub fn render(&self) -> String {
         format!(
             "#{} {:.3}ms session={} parse={:.3}ms optimize={:.3}ms execute={:.3}ms \
-             sample={:.3}ms rows={} cache_hit={} dedup_follower={} admission_wait={:.3}ms \
+             sample={:.3}ms rows={} cache_hit={} admission_wait={:.3}ms \
              park={:.3}ms sql={}",
             self.query_id,
             ms(self.total_nanos),
@@ -90,7 +89,6 @@ impl QuerySpan {
             ms(self.sample_nanos),
             self.rows,
             self.cache_hit,
-            self.dedup_follower,
             ms(self.admission_wait_nanos),
             ms(self.park_nanos),
             self.sql.replace(['\n', '\r'], " "),

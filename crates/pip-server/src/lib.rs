@@ -13,8 +13,7 @@
 //!   (`QUERY` / `PREPARE` / `EXEC` / `SET` / `STATS`);
 //! * [`scheduler`] — the bounded query-execution fleet shared by every
 //!   connection, with per-query admission control (`ERR busy` past
-//!   capacity) and cross-session dedup of identical in-flight sampling
-//!   work;
+//!   capacity);
 //! * [`server`] — the TCP front-end: a nonblocking epoll reactor owns
 //!   every socket (pipelined request decoding from partial reads,
 //!   batched write flushes, no per-connection OS thread), one session
@@ -59,6 +58,6 @@ pub mod session;
 
 pub use lru::Lru;
 pub use protocol::{handle_line, parse_command, Command, Reply};
-pub use scheduler::{DedupMap, ServingCounters, ServingSnapshot};
+pub use scheduler::{ServingCounters, ServingSnapshot};
 pub use server::{serve, ServerHandle, ServerOptions};
 pub use session::{QueryReply, ReplWait, Session, SessionManager, SessionStats};

@@ -9,7 +9,7 @@
 //! EXEC <name>              run a prepared statement
 //! DEALLOCATE <name>        forget a prepared statement
 //! ANALYZE [<table>]        refresh optimizer statistics (SQL passthrough)
-//! SET <key> <value>        THREADS | SEED | SAMPLES | EPSILON | DELTA | COMPILE | REUSE
+//! SET <key> <value>        THREADS | SEED | SAMPLES | EPSILON | DELTA
 //!                          | DURABILITY (catalog-wide: OFF | WAL | SYNC)
 //!                          | REPLICATION WAIT 0|<n>|MAJORITY (sync acks)
 //!                          | REPLICATION TIMEOUT <ms>
@@ -304,17 +304,6 @@ pub fn handle_stream(session: &mut Session, sql: &str, out: &mut dyn Write) -> i
     writeln!(out, "END {n} rows (fresh)")
 }
 
-/// ON/OFF (also 1/0, TRUE/FALSE) for the boolean sampler knobs. Neither
-/// setting ever changes results — `COMPILE OFF` forces the interpreted
-/// reference engine, `REUSE OFF` disables sample-block memoization.
-fn parse_bool(value: &str) -> Option<bool> {
-    match value.to_ascii_uppercase().as_str() {
-        "ON" | "1" | "TRUE" => Some(true),
-        "OFF" | "0" | "FALSE" => Some(false),
-        _ => None,
-    }
-}
-
 fn apply_set(session: &mut Session, key: &str, value: &str) -> Result<String, String> {
     match key {
         "THREADS" => {
@@ -346,21 +335,13 @@ fn apply_set(session: &mut Session, key: &str, value: &str) -> Result<String, St
         }
         "DELTA" => {
             let x: f64 = value.parse().map_err(|_| "DELTA expects a number")?;
-            if x <= 0.0 {
-                return Err("DELTA must be positive".into());
+            // NaN would keep the stopping rule from ever firing and an
+            // infinite delta would stop every estimate at min_samples.
+            if !(x.is_finite() && x > 0.0) {
+                return Err("DELTA must be positive and finite".into());
             }
             session.cfg.delta = x;
             Ok(format!("OK delta={x}"))
-        }
-        "COMPILE" => {
-            let on = parse_bool(value).ok_or("COMPILE expects ON/OFF")?;
-            session.cfg = session.cfg.clone().with_compile(on);
-            Ok(format!("OK compile={on}"))
-        }
-        "REUSE" => {
-            let on = parse_bool(value).ok_or("REUSE expects ON/OFF")?;
-            session.cfg = session.cfg.clone().with_block_reuse(on);
-            Ok(format!("OK reuse={on}"))
         }
         "DURABILITY" => {
             let level = pip_engine::Durability::parse(value)
@@ -420,7 +401,7 @@ fn apply_set(session: &mut Session, key: &str, value: &str) -> Result<String, St
             }
         }
         other => Err(format!(
-            "unknown setting '{other}' (THREADS, SEED, SAMPLES, EPSILON, DELTA, COMPILE, REUSE, DURABILITY, REPLICATION, SLOWLOG)"
+            "unknown setting '{other}' (THREADS, SEED, SAMPLES, EPSILON, DELTA, DURABILITY, REPLICATION, SLOWLOG)"
         )),
     }
 }
@@ -568,14 +549,14 @@ pub fn handle_command(session: &mut Session, cmd: Command) -> Reply {
             };
             // Scheduler-served sessions expose the serving counters:
             // gauges (inflight/queued) plus monotonic totals
-            // (admitted/rejected/batched) — what a load balancer or an
+            // (admitted/rejected) — what a load balancer or an
             // admission-control test needs to observe over the wire.
             let serving = match session.serving() {
                 Some(counters) => {
                     let c = counters.snapshot();
                     format!(
-                        " inflight={} queued={} admitted={} rejected={} batched={} capacity={}",
-                        c.inflight, c.queued, c.admitted, c.rejected, c.batched, c.capacity
+                        " inflight={} queued={} admitted={} rejected={} capacity={}",
+                        c.inflight, c.queued, c.admitted, c.rejected, c.capacity
                     )
                 }
                 None => String::new(),
@@ -763,22 +744,27 @@ mod tests {
         assert_eq!((s.cfg.min_samples, s.cfg.max_samples), (500, 500));
         assert!(handle_line(&mut s, "SET SAMPLES 0").text.starts_with("ERR"));
         assert!(handle_line(&mut s, "SET EPSILON 2").text.starts_with("ERR"));
-        assert!(handle_line(&mut s, "SET COMPILE OFF")
-            .text
-            .contains("compile=false"));
-        assert!(!s.cfg.compile);
-        assert!(handle_line(&mut s, "SET COMPILE on")
-            .text
-            .contains("compile=true"));
-        assert!(s.cfg.compile);
-        assert!(handle_line(&mut s, "SET REUSE 0")
-            .text
-            .contains("reuse=false"));
-        assert!(!s.cfg.reuse_blocks);
-        assert!(handle_line(&mut s, "SET REUSE maybe")
-            .text
-            .starts_with("ERR"));
+        // The sampling engine and the block cache are value-neutral, so
+        // they are not wire settings.
+        for line in ["SET COMPILE OFF", "SET REUSE 0"] {
+            let r = handle_line(&mut s, line).text;
+            assert!(r.starts_with("ERR unknown setting"), "{line}: {r}");
+        }
         assert!(handle_line(&mut s, "SET BOGUS 1").text.starts_with("ERR"));
         assert!(handle_line(&mut s, "SET THREADS x").text.starts_with("ERR"));
+    }
+
+    #[test]
+    fn set_delta_accepts_only_finite_positive_values() {
+        let mut s = session();
+        assert_eq!(
+            handle_line(&mut s, "SET DELTA 0.01").text,
+            "OK delta=0.01\n"
+        );
+        for bad in ["NaN", "nan", "inf", "infinity", "1e400", "0", "-0.5"] {
+            let r = handle_line(&mut s, &format!("SET DELTA {bad}")).text;
+            assert!(r.starts_with("ERR DELTA must be"), "{bad}: {r}");
+            assert_eq!(s.cfg.delta, 0.01, "{bad} changed delta");
+        }
     }
 }

@@ -1,6 +1,5 @@
 //! The sampling scheduler: a bounded worker fleet shared by every
-//! connection, with per-query admission control and cross-session
-//! deduplication of identical sampling work.
+//! connection, with per-query admission control.
 //!
 //! The reactor ([`crate::reactor`]) never executes a query itself — it
 //! parses requests and appends them to the owning connection's command
@@ -15,7 +14,7 @@
 //! bounds *how many queries* run at once, the sampler pool bounds *how
 //! many threads* one query uses.
 //!
-//! Three mechanisms keep an overloaded server well-behaved:
+//! Two mechanisms keep an overloaded server well-behaved:
 //!
 //! * **Admission control** ([`ServingCounters::try_admit`]): at most
 //!   `capacity` expensive commands (`QUERY`/`EXEC`/`STREAM`) may be
@@ -25,23 +24,13 @@
 //! * **Backpressure**: per-connection command queues are capped by the
 //!   reactor (it simply stops reading a socket whose pipeline is full,
 //!   letting TCP flow control push back on the client).
-//! * **Work dedup** ([`DedupMap`]): when several sessions concurrently
-//!   submit a `SELECT` with the same text, sampling parameters and
-//!   catalog version, one *leader* executes it and the others become
-//!   *followers* sharing the leader's result table. The PR 4 block
-//!   cache dedupes the compute inside one execution; this dedupes the
-//!   executions themselves. Sharing is value-neutral by construction —
-//!   the key pins everything the result depends on, so a follower's
-//!   reply is byte-identical to what its own execution would produce.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use pip_core::Result;
-use pip_ctable::CTable;
 use pip_obs::{Counter, Gauge, Histogram, Registry};
 
 // ---------------------------------------------------------------------
@@ -49,12 +38,12 @@ use pip_obs::{Counter, Gauge, Histogram, Registry};
 // ---------------------------------------------------------------------
 
 /// Scheduler-wide serving counters, reported by `STATS` as
-/// `inflight=`/`queued=`/`admitted=`/`rejected=`/`batched=` and scraped
-/// as the `pip_server_*` metric families — one set of atomics backs
-/// both (the pip-obs registry is the single source of truth).
+/// `inflight=`/`queued=`/`admitted=`/`rejected=` and scraped as the
+/// `pip_server_*` metric families — one set of atomics backs both (the
+/// pip-obs registry is the single source of truth).
 ///
-/// `admitted`, `rejected`, `completed`, `cancelled` and `batched` are
-/// monotonic totals; `queued` and `inflight` are gauges
+/// `admitted`, `rejected`, `completed` and `cancelled` are monotonic
+/// totals; `queued` and `inflight` are gauges
 /// (`queued + inflight <= capacity` at all times — that inequality *is*
 /// the admission bound, and `admitted == completed + cancelled +
 /// inflight + queued` at every instant — the accounting invariant the
@@ -75,8 +64,6 @@ pub struct ServingCounters {
     rejected: Arc<Counter>,
     completed: Arc<Counter>,
     cancelled: Arc<Counter>,
-    batched: Arc<Counter>,
-    dedup_leaders: Arc<Counter>,
     /// Reactor-side event counters (accepted sockets, wire bytes, flow
     /// control and protocol kills). They live here because every layer
     /// that needs them — reactor, connections, sessions — already
@@ -108,7 +95,6 @@ pub struct ServingSnapshot {
     pub rejected: u64,
     pub completed: u64,
     pub cancelled: u64,
-    pub batched: u64,
     pub evictions: u64,
     pub oversize: u64,
     pub capacity: usize,
@@ -151,14 +137,6 @@ impl ServingCounters {
             cancelled: r.counter(
                 "pip_server_cancelled_total",
                 "Admitted commands dropped before execution (close, QUIT, shutdown).",
-            ),
-            batched: r.counter(
-                "pip_server_dedup_follower_total",
-                "SELECTs served by joining another session's identical in-flight execution.",
-            ),
-            dedup_leaders: r.counter(
-                "pip_server_dedup_leader_total",
-                "Deduplicated SELECT executions led on behalf of other sessions.",
             ),
             accepts: r.counter(
                 "pip_server_accepts_total",
@@ -257,17 +235,6 @@ impl ServingCounters {
         self.load.fetch_sub(1, Ordering::AcqRel);
     }
 
-    /// A session was served by joining another session's in-flight
-    /// execution of the same work.
-    pub fn note_batched(&self) {
-        self.batched.inc();
-    }
-
-    /// A session led a deduplicated execution other sessions could join.
-    pub fn note_dedup_leader(&self) {
-        self.dedup_leaders.inc();
-    }
-
     pub fn snapshot(&self) -> ServingSnapshot {
         ServingSnapshot {
             inflight: self.inflight.get().max(0) as u64,
@@ -276,169 +243,9 @@ impl ServingCounters {
             rejected: self.rejected.get(),
             completed: self.completed.get(),
             cancelled: self.cancelled.get(),
-            batched: self.batched.get(),
             evictions: self.slow_reader_evictions.get(),
             oversize: self.oversize_kills.get(),
             capacity: self.capacity,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Cross-session work dedup.
-// ---------------------------------------------------------------------
-
-enum EntryState {
-    /// The leader is computing.
-    Running,
-    /// The leader finished; everyone shares the table.
-    Done(Arc<CTable>),
-    /// The leader failed or unwound: followers must retry themselves
-    /// (errors are deterministic, so each retry reproduces the same
-    /// reply the session would have produced alone).
-    Poisoned,
-}
-
-struct Entry {
-    state: Mutex<EntryState>,
-    done: Condvar,
-}
-
-impl Entry {
-    fn new() -> Entry {
-        Entry {
-            state: Mutex::new(EntryState::Running),
-            done: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, state: EntryState) {
-        *self.state.lock().unwrap_or_else(|e| e.into_inner()) = state;
-        self.done.notify_all();
-    }
-}
-
-/// In-flight `SELECT` executions keyed by the session result-cache key
-/// (statement text + sampling parameters + catalog version — see
-/// `Session::cache_suffix`; the key pins the result bit-for-bit).
-#[derive(Default)]
-pub struct DedupMap {
-    inflight: Mutex<HashMap<String, Arc<Entry>>>,
-}
-
-/// Poisons-and-removes the leader's entry unless it completed cleanly,
-/// so followers never wait on a leader that unwound.
-struct LeaderGuard<'a> {
-    map: &'a DedupMap,
-    key: &'a str,
-    entry: &'a Arc<Entry>,
-    completed: bool,
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        if !self.completed {
-            self.entry.complete(EntryState::Poisoned);
-            self.map
-                .inflight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(self.key);
-        }
-    }
-}
-
-impl DedupMap {
-    pub fn new() -> DedupMap {
-        DedupMap::default()
-    }
-
-    /// In-flight executions right now (tests / diagnostics).
-    pub fn len(&self) -> usize {
-        self.inflight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Run `run` for `key`, sharing the execution with any concurrent
-    /// caller holding the same key. Returns the result table plus
-    /// whether this call was a follower (served from another session's
-    /// execution). `run` must be a pure function of the key — true for
-    /// the result-cache keys, which pin seed, sampling parameters and
-    /// catalog version.
-    pub fn run_shared(
-        &self,
-        key: &str,
-        run: impl Fn() -> Result<CTable>,
-    ) -> (Result<Arc<CTable>>, bool) {
-        let mut followed = false;
-        loop {
-            let existing = {
-                let mut map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-                match map.get(key) {
-                    Some(entry) => Some(Arc::clone(entry)),
-                    None => {
-                        map.insert(key.to_string(), Arc::new(Entry::new()));
-                        None
-                    }
-                }
-            };
-            match existing {
-                None => {
-                    // Leader: compute, publish, retire the entry.
-                    let entry = {
-                        let map = self.inflight.lock().unwrap_or_else(|e| e.into_inner());
-                        Arc::clone(map.get(key).expect("leader entry present"))
-                    };
-                    let mut guard = LeaderGuard {
-                        map: self,
-                        key,
-                        entry: &entry,
-                        completed: false,
-                    };
-                    let result = run();
-                    guard.completed = true;
-                    drop(guard);
-                    let out = match result {
-                        Ok(table) => {
-                            let table = Arc::new(table);
-                            entry.complete(EntryState::Done(Arc::clone(&table)));
-                            Ok(table)
-                        }
-                        Err(e) => {
-                            entry.complete(EntryState::Poisoned);
-                            Err(e)
-                        }
-                    };
-                    self.inflight
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .remove(key);
-                    return (out, followed);
-                }
-                Some(entry) => {
-                    // Follower: wait the leader out.
-                    let mut state = entry.state.lock().unwrap_or_else(|e| e.into_inner());
-                    loop {
-                        match &*state {
-                            EntryState::Running => {
-                                state = entry.done.wait(state).unwrap_or_else(|e| e.into_inner());
-                            }
-                            EntryState::Done(table) => return (Ok(Arc::clone(table)), true),
-                            EntryState::Poisoned => break,
-                        }
-                    }
-                    // The leader failed — run it ourselves next round
-                    // (and remember we *tried* to follow: errors are
-                    // not counted as batched).
-                    followed = false;
-                }
-            }
         }
     }
 }
@@ -548,9 +355,6 @@ fn worker_loop(shared: &SchedShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pip_core::PipError;
-    use pip_core::Schema;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn admission_bounds_load() {
@@ -570,57 +374,6 @@ mod tests {
         let s = c.snapshot();
         assert_eq!((s.queued, s.inflight), (0, 0));
         assert!(c.try_admit() && c.try_admit(), "fully recovered");
-    }
-
-    #[test]
-    fn dedup_shares_one_execution() {
-        let map = Arc::new(DedupMap::new());
-        let runs = Arc::new(AtomicUsize::new(0));
-        let n_threads = 8;
-        let results: Vec<(usize, bool)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n_threads)
-                .map(|_| {
-                    let map = Arc::clone(&map);
-                    let runs = Arc::clone(&runs);
-                    s.spawn(move || {
-                        let (r, followed) = map.run_shared("k", || {
-                            runs.fetch_add(1, Ordering::SeqCst);
-                            // Give followers time to pile up on the entry.
-                            std::thread::sleep(std::time::Duration::from_millis(30));
-                            Ok(CTable::empty(Schema::empty()))
-                        });
-                        (Arc::strong_count(&r.unwrap()), followed)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let executions = runs.load(Ordering::SeqCst);
-        let followers = results.iter().filter(|(_, f)| *f).count();
-        // Every thread that did not execute was a follower.
-        assert_eq!(executions + followers, n_threads);
-        assert!(executions >= 1);
-        assert!(map.is_empty(), "entries retire after completion");
-    }
-
-    #[test]
-    fn dedup_distinct_keys_do_not_share() {
-        let map = DedupMap::new();
-        let (a, fa) = map.run_shared("a", || Ok(CTable::empty(Schema::empty())));
-        let (b, fb) = map.run_shared("b", || Ok(CTable::empty(Schema::empty())));
-        assert!(!fa && !fb);
-        assert!(!Arc::ptr_eq(&a.unwrap(), &b.unwrap()));
-    }
-
-    #[test]
-    fn dedup_leader_error_does_not_stick() {
-        let map = DedupMap::new();
-        let (r, followed) = map.run_shared("k", || Err(PipError::NotFound("t".into())));
-        assert!(r.is_err() && !followed);
-        assert!(map.is_empty(), "failed entry must retire");
-        // Next caller becomes a fresh leader.
-        let (r, followed) = map.run_shared("k", || Ok(CTable::empty(Schema::empty())));
-        assert!(r.is_ok() && !followed);
     }
 
     #[test]

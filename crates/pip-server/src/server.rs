@@ -15,7 +15,7 @@ use pip_replica::Replication;
 use pip_sampling::SamplerConfig;
 
 use crate::reactor::{Limits, Reactor, ReactorShared};
-use crate::scheduler::{DedupMap, Scheduler, ServingCounters, ServingSnapshot};
+use crate::scheduler::{Scheduler, ServingCounters, ServingSnapshot};
 use crate::session::SessionManager;
 
 pub use crate::reactor::MAX_REQUEST_BYTES;
@@ -232,12 +232,11 @@ pub fn serve(
         register_replication_gauges(db.obs_registry(), repl);
     }
     let slowlog = Arc::new(SlowLog::new());
-    let dedup = Arc::new(DedupMap::new());
     let manager = Arc::new(
         SessionManager::new(db, options.default_config.clone())
             .with_cache_capacities(options.prepared_cache, options.result_cache)
             .with_replication(options.replication.clone())
-            .with_serving(Arc::clone(&serving), dedup)
+            .with_serving(Arc::clone(&serving))
             .with_obs(Arc::new(MonotonicClock), slowlog),
     );
     let workers = match options.workers {

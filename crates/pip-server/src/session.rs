@@ -17,24 +17,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use std::sync::Mutex;
-
 use pip_core::{PipError, Result};
 use pip_ctable::CTable;
 use pip_engine::sql::{self, Statement};
-use pip_engine::{execute_with_stats, optimize, Database, Plan, QueryStats};
+use pip_engine::{execute_with_stats, optimize, Database, Plan};
 use pip_obs::{Clock, MonotonicClock, SlowLog, SpanRecorder};
 use pip_replica::Replication;
 use pip_sampling::SamplerConfig;
 
 use crate::lru::Lru;
-use crate::scheduler::{DedupMap, ServingCounters};
+use crate::scheduler::ServingCounters;
 
 /// A statement captured by `PREPARE`.
 struct PreparedStatement {
     plan: Arc<Plan>,
-    /// The statement text, which keys cross-session work dedup (unlike
-    /// `generation`, it means the same thing in every session).
+    /// The statement text, recorded in the query span.
     sql: String,
     /// Distinguishes re-prepared statements with the same name in the
     /// result-cache key.
@@ -123,8 +120,6 @@ pub struct Session {
     /// Scheduler-wide serving counters (when the session is served by
     /// the TCP front-end), reported by `STATS`.
     serving: Option<Arc<ServingCounters>>,
-    /// Cross-session dedup of in-flight identical sampling work.
-    dedup: Option<Arc<DedupMap>>,
     /// Time source for query spans (injectable so tests can drive a
     /// `ManualClock`).
     clock: Arc<dyn Clock>,
@@ -198,10 +193,10 @@ impl Session {
     /// sampling parameters a result depends on, plus the catalog
     /// version. Thread count is excluded — the parallel runtime returns
     /// bit-identical results for any `threads`, so a hit stays valid.
-    /// `compile` and `reuse_blocks` are excluded for the same reason:
-    /// the compiled engine is bit-identical to the interpreted one and
-    /// the sample-block cache is pure memoization, so toggling either
-    /// cannot invalidate a cached result.
+    /// `compile` and `reuse_blocks` (no wire setting changes them) are
+    /// excluded for the same reason: the compiled engine is bit-identical
+    /// to the interpreted one and the sample-block cache is pure
+    /// memoization.
     fn cache_suffix(&self) -> String {
         format!(
             "|seed={}|min={}|max={}|eps={}|delta={}|v={}",
@@ -214,77 +209,26 @@ impl Session {
         )
     }
 
-    /// Run one `SELECT`'s sampling work, sharing the execution with any
-    /// other session concurrently submitting the same work (same
-    /// statement text, sampling parameters and catalog version — the
-    /// dedup key is the result-cache key, which pins the result
-    /// bit-for-bit, so sharing is invisible in the reply). Sessions not
-    /// served through the scheduler just execute directly.
-    fn run_select_shared(
-        &mut self,
-        key: &str,
-        run: impl Fn() -> Result<CTable>,
-    ) -> Result<Arc<CTable>> {
-        match &self.dedup {
-            None => Ok(Arc::new(run()?)),
-            Some(dedup) => {
-                let (result, followed) = dedup.run_shared(key, run);
-                if let Some(serving) = &self.serving {
-                    if followed {
-                        serving.note_batched();
-                    } else {
-                        serving.note_dedup_leader();
-                    }
-                }
-                result
-            }
-        }
-    }
-
-    /// Optimize and execute an uncached `SELECT` under `shared_key`
-    /// (see [`Session::run_select_shared`]), store the result under
+    /// Optimize and execute an uncached `SELECT`, store the result under
     /// `cache_key` and close the span.
     fn run_plan(
         &mut self,
         cache_key: String,
-        shared_key: &str,
-        plan: Arc<Plan>,
+        plan: Plan,
         mut rec: Option<SpanRecorder>,
     ) -> Result<QueryReply> {
-        let db = Arc::clone(&self.db);
-        let cfg = self.cfg.clone();
-        // The stats slot carries the leader's phase timings out for the
-        // span — a dedup follower's closure never runs, so a `None` slot
-        // after the call marks the span as a follower.
-        let stats_slot: Arc<Mutex<Option<(u64, QueryStats)>>> = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&stats_slot);
-        let table = self.run_select_shared(shared_key, move || {
-            // Optimization is catalog-dependent (schema lookups), so it
-            // runs per execution against the current catalog; the plan is
-            // cloned per run because a failed dedup leader is re-run.
-            let t0 = std::time::Instant::now();
-            let optimized = optimize(&db, (*plan).clone())?;
-            let optimize_nanos = t0.elapsed().as_nanos() as u64;
-            let (table, qs) = execute_with_stats(&db, &optimized, &cfg)?;
-            *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some((optimize_nanos, qs));
-            Ok(table)
-        })?;
+        // Optimization is catalog-dependent (schema lookups), so it runs
+        // per execution against the current catalog.
+        let t0 = std::time::Instant::now();
+        let optimized = optimize(&self.db, plan)?;
+        let optimize_nanos = t0.elapsed().as_nanos() as u64;
+        let (table, qs) = execute_with_stats(&self.db, &optimized, &self.cfg)?;
+        let table = Arc::new(table);
         self.results.put(cache_key, Arc::clone(&table));
         if let Some(mut r) = rec.take() {
-            let wall = r.lap();
-            match stats_slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
-                Some((optimize_nanos, qs)) => {
-                    r.span.optimize_nanos = optimize_nanos;
-                    r.span.execute_nanos = (qs.query_secs * 1e9) as u64;
-                    r.span.sample_nanos = (qs.sample_secs * 1e9) as u64;
-                }
-                None => {
-                    // Served by another session's leader: the whole
-                    // wait is accounted as execute time.
-                    r.span.dedup_follower = true;
-                    r.span.execute_nanos = wall;
-                }
-            }
+            r.span.optimize_nanos = optimize_nanos;
+            r.span.execute_nanos = (qs.query_secs * 1e9) as u64;
+            r.span.sample_nanos = (qs.sample_secs * 1e9) as u64;
             r.span.rows = table.len() as u64;
             self.observe_span(r);
         }
@@ -323,7 +267,7 @@ impl Session {
                         cached: true,
                     });
                 }
-                self.run_plan(key.clone(), &key, Arc::new(plan), rec)
+                self.run_plan(key, plan, rec)
             }
             other => {
                 // DDL/DML: the catalog version bump retires stale cache
@@ -436,14 +380,7 @@ impl Session {
                 cached: true,
             });
         }
-        // The dedup key is the statement-text key (`Q:`), not the local
-        // `E:` key — prepared names and generations are session-local,
-        // so only the text means the same thing across sessions. EXEC
-        // and QUERY of the same SELECT therefore share one execution:
-        // both paths are optimize-then-execute against the current
-        // catalog, bit-identical by construction.
-        let shared_key = format!("Q:{sql}{}", self.cache_suffix());
-        self.run_plan(key, &shared_key, plan, rec)
+        self.run_plan(key, (*plan).clone(), rec)
     }
 
     /// Forget one prepared statement.
@@ -464,7 +401,6 @@ pub struct SessionManager {
     next_id: AtomicU64,
     replication: Option<Arc<Replication>>,
     serving: Option<Arc<ServingCounters>>,
-    dedup: Option<Arc<DedupMap>>,
     clock: Arc<dyn Clock>,
     slowlog: Option<Arc<SlowLog>>,
 }
@@ -479,7 +415,6 @@ impl SessionManager {
             next_id: AtomicU64::new(1),
             replication: None,
             serving: None,
-            dedup: None,
             clock: Arc::new(MonotonicClock),
             slowlog: None,
         }
@@ -499,12 +434,10 @@ impl SessionManager {
         self
     }
 
-    /// Attach the scheduler's serving counters and cross-session dedup
-    /// map: sessions report the counters in STATS and share identical
-    /// in-flight `SELECT` executions through the map.
-    pub fn with_serving(mut self, serving: Arc<ServingCounters>, dedup: Arc<DedupMap>) -> Self {
+    /// Attach the scheduler's serving counters: sessions report them in
+    /// STATS.
+    pub fn with_serving(mut self, serving: Arc<ServingCounters>) -> Self {
         self.serving = Some(serving);
-        self.dedup = Some(dedup);
         self
     }
 
@@ -539,7 +472,6 @@ impl SessionManager {
             stats: SessionStats::default(),
             replication: self.replication.clone(),
             serving: self.serving.clone(),
-            dedup: self.dedup.clone(),
             clock: Arc::clone(&self.clock),
             slowlog: self.slowlog.clone(),
             pending_admission_wait_nanos: 0,

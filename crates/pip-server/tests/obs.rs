@@ -277,7 +277,6 @@ fn slowlog_captures_per_phase_breakdowns() {
         "sample=",
         "rows=",
         "cache_hit=",
-        "dedup_follower=",
         "admission_wait=",
         "park=",
         "sql=",
@@ -411,9 +410,8 @@ proptest! {
                     let busy_total = &busy_total;
                     let expensive_total = &expensive_total;
                     handles.push(scope.spawn(move || {
-                        // Per-client seed: distinct dedup keys, so the
-                        // clients contend instead of all drafting behind
-                        // one leader.
+                        // Per-client seed: no two clients run the same
+                        // sampling work.
                         let mut script = vec![format!("SET SEED {i}")];
                         for &v in plan {
                             script.push(match v {
