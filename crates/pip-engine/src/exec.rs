@@ -330,33 +330,6 @@ pub(crate) fn aggregate_schema(
     Schema::new(cols)
 }
 
-/// STAGED — delete with the PR that claims `closed_qps` @ `mixed_rw`
-/// (ROADMAP 2(g)); the ungrouped head then calls `aconf(&dnf, cfg, 0)`
-/// like the grouped one.
-///
-/// `conf()` of the *ungrouped* head (no `GROUP BY`: one output row, the
-/// probability that the result is non-empty). Several rows are asked of
-/// `aconf` as one monolithic component at the full `max_samples` budget,
-/// which is draw for draw the joint estimate this head returned before
-/// `aconf` factorised; a lone row is `conf`, as it always was. Only
-/// grouped heads take the closed forms in this PR: the repo's benchmark
-/// bounds the run-to-run spread of every metric a PR does not claim by a
-/// quarter of the *parent's* median, and the ungrouped read of `mixed_rw`
-/// would rise 26-fold unclaimed (CHANGES.md, PR 17).
-fn whole_result_conf(dnf: &pip_expr::Dnf, cfg: &SamplerConfig) -> Result<f64> {
-    if dnf.disjuncts().len() < 2 {
-        return aconf(dnf, cfg, 0);
-    }
-    let budget = cfg.max_samples.max(cfg.min_samples);
-    let joint = SamplerConfig {
-        use_independence: false,
-        min_samples: budget,
-        max_samples: budget,
-        ..cfg.clone()
-    };
-    aconf(dnf, &joint, 0)
-}
-
 /// Run the aggregate sampling operators over pre-partitioned groups,
 /// returning one output cell vector per group (in group order).
 ///
@@ -380,16 +353,13 @@ pub(crate) fn group_head_rows(
                     expected_max_const(part, column, cfg, *precision)?.value
                 }
                 AggFunc::Conf => {
-                    // Probability the group is non-empty: aconf over the
-                    // disjunction of all row conditions.
+                    // Probability the group (the whole result, without
+                    // GROUP BY) is non-empty: aconf over the disjunction
+                    // of all row conditions.
                     let dnf = pip_expr::Dnf::of(
                         part.rows().iter().map(|r| r.condition.clone()).collect(),
                     );
-                    if key.is_empty() {
-                        whole_result_conf(&dnf, cfg)?
-                    } else {
-                        aconf(&dnf, cfg, 0)?
-                    }
+                    aconf(&dnf, cfg, 0)?
                 }
             };
             cells.push(Equation::val(v));

@@ -132,8 +132,9 @@ pub enum AggFunc {
     ExpectedAvg(String),
     /// `expected_max(col)` with the given early-exit precision.
     ExpectedMax { column: String, precision: f64 },
-    /// `conf()` — confidence that the group is non-empty... for grouped
-    /// plans; for ungrouped use the `Conf` plan node on rows instead.
+    /// `conf()` — confidence that the group (without `GROUP BY`, the
+    /// whole result) is non-empty, `aconf` over its rows' conditions. The
+    /// per-row confidence is the `Conf` plan node instead.
     Conf,
 }
 

@@ -7,12 +7,12 @@
 //!   Monte Carlo acceptance estimates elsewhere.
 //! * `aconf` — probability of a *disjunction* of conditions (the
 //!   coalesced condition of duplicate rows after `distinct`, or "this
-//!   group is non-empty"): disjuncts that share no variable are
-//!   independent events, so the DNF factorises over its
-//!   variable-connected components, `P[∨φ] = 1 − Π (1 − p_c)`. A
-//!   one-disjunct component is `conf`; only a component whose disjuncts
-//!   truly share variables is integrated by Monte Carlo, over its own
-//!   variables alone.
+//!   group — without `GROUP BY`, the whole result — is non-empty"):
+//!   disjuncts that share no variable are independent events, so the DNF
+//!   factorises over its variable-connected components,
+//!   `P[∨φ] = 1 − Π (1 − p_c)`. A one-disjunct component is `conf`; only
+//!   a component whose disjuncts truly share variables is integrated by
+//!   Monte Carlo, over its own variables alone.
 
 use pip_core::Result;
 use pip_dist::{mix64, rng_from_seed};

@@ -33,6 +33,15 @@ fn counters_say_which_aconf_path_ran() {
     assert_eq!(after.0 - before.0, 4, "exact components");
     assert_eq!((after.1, after.2), (before.1, before.2), "nothing sampled");
 
+    // The `mixed_rw` read: no `GROUP BY`, the whole result is one group —
+    // the same four rows, the same four closed-form components.
+    let before = after;
+    let out = run("SELECT expected_sum(x), conf() FROM t WHERE x > 11.3");
+    assert_eq!(out.len(), 1);
+    let after = read();
+    assert_eq!(after.0 - before.0, 4, "exact components");
+    assert_eq!((after.1, after.2), (before.1, before.2), "nothing sampled");
+
     // Rows of a self-join share their variables: one sampled component.
     let before = after;
     run("CREATE TABLE u (x SYMBOLIC)");

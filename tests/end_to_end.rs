@@ -153,21 +153,29 @@ fn lone_conf_under_group_by_answers_per_group() {
         assert_eq!(a.cells[1], b.cells[2], "conf() of {:?}", a.cells[0]);
     }
 
-    // STAGED (goes with `exec::whole_result_conf`): without `GROUP BY` the
-    // same eight rows are still one joint estimate — right to sampling
-    // error, and moving with the seed, which a closed form would not.
+    // Without `GROUP BY` the whole result is the one group: the same
+    // factorised `aconf` over all eight variable-disjoint rows, so it is
+    // the closed form "some group is non-empty" — the same at every seed,
+    // alone or beside another aggregate.
     let p = |r: &CTable, row: usize, col: usize| {
         let cell = r.rows()[row].cells[col].as_const().unwrap();
         cell.as_f64().unwrap()
     };
     let any_group = 1.0 - (0..4).map(|g| 1.0 - p(&lone, g, 1)).product::<f64>();
-    let whole = |seed| {
-        let sql = "SELECT expected_sum(x), conf() FROM t WHERE x > 11.3";
+    let whole = |sql: &str, seed| {
         let reply = sql::run(&db, sql, &cfg.clone().with_seed(seed)).unwrap();
-        p(&reply, 0, 1)
+        p(&reply, 0, reply.schema().len() - 1)
     };
-    assert!((whole(1) - any_group).abs() < 0.02, "{}", whole(1));
-    assert_ne!(whole(1), whole(2));
+    let beside = whole("SELECT expected_sum(x), conf() FROM t WHERE x > 11.3", 1);
+    assert!(
+        (beside - any_group).abs() < 1e-12,
+        "{beside} vs {any_group}"
+    );
+    assert_eq!(
+        beside,
+        whole("SELECT expected_sum(x), conf() FROM t WHERE x > 11.3", 2)
+    );
+    assert_eq!(beside, whole("SELECT conf() FROM t WHERE x > 11.3", 3));
 }
 
 #[test]
