@@ -6,7 +6,8 @@
 //!
 //! PIP runs with the exact-CDF shortcut disabled so that both systems
 //! genuinely draw the same number of samples, as in the paper's setup;
-//! the `ablation_exact` binary shows what the exact paths buy on top.
+//! experiment 1 of the `ablation` binary shows what the exact paths buy
+//! on top.
 
 use serde::Serialize;
 use std::time::Instant;
@@ -182,6 +183,12 @@ fn exec_comparison(scale: f64) -> (ExecSummary, Vec<PlanShape>) {
     (summary, shapes)
 }
 
+/// Rows produced by every operator of one pipelined run of `plan`.
+fn rows_out(db: &Database, plan: &Plan, cfg: &SamplerConfig) -> u64 {
+    let (_, stats) = execute_with_stats(db, plan, cfg).expect("streaming exec");
+    stats.ops.iter().map(|p| p.rows_out).sum()
+}
+
 #[derive(Serialize)]
 struct JoinOrderSummary {
     workload: &'static str,
@@ -197,6 +204,10 @@ struct JoinOrderSummary {
     /// estimated cardinality).
     cost_based_query_secs: f64,
     reorder_speedup: f64,
+    /// Rows produced, summed over every operator of the executed plan:
+    /// the deterministic work count the gate compares.
+    written_rows_out: u64,
+    cost_based_rows_out: u64,
     values_identical: bool,
 }
 
@@ -204,8 +215,10 @@ struct JoinOrderSummary {
 /// written in FROM-clause product order. Compares written-order
 /// execution against the cost-based optimizer's plan on the pipelined
 /// executor, and FAILS (panics → non-zero exit, caught by CI's bench
-/// smoke) if the optimizer's plan is measurably worse than written
-/// order.
+/// smoke) if the optimizer's plan does more work than written order,
+/// counted as rows produced over all operators. Pushdown already runs
+/// the written order as hash joins, so comparing the two plans' seconds
+/// would compare milliseconds on a shared runner.
 fn join_order_comparison(scale: f64) -> (JoinOrderSummary, Vec<PlanShape>) {
     let shape = StarShape::of(((2400.0 * scale) as usize).max(60));
     let db = plans::star_db(&shape).expect("star db");
@@ -241,6 +254,9 @@ fn join_order_comparison(scale: f64) -> (JoinOrderSummary, Vec<PlanShape>) {
         values_identical,
         "plans disagree: written {written_v} vs cost-based {cost_v}"
     );
+    let written_rows = rows_out(&db, &written, &cfg);
+    let cost_rows = rows_out(&db, &cost_based, &cfg);
+    println!("# rows produced: written order {written_rows}, cost-based {cost_rows}");
     let summary = JoinOrderSummary {
         workload: "star_join_order",
         fact_rows: shape.fact,
@@ -251,6 +267,8 @@ fn join_order_comparison(scale: f64) -> (JoinOrderSummary, Vec<PlanShape>) {
         written_query_secs: written_secs,
         cost_based_query_secs: cost_secs,
         reorder_speedup: written_secs / cost_secs,
+        written_rows_out: written_rows,
+        cost_based_rows_out: cost_rows,
         values_identical,
     };
     println!(
@@ -260,8 +278,8 @@ fn join_order_comparison(scale: f64) -> (JoinOrderSummary, Vec<PlanShape>) {
     // The CI gate: a cost-based optimizer that picks a plan worse than
     // the written order is a regression, not a tuning matter.
     assert!(
-        cost_secs <= written_secs * 1.1,
-        "cost-based plan ({cost_secs:.4}s) is worse than written order ({written_secs:.4}s)"
+        cost_rows <= written_rows,
+        "cost-based plan produces {cost_rows} rows, written order {written_rows}"
     );
     let shapes = vec![
         PlanShape {

@@ -277,24 +277,18 @@ mod tests {
             .unwrap()
             .build();
         let opt = optimize_with(&db, plan.clone(), &pushdown_only()).unwrap();
-        // Expect: Select(cross-side) over Product(Select(l), Select(r)).
+        // Expect: the cross-side equality as the key of a join over the
+        // two single-side selects, and no filter left above it.
         match &opt {
-            Plan::Select { input, predicate } => {
-                let mut cols = Vec::new();
-                columns_of(predicate, &mut cols);
-                assert_eq!(cols, vec!["a".to_string(), "c".to_string()]);
-                match &**input {
-                    Plan::Product { left, right } => {
-                        assert!(matches!(**left, Plan::Select { .. }), "{left:?}");
-                        assert!(matches!(**right, Plan::Select { .. }), "{right:?}");
-                    }
-                    other => panic!("expected product, got {other:?}"),
-                }
+            Plan::EquiJoin { left, right, on } => {
+                assert_eq!(on, &vec![("a".to_string(), "c".to_string())]);
+                assert!(matches!(**left, Plan::Select { .. }), "{left:?}");
+                assert!(matches!(**right, Plan::Select { .. }), "{right:?}");
             }
-            other => panic!("expected top select, got {other:?}"),
+            other => panic!("expected equi-join, got {other:?}"),
         }
         // Semantics preserved, both under pushdown only and the full
-        // cost-based pipeline (which converts the product to a join).
+        // cost-based pipeline.
         let cfg = SamplerConfig::default();
         let a = crate::exec::execute(&db, &plan, &cfg).unwrap();
         let b = crate::exec::execute(&db, &opt, &cfg).unwrap();
@@ -345,6 +339,100 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn only_unambiguous_leading_equalities_become_join_keys() {
+        let db = setup();
+        db.create_table("l2", Schema::of(&[("a", DataType::Int)]))
+            .unwrap();
+        db.create_table(
+            "r3",
+            Schema::of(&[("a", DataType::Int), ("e", DataType::Int)]),
+        )
+        .unwrap();
+        let col = ScalarExpr::col;
+        let shape = |l: &str, r: &str, pred: ScalarExpr| {
+            let plan = PlanBuilder::scan(l)
+                .product(PlanBuilder::scan(r))
+                .select(pred)
+                .unwrap()
+                .build();
+            optimize_with(&db, plan, &pushdown_only()).unwrap()
+        };
+        let stays_a_filter = |opt: Plan| match opt {
+            Plan::Select { input, .. } => assert!(matches!(*input, Plan::Product { .. })),
+            other => panic!("expected select over product, got {other:?}"),
+        };
+        // `a` is a column of both sides, so `a = e` binds to neither.
+        stays_a_filter(shape("l2", "r3", col("a").eq(col("e"))));
+        // Flipped: the join would emit the atom `a = c`, not `c = a`.
+        stays_a_filter(shape("l", "r", col("c").eq(col("a"))));
+        // Behind a cross-side residual: fusing would move its atom first.
+        stays_a_filter(shape(
+            "l",
+            "r",
+            col("b").lt(col("d")).and(col("a").eq(col("c"))),
+        ));
+        // A residual that creates variables keeps the product.
+        let fresh = ScalarExpr::CreateVariable {
+            class: "Normal".into(),
+            params: vec![0.0, 1.0],
+        };
+        stays_a_filter(shape(
+            "l",
+            "r",
+            col("a").eq(col("c")).and(col("b").add(col("d")).lt(fresh)),
+        ));
+        // The leading equality fuses; the residual filters the join.
+        match shape("l", "r", col("a").eq(col("c")).and(col("b").lt(col("d")))) {
+            Plan::Select { input, .. } => match *input {
+                Plan::EquiJoin { on, .. } => {
+                    assert_eq!(on, vec![("a".to_string(), "c".to_string())])
+                }
+                other => panic!("expected equi-join, got {other:?}"),
+            },
+            other => panic!("expected select over equi-join, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn symbolic_join_sql_lowers_to_a_hash_join() {
+        // The Fig. 6 join as the end-to-end benchmark writes it: both
+        // tables carry the same six `pad*` columns, so the join-order
+        // pass keeps the written order and the join must come from
+        // pushdown.
+        let db = Database::new();
+        let cfg = SamplerConfig::default();
+        let pads: String = (0..6).map(|i| format!(", pad{i} FLOAT")).collect();
+        let zeros = ", 0.0".repeat(6);
+        for stmt in [
+            format!("CREATE TABLE customers (cust INT, spend FLOAT, incr SYMBOLIC, supp INT{pads})"),
+            format!("CREATE TABLE deliveries (supp_id INT, duration SYMBOLIC, thr FLOAT{pads})"),
+            format!(
+                "INSERT INTO customers VALUES (0, 50.0, create_variable('Poisson', 2.0), 0{zeros}), \
+                 (1, 90.0, create_variable('Poisson', 3.0), 1{zeros})"
+            ),
+            format!(
+                "INSERT INTO deliveries VALUES (0, create_variable('Normal', 5.0, 1.0), 5.8{zeros}), \
+                 (1, create_variable('Normal', 9.0, 2.0), 10.7{zeros})"
+            ),
+        ] {
+            crate::sql::run(&db, &stmt, &cfg).unwrap();
+        }
+        let crate::sql::Statement::Select(plan) = crate::sql::parse(
+            "SELECT expected_sum(spend * incr) FROM customers, deliveries \
+             WHERE supp = supp_id AND duration > thr AND spend > 20.0",
+        )
+        .unwrap() else {
+            panic!("not a select");
+        };
+        let plan = optimize(&db, plan).unwrap();
+        let text = crate::physical::lower(&db, &plan, &cfg)
+            .unwrap()
+            .explain(false);
+        assert!(text.contains("HashJoin: supp=supp_id"), "{text}");
+        assert!(!text.contains("Product"), "{text}");
     }
 
     #[test]

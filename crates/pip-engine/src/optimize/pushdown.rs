@@ -1,6 +1,7 @@
-//! Pass 1: predicate pushdown and select fusion.
+//! Pass 1: predicate pushdown, select fusion and join-key fusion.
 
 use pip_core::{Result, Schema};
+use pip_expr::CmpOp;
 
 use super::{columns_of, conjuncts, plan_schema, rebuild};
 use crate::catalog::Database;
@@ -85,34 +86,36 @@ fn push_select(db: &Database, input: Plan, predicate: ScalarExpr) -> Result<Plan
             push_select(db, *inner, combined)
         }
         Plan::Product { left, right } => {
-            push_through_binary(db, *left, *right, predicate, |l, r| Plan::Product {
-                left: Box::new(l),
-                right: Box::new(r),
-            })
+            push_through_binary(db, *left, *right, Vec::new(), predicate)
         }
-        Plan::EquiJoin { left, right, on } => {
-            let on2 = on.clone();
-            push_through_binary(db, *left, *right, predicate, move |l, r| Plan::EquiJoin {
-                left: Box::new(l),
-                right: Box::new(r),
-                on: on2.clone(),
-            })
-        }
-        other => Plan::Select {
+        Plan::EquiJoin { left, right, on } => push_through_binary(db, *left, *right, on, predicate),
+        other => Ok(Plan::Select {
             input: Box::new(other),
             predicate,
-        }
-        .pipe_ok(),
+        }),
     }
 }
 
-/// Distribute conjuncts to the sides of a binary node where possible.
+/// Distribute conjuncts over a product (`on` empty) or an equi-join:
+/// single-side ones go below it, the leading cross-side column
+/// equalities of the rest become join keys, and what remains filters
+/// above it.
+///
+/// A key `l = r` turns a product into an equi-join or extends an
+/// equi-join's `on`, whatever the reorderer decides later. The rows and
+/// row conditions stay those of filtering the product, because the hash
+/// join visits candidates in build order and emits its key atoms `l = r`
+/// before the filter above it adds its own. So only the *leading* run of
+/// kept conjuncts fuses, only in written orientation (`r = l` would flip
+/// the atom), and nothing fuses when a kept conjunct creates variables:
+/// the join drops a row whose key atom simplifies to false before the
+/// filter runs, where the filter would have allocated them first.
 fn push_through_binary(
     db: &Database,
     left: Plan,
     right: Plan,
+    mut on: Vec<(String, String)>,
     predicate: ScalarExpr,
-    rebuild_node: impl Fn(Plan, Plan) -> Plan,
 ) -> Result<Plan> {
     let l_schema = plan_schema(db, &left)?;
     let r_schema = plan_schema(db, &right)?;
@@ -138,6 +141,12 @@ fn push_through_binary(
             keep.push(part);
         }
     }
+    if !keep.iter().any(creates_variables) {
+        while let Some(pair) = keep.first().and_then(|p| key_pair(p, &l_schema, &r_schema)) {
+            on.push(pair);
+            keep.remove(0);
+        }
+    }
 
     let new_left = match rebuild(left_parts) {
         Some(p) => push_select(db, left, p)?,
@@ -147,7 +156,12 @@ fn push_through_binary(
         Some(p) => push_select(db, right, p)?,
         None => right,
     };
-    let node = rebuild_node(new_left, new_right);
+    let (left, right) = (Box::new(new_left), Box::new(new_right));
+    let node = if on.is_empty() {
+        Plan::Product { left, right }
+    } else {
+        Plan::EquiJoin { left, right, on }
+    };
     Ok(match rebuild(keep) {
         Some(p) => Plan::Select {
             input: Box::new(node),
@@ -157,11 +171,37 @@ fn push_through_binary(
     })
 }
 
-/// Tiny Ok-wrapping helper to keep match arms tidy.
-trait PipeOk: Sized {
-    fn pipe_ok(self) -> Result<Self> {
-        Ok(self)
+/// `(a, b)` when `part` is the column equality `a = b` with `a` bound
+/// only by the left input and `b` only by the right one.
+fn key_pair(part: &ScalarExpr, l: &Schema, r: &Schema) -> Option<(String, String)> {
+    let ScalarExpr::Cmp {
+        op: CmpOp::Eq,
+        left,
+        right,
+    } = part
+    else {
+        return None;
+    };
+    let (ScalarExpr::Column(a), ScalarExpr::Column(b)) = (&**left, &**right) else {
+        return None;
+    };
+    let has = |s: &Schema, c: &str| s.index_of(c).is_ok();
+    if has(l, a) && !has(r, a) && has(r, b) && !has(l, b) {
+        Some((a.clone(), b.clone()))
+    } else {
+        None
     }
 }
 
-impl PipeOk for Plan {}
+/// True if evaluating `e` allocates a fresh random variable.
+fn creates_variables(e: &ScalarExpr) -> bool {
+    match e {
+        ScalarExpr::CreateVariable { .. } => true,
+        ScalarExpr::Column(_) | ScalarExpr::Literal(_) | ScalarExpr::Var(_) => false,
+        ScalarExpr::Binary { left, right, .. } | ScalarExpr::Cmp { left, right, .. } => {
+            creates_variables(left) || creates_variables(right)
+        }
+        ScalarExpr::Neg(e) => creates_variables(e),
+        ScalarExpr::And(ps) => ps.iter().any(creates_variables),
+    }
+}

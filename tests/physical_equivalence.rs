@@ -6,7 +6,8 @@
 //! world-semantics preservation through the optimizer — across randomly
 //! composed plans (joins, products, unions, differences, fused
 //! select/project chains, distinct, sort, limit, aggregate and conf
-//! heads).
+//! heads), and join-key fusion against the `Select(Product)` it
+//! replaces.
 
 use proptest::prelude::*;
 
@@ -218,6 +219,149 @@ fn random_plan(base: u8, ops: &[u8], head: u8, thr: f64, limit_n: usize) -> Plan
     }
 }
 
+/// Tables for the join-key property. `fa(k INT, x FLOAT, s SYMBOLIC,
+/// pad INT)` holds Int keys, a discrete variable in its INT key column
+/// and conditional rows; `fb(kb FLOAT, y FLOAT, pad INT)` holds Float
+/// keys (`1.0` must meet `Int(1)`) and a variable key; `fc(kc INT, z
+/// SYMBOLIC, x FLOAT)` mixes all three. `pad` (fa, fb) and `x` (fa, fc)
+/// are duplicated names: the join-order pass then keeps every region in
+/// written order, and equalities over them bind to neither side.
+fn fusion_db() -> Database {
+    let db = Database::new();
+    let key =
+        || Equation::from(RandomVar::create(builtin::discrete_uniform(), &[0.0, 2.0]).unwrap());
+    let normal = |mean: f64| RandomVar::create(builtin::normal(), &[mean, 1.0]).unwrap();
+    let cols = |c: &[(&str, DataType)]| Schema::of(c);
+    db.create_table(
+        "fa",
+        cols(&[
+            ("k", DataType::Int),
+            ("x", DataType::Float),
+            ("s", DataType::Symbolic),
+            ("pad", DataType::Int),
+        ]),
+    )
+    .unwrap();
+    db.create_table(
+        "fb",
+        cols(&[
+            ("kb", DataType::Float),
+            ("y", DataType::Float),
+            ("pad", DataType::Int),
+        ]),
+    )
+    .unwrap();
+    db.create_table(
+        "fc",
+        cols(&[
+            ("kc", DataType::Int),
+            ("z", DataType::Symbolic),
+            ("x", DataType::Float),
+        ]),
+    )
+    .unwrap();
+    let fa_keys = [
+        Equation::val(0i64),
+        Equation::val(1i64),
+        key(),
+        Equation::val(1i64),
+        Equation::val(2i64),
+    ];
+    let rows = fa_keys
+        .into_iter()
+        .enumerate()
+        .map(|(i, k)| {
+            let s = normal(i as f64);
+            let cond = if i % 2 == 1 {
+                Conjunction::single(atoms::gt(Equation::from(s.clone()), 0.5))
+            } else {
+                Conjunction::top()
+            };
+            let cells = vec![
+                k,
+                Equation::val(i as f64 + 0.5),
+                Equation::from(s),
+                Equation::val(i as i64),
+            ];
+            CRow::new(cells, cond)
+        })
+        .collect();
+    db.insert_rows("fa", rows).unwrap();
+    let fb_keys = [
+        Equation::val(1.0),
+        Equation::val(0.0),
+        key(),
+        Equation::val(2.5),
+        Equation::val(1.0),
+    ];
+    let rows = fb_keys
+        .into_iter()
+        .enumerate()
+        .map(|(i, kb)| {
+            CRow::unconditional(vec![
+                kb,
+                Equation::val(i as f64 + 1.0),
+                Equation::val(i as i64),
+            ])
+        })
+        .collect();
+    db.insert_rows("fb", rows).unwrap();
+    let fc_keys = [
+        Equation::val(1i64),
+        Equation::val(2.0),
+        key(),
+        Equation::val(0i64),
+    ];
+    let rows = fc_keys
+        .into_iter()
+        .enumerate()
+        .map(|(i, kc)| {
+            CRow::unconditional(vec![
+                kc,
+                Equation::from(normal(2.0 + i as f64)),
+                Equation::val(i as f64 + 0.5),
+            ])
+        })
+        .collect();
+    db.insert_rows("fc", rows).unwrap();
+    db
+}
+
+/// Cross-side conjuncts over `fa × fb` and over `(fa × fb) × fc`, as
+/// (left column, equality?, right column). `kb = k` and `kc = k` are
+/// flipped, `pad` and `x` are ambiguous.
+const INNER: [(&str, bool, &str); 5] = [
+    ("k", true, "kb"),
+    ("kb", true, "k"),
+    ("k", true, "pad"),
+    ("x", false, "y"),
+    ("s", false, "y"),
+];
+const OUTER: [(&str, bool, &str); 6] = [
+    ("k", true, "kc"),
+    ("kb", true, "kc"),
+    ("kc", true, "k"),
+    ("x", true, "kc"),
+    ("y", false, "z"),
+    ("s", false, "z"),
+];
+
+/// The conjunction of the picked menu entries, in pick order.
+fn conjunction(menu: &[(&str, bool, &str)], picks: &[u8]) -> Option<ScalarExpr> {
+    picks
+        .iter()
+        .map(|&i| {
+            let (a, eq, b) = menu[i as usize % menu.len()];
+            let (a, b) = (ScalarExpr::col(a), ScalarExpr::col(b));
+            if eq {
+                a.eq(b)
+            } else {
+                a.lt(b)
+            }
+        })
+        .reduce(ScalarExpr::and)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -291,5 +435,54 @@ proptest! {
         w_raw.sort();
         w_opt.sort();
         prop_assert_eq!(w_raw, w_opt);
+    }
+
+    /// Join-key fusion is invisible: `optimize`, which turns the leading
+    /// cross-side `l = r` conjuncts into hash-join keys, gives the rows,
+    /// row conditions and estimates of the hand-built `Select(Product)`
+    /// it replaces, on both executors at 1, 2 and 4 threads — over Int,
+    /// Float and variable keys, equalities behind other conjuncts,
+    /// flipped or ambiguous ones, and cross-side `<` residuals.
+    #[test]
+    fn join_key_fusion_matches_filtering_the_product(
+        inner in prop::collection::vec(0u8..5, 1..4),
+        outer in prop::collection::vec(0u8..6, 0..4),
+        three in 0u8..2,
+        head in 0u8..3,
+    ) {
+        let db = fusion_db();
+        let mut b = PlanBuilder::scan("fa")
+            .product(PlanBuilder::scan("fb"))
+            .select(conjunction(&INNER, &inner).unwrap())
+            .unwrap();
+        if three == 1 {
+            b = b.product(PlanBuilder::scan("fc"));
+            if let Some(p) = conjunction(&OUTER, &outer) {
+                b = b.select(p).unwrap();
+            }
+        }
+        let plan = match head {
+            0 => b.build(),
+            1 => b.conf().build(),
+            _ => b
+                .aggregate(
+                    vec![],
+                    vec![AggFunc::ExpectedCount, AggFunc::Conf, AggFunc::ExpectedSum("s".into())],
+                )
+                .build(),
+        };
+        let fused = optimize(&db, plan.clone()).unwrap();
+        if inner[0] == 0 {
+            prop_assert!(fused.explain().contains("EquiJoin: k=kb"), "{}", fused.explain());
+        }
+        let cfg = SamplerConfig::fixed_samples(64);
+        for threads in [1usize, 2, 4] {
+            let cfg = cfg.clone().with_threads(threads);
+            prop_assert_eq!(execute(&db, &fused, &cfg).unwrap(), execute(&db, &plan, &cfg).unwrap());
+            prop_assert_eq!(
+                execute_materialized(&db, &fused, &cfg).unwrap(),
+                execute_materialized(&db, &plan, &cfg).unwrap()
+            );
+        }
     }
 }
