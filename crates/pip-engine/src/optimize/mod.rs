@@ -5,13 +5,18 @@
 //! ensuring that constraints over discrete variables are filtered as
 //! soon as possible", Section III-C). Our engine provides the moral
 //! equivalent as a pipeline of passes over [`Plan`]s, driven by the
-//! statistics and cost model in [`crate::stats`]:
+//! statistics and cost model in [`crate::stats`]. [`optimize_with`] is
+//! the list of passes, one module each:
 //!
-//! 1. **Predicate pushdown** ([`push_selects`]): split conjunctions,
-//!    push single-side conjuncts below products/joins, fuse adjacent
-//!    selects. Purely deterministic rewrites that shrink intermediate
-//!    c-tables before any sampling happens.
-//! 2. **Join reordering** (`reorder_joins`): extract the join graph from
+//! 1. **Predicate pushdown** (`pushdown.rs`, [`push_selects`]): split
+//!    conjunctions, push single-side conjuncts below products/joins,
+//!    fuse adjacent selects, and make the leading cross-side column
+//!    equalities `l = r` hash-join keys — a `Product` becomes an
+//!    `EquiJoin`, an `EquiJoin` grows its `on` — whatever the reorderer
+//!    decides next. Purely deterministic rewrites that shrink
+//!    intermediate c-tables before any sampling happens; rows and row
+//!    conditions stay those of filtering the product.
+//! 2. **Join reordering** (`reorder.rs`): extract the join graph from
 //!    nested `Product`/`EquiJoin` regions and their cross-side equality
 //!    conjuncts, then greedily build a left-deep tree of hash joins in
 //!    ascending estimated-cardinality order. The rewrite is adopted only
@@ -20,7 +25,7 @@
 //!    plan's schema is invariant. Reordering preserves the multiset
 //!    (possible-worlds) semantics of the region; the row *order* of a
 //!    reordered region follows the new join sequence.
-//! 3. **Access-path selection** (`choose_access_paths`): where an
+//! 3. **Access-path selection** (`access.rs`): where an
 //!    ordered secondary index exists, rewrite `Select` over a base scan
 //!    into an [`Plan::IndexScan`] and an equi-join probing a base scan
 //!    into an [`Plan::IndexJoin`] — but only when the cost model (fed
@@ -28,7 +33,7 @@
 //!    sequential plan. Candidates carry the exact cardinality estimate
 //!    of the logical shape they replace, so the decision reduces to
 //!    the access-cost formulas.
-//! 4. **Cost-gated projection pushdown** (`prune_columns`): wrap base
+//! 4. **Cost-gated projection pushdown** (`prune.rs`): wrap base
 //!    scans in narrow projections only where the estimator says the
 //!    saved downstream cell clones outweigh the extra per-row stage —
 //!    pruning is free on wide join fan-outs and a net loss on scans
