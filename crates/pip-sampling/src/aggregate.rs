@@ -10,14 +10,14 @@
 //! (symbolic targets).
 //!
 //! The per-row fan-out runs each row's `expectation`/`conf` through the
-//! sampling compiler when `SamplerConfig::compile` is on (the default):
-//! the row's equation and condition lower once into slot-indexed tapes
-//! and group kernels ([`crate::tape`]), samples land in columnar blocks
-//! ([`crate::blocks`]), and identical `(group, seed-site)` draw
-//! sequences — e.g. `expected_count` next to `expected_avg` in one
-//! SELECT list, or a re-executed prepared statement — are served from
-//! the sample-block cache. All of it bit-identical to the interpreted
-//! operators, at every thread count.
+//! group kernels: the row's equation and condition lower once into
+//! slot-indexed tapes and kernels ([`crate::tape`]), samples land in
+//! columnar blocks ([`crate::blocks`]), and identical `(group,
+//! seed-site)` draw sequences — e.g. `expected_count` next to
+//! `expected_avg` in one SELECT list, or a re-executed prepared
+//! statement — are served from the sample-block cache. All of it
+//! bit-identical to the tree-walking [`crate::oracle`], at every thread
+//! count.
 
 use pip_core::{PipError, Result};
 

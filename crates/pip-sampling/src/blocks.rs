@@ -1,21 +1,24 @@
-//! Columnar sample blocks, the sample-block cache, and the compiled
-//! execution drivers built on [`crate::tape`].
+//! Columnar sample blocks, the sample-block cache, and the averaging
+//! loops built on [`crate::tape`].
 //!
 //! A [`SampleBlock`] is an `n_slots × n_samples` structure-of-arrays
 //! matrix of accepted joint samples, filled **sample-major** (so the RNG
-//! consumption order is exactly the interpreted loop's) but stored
+//! consumption order is exactly a sample-at-a-time loop's) but stored
 //! **column-major** (so the tape evaluator streams each slot
-//! contiguously). Filling stops early on a sampling error — mirroring
-//! the interpreted averaging loop — and bails entirely when a kernel
-//! hits the Metropolis escalation trigger, in which case the caller
-//! reruns the interpreted [`crate::strategy::GroupSampler`] path.
+//! contiguously). Filling stops early on an error, and at a Metropolis
+//! trigger past the block's first sample: the switch waits until the
+//! averaging loop asks for that sample, so overdrawing a block past the
+//! stopping point never switches a group the loop did not reach.
 //!
 //! The **block cache** memoizes two deterministic draw sequences:
 //!
 //! * whole blocks, keyed by `(kernel signatures incl. counters, RNG
 //!   state, requested length, sampling knobs)` — reused when the same
 //!   `(group, seed-site)` is sampled again (repeated prepared
-//!   statements, `expected_sum` + `expected_avg` over the same rows);
+//!   statements, `expected_sum` + `expected_avg` over the same rows).
+//!   A hit restores counters and the generator but no chain, so only
+//!   fills that start and end with every kernel in plain rejection mode
+//!   are looked up or published;
 //! * probe runs (fixed-budget acceptance estimation for `conf()` /
 //!   `P[condition]`), keyed the same way, storing just the counters and
 //!   the RNG end state so a hit fast-forwards the generator without
@@ -28,15 +31,14 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use pip_core::PipError;
+use pip_core::{PipError, Result};
 use pip_dist::PipRng;
-use pip_expr::{Equation, SlotMap};
 
 use crate::config::SamplerConfig;
 use crate::expectation::Prepared;
-use crate::tape::{div_by_zero, GroupKernel, KernelStep, Tape};
+use crate::tape::{GroupKernel, Tape};
 
-/// Samples per block in the compiled serial averaging loop. A constant:
+/// Samples per block in the blocked averaging loop. A constant:
 /// block boundaries only batch work, they never influence values (the
 /// stopping rule is still applied per sample, and overdrawn samples are
 /// discarded unconsumed).
@@ -54,15 +56,15 @@ const CACHE_CAPACITY_F64: usize = 1 << 17;
 pub struct SampleBlock {
     /// Samples requested (the column stride of `data`).
     pub requested: usize,
-    /// Samples actually filled (`< requested` only on a sampling error).
+    /// Samples actually filled (`< requested` on an error, or at a
+    /// Metropolis trigger held for the next fill).
     pub filled: usize,
     /// Column-major payload: slot `k`'s samples at
     /// `data[k * requested .. k * requested + filled]`.
     pub data: Vec<f64>,
-    /// Sampler failure that stopped the fill (rejection cap, or an atom
-    /// evaluation error — both non-fatal, exactly as in the interpreted
-    /// averaging loop).
-    pub sampling_error: Option<PipError>,
+    /// The error that stopped the fill: the rejection cap
+    /// ([`PipError::Sampling`]) or an atom's evaluation error.
+    pub error: Option<PipError>,
     /// Per-kernel `(attempts, accepts)` after the fill, in kernel order.
     pub counters_after: Vec<(u64, u64)>,
     /// Generator state after the fill (restored on a cache hit).
@@ -191,9 +193,9 @@ fn config_signature(cfg: &SamplerConfig, sig: &mut Vec<u64>) {
     sig.push(cfg.metropolis_threshold.to_bits());
 }
 
-fn kernels_key(
+fn kernels_key<'k>(
     kind: u8,
-    kernels: &[GroupKernel],
+    kernels: impl ExactSizeIterator<Item = &'k GroupKernel>,
     cfg: &SamplerConfig,
     rng: &PipRng,
     len: usize,
@@ -218,46 +220,101 @@ fn kernels_key(
 // Block filling.
 // ---------------------------------------------------------------------
 
-/// Fill one block: draw `requested` joint samples through the kernels in
-/// order, sample-major (the interpreted draw order), storing accepted
-/// values column-major. Returns `None` when a kernel hits the Metropolis
-/// escalation trigger — the caller must rerun the interpreted path.
+/// Draw scratch of one averaging loop, kept across its block fills so a
+/// fill that stopped at a held Metropolis trigger mid-sample resumes that
+/// sample where it stopped.
+pub(crate) struct Cursor {
+    slots: Vec<f64>,
+    regs: Vec<f64>,
+    /// Position in `prep.relevant` of the next kernel to draw; the
+    /// kernels before it already wrote the sample in flight.
+    next: usize,
+}
+
+impl Cursor {
+    pub(crate) fn new(prep: &Prepared) -> Cursor {
+        Cursor {
+            slots: vec![0.0; prep.slots.len()],
+            regs: Vec::new(),
+            next: 0,
+        }
+    }
+}
+
+/// The one error that ends an averaging loop with its partial estimate
+/// standing (Algorithm 4.3 line 25): the rejection cap. Any other error
+/// — evaluation, type — is the query's and propagates.
+pub(crate) fn partial_or_fail(error: PipError) -> Result<()> {
+    match error {
+        PipError::Sampling(_) => Ok(()),
+        other => Err(other),
+    }
+}
+
+/// Fill one block: draw up to `requested` joint samples through the
+/// relevant kernels in order, sample-major (the draw order of a
+/// sample-at-a-time loop), storing accepted values column-major.
+///
+/// Overdrawing is cheap only in rejection mode. Only the first sample
+/// may switch a kernel to Metropolis; a trigger later in the block ends
+/// the fill there (see [`Cursor`]). And a chain sample costs `thinning`
+/// walk steps, so a fill ends after any sample drawn with a kernel on
+/// its chain: in Metropolis mode every fill is one sample.
 fn fill_block(
-    kernels: &mut [GroupKernel],
+    prep: &mut Prepared,
     rng: &mut PipRng,
     cfg: &SamplerConfig,
-    n_slots: usize,
+    cur: &mut Cursor,
     requested: usize,
-) -> Option<SampleBlock> {
-    let mut data = vec![0.0; n_slots * requested];
-    let mut slots = vec![0.0; n_slots];
-    let mut regs = Vec::new();
+) -> SampleBlock {
+    let Prepared {
+        samplers: kernels,
+        relevant,
+        bounds,
+        ..
+    } = prep;
+    let mut data = vec![0.0; cur.slots.len() * requested];
     let mut filled = 0usize;
-    let mut sampling_error = None;
+    let mut error = None;
     'samples: for s in 0..requested {
-        for k in kernels.iter_mut() {
-            match k.sample_into_slots(rng, cfg, &mut slots, &mut regs) {
-                Ok(KernelStep::Sampled) => {}
-                Ok(KernelStep::Escalate) => return None,
+        while let Some(&i) = relevant.get(cur.next) {
+            let hold_switch = s > 0;
+            match kernels[i].sample_into_slots(
+                rng,
+                cfg,
+                bounds,
+                &mut cur.slots,
+                &mut cur.regs,
+                hold_switch,
+            ) {
+                Ok(true) => cur.next += 1,
+                Ok(false) => break 'samples,
                 Err(e) => {
-                    sampling_error = Some(e);
+                    error = Some(e);
                     break 'samples;
                 }
             }
         }
-        for (col, &v) in data.chunks_exact_mut(requested).zip(slots.iter()) {
+        cur.next = 0;
+        for (col, &v) in data.chunks_exact_mut(requested).zip(&cur.slots) {
             col[s] = v;
         }
         filled += 1;
+        if relevant.iter().any(|&i| kernels[i].uses_metropolis()) {
+            break;
+        }
     }
-    Some(SampleBlock {
+    SampleBlock {
         requested,
         filled,
         data,
-        sampling_error,
-        counters_after: kernels.iter().map(|k| (k.attempts, k.accepts)).collect(),
+        error,
+        counters_after: relevant
+            .iter()
+            .map(|&i| (kernels[i].attempts, kernels[i].accepts))
+            .collect(),
         rng_end: rng.state(),
-    })
+    }
 }
 
 /// [`fill_block`] through the cache: a hit skips the draws entirely
@@ -265,50 +322,52 @@ fn fill_block(
 /// fills and publishes. Pure memoization — hit or miss, the caller
 /// observes identical kernels, RNG state, and samples.
 fn fill_block_cached(
-    kernels: &mut [GroupKernel],
+    prep: &mut Prepared,
     rng: &mut PipRng,
     cfg: &SamplerConfig,
-    n_slots: usize,
+    cur: &mut Cursor,
     requested: usize,
-    reuse: bool,
-) -> Option<Arc<SampleBlock>> {
-    if !reuse {
-        return fill_block(kernels, rng, cfg, n_slots, requested).map(Arc::new);
+) -> Arc<SampleBlock> {
+    let all_plain = |prep: &Prepared| prep.relevant.iter().all(|&i| prep.samplers[i].is_plain());
+    if !cfg.reuse_blocks || !all_plain(prep) {
+        return Arc::new(fill_block(prep, rng, cfg, cur, requested));
     }
-    let key = kernels_key(0, kernels, cfg, rng, requested);
+    let relevant = prep.relevant.iter().map(|&i| &prep.samplers[i]);
+    let key = kernels_key(0, relevant, cfg, rng, requested);
     let hit = cache().lock().unwrap_or_else(|e| e.into_inner()).get(&key);
     if let Some(CacheEntry::Block(block)) = hit {
-        for (k, &(attempts, accepts)) in kernels.iter_mut().zip(&block.counters_after) {
-            k.attempts = attempts;
-            k.accepts = accepts;
+        for (&i, &(attempts, accepts)) in prep.relevant.iter().zip(&block.counters_after) {
+            prep.samplers[i].attempts = attempts;
+            prep.samplers[i].accepts = accepts;
         }
         rng.set_state(block.rng_end);
-        return Some(block);
+        return block;
     }
-    let block = Arc::new(fill_block(kernels, rng, cfg, n_slots, requested)?);
-    cache()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(key, CacheEntry::Block(Arc::clone(&block)));
-    Some(block)
+    let block = Arc::new(fill_block(prep, rng, cfg, cur, requested));
+    if all_plain(prep) {
+        cache()
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(key, CacheEntry::Block(Arc::clone(&block)));
+    }
+    block
 }
 
-/// Fixed-budget acceptance probe through the cache — the compiled,
-/// memoized form of [`crate::strategy::GroupSampler::estimate_probability`].
+/// Fixed-budget acceptance probe through the cache — the memoized form
+/// of [`GroupKernel::estimate_probability`].
 pub(crate) fn probe_estimate_cached(
     kernel: &mut GroupKernel,
     rng: &mut PipRng,
     budget: u64,
     n_slots: usize,
     cfg: &SamplerConfig,
-    reuse: bool,
-) -> pip_core::Result<f64> {
+) -> Result<f64> {
     let mut slots = vec![0.0; n_slots];
     let mut regs = Vec::new();
-    if !reuse {
+    if !cfg.reuse_blocks {
         return kernel.estimate_probability(rng, budget, &mut slots, &mut regs);
     }
-    let key = kernels_key(1, std::slice::from_ref(kernel), cfg, rng, budget as usize);
+    let key = kernels_key(1, std::iter::once(&*kernel), cfg, rng, budget as usize);
     let hit = cache().lock().unwrap_or_else(|e| e.into_inner()).get(&key);
     if let Some(CacheEntry::Probe {
         counters_after,
@@ -332,43 +391,14 @@ pub(crate) fn probe_estimate_cached(
 }
 
 // ---------------------------------------------------------------------
-// The compiled query and its averaging-loop drivers.
+// The averaging loops.
 // ---------------------------------------------------------------------
 
-/// Everything [`crate::expectation::expectation`] needs to run
-/// Algorithm 4.3's averaging loop compiled: the slot layout, the
-/// target-expression tape, and one kernel per relevant group (in
-/// `prep.relevant` order).
-#[derive(Debug)]
-pub(crate) struct CompiledQuery {
-    pub(crate) slots: SlotMap,
-    pub(crate) expr: Tape,
-    /// Kernels for the relevant groups, aligned with `prep.relevant`.
-    pub(crate) kernels: Vec<GroupKernel>,
-}
-
-impl CompiledQuery {
-    /// Compile `expr` against a prepared operator. `None` when any
-    /// relevant group or the expression itself is out of the compiler's
-    /// reach — the caller stays on the interpreted path.
-    pub(crate) fn compile(expr: &Equation, prep: &Prepared) -> Option<CompiledQuery> {
-        let mut slots = SlotMap::new();
-        for s in &prep.samplers {
-            slots.intern_all(&s.group.vars);
-        }
-        let kernels = prep
-            .relevant
-            .iter()
-            .map(|&i| GroupKernel::compile(&prep.samplers[i], &slots))
-            .collect::<Option<Vec<_>>>()?;
-        let expr = Tape::compile(expr, &slots)?;
-        crate::obs::metrics().kernel_compiles_total.inc();
-        Some(CompiledQuery {
-            slots,
-            expr,
-            kernels,
-        })
-    }
+/// Compile the target expression of an averaging loop against the
+/// prepared slot layout.
+pub(crate) fn compile_expr(expr: &pip_expr::Equation, prep: &Prepared) -> Tape {
+    crate::obs::metrics().kernel_compiles_total.inc();
+    Tape::compile(expr, &prep.slots)
 }
 
 /// Monte-Carlo sums of one averaging loop.
@@ -402,66 +432,80 @@ impl LoopStats {
     }
 
     /// The ε–δ stopping rule of Algorithm 4.3, applied after every
-    /// sample by every averaging loop (interpreted, per-sample,
-    /// blocked): z·SE ≤ δ·|mean| once past the sample floor.
+    /// sample by every averaging loop (per-sample, blocked, and the
+    /// oracle's): z·SE ≤ δ·|mean| once past the sample floor.
     #[inline]
     pub(crate) fn should_stop(&self, cfg: &SamplerConfig, target: f64) -> bool {
         self.n >= cfg.min_samples && target * self.std_error() <= cfg.delta * self.mean().abs()
     }
 }
 
-/// Compiled serial averaging loop, sample at a time — used when the
-/// caller's RNG must end in exactly the interpreted state (a
-/// Monte-Carlo probability pass follows). Returns `None` on escalation.
+/// The evaluation error of lane `s` of `block`, which
+/// [`Tape::eval_block`] flagged.
+fn lane_error(expr: &Tape, block: &SampleBlock, s: usize, regs: &mut Vec<f64>) -> PipError {
+    let lane: Vec<f64> = block
+        .data
+        .chunks_exact(block.requested)
+        .map(|col| col[s])
+        .collect();
+    expr.eval(&lane, regs)
+        .expect_err("eval_block flags only lanes that error")
+}
+
+/// The averaging loop a sample at a time — used when the caller's RNG and
+/// acceptance counters must end exactly where the loop stopped (a
+/// Monte-Carlo probability pass follows).
 pub(crate) fn serial_per_sample(
-    cq: &mut CompiledQuery,
+    prep: &mut Prepared,
+    expr: &Tape,
     cfg: &SamplerConfig,
     rng: &mut PipRng,
-) -> pip_core::Result<Option<LoopStats>> {
+) -> Result<LoopStats> {
     let target = cfg.z_target();
-    let mut slots = vec![0.0; cq.slots.len()];
+    let mut slots = vec![0.0; prep.slots.len()];
     let mut regs = Vec::new();
     let mut stats = LoopStats::default();
     'sampling: while stats.n < cfg.max_samples {
-        for k in cq.kernels.iter_mut() {
-            match k.sample_into_slots(rng, cfg, &mut slots, &mut regs) {
-                Ok(KernelStep::Sampled) => {}
-                Ok(KernelStep::Escalate) => return Ok(None),
-                // Sampling failure: the partial estimate stands
-                // (Algorithm 4.3 line 25), exactly as interpreted.
-                Err(_) => break 'sampling,
+        for &i in &prep.relevant {
+            let drawn = prep.samplers[i].sample_into_slots(
+                rng,
+                cfg,
+                &prep.bounds,
+                &mut slots,
+                &mut regs,
+                false,
+            );
+            if let Err(e) = drawn {
+                partial_or_fail(e)?;
+                break 'sampling;
             }
         }
-        let value = cq.expr.eval(&slots, &mut regs)?;
-        stats.push(value);
+        stats.push(expr.eval(&slots, &mut regs)?);
         if stats.should_stop(cfg, target) {
             break;
         }
     }
-    Ok(Some(stats))
+    Ok(stats)
 }
 
-/// Compiled serial averaging loop over cached columnar blocks — used
-/// when nothing after the loop reads the RNG (overdrawing a block past
-/// the adaptive stopping point is then harmless). Returns `None` on
-/// escalation.
+/// The averaging loop over cached columnar blocks — used when nothing
+/// after the loop reads the RNG or the acceptance counters (overdrawing
+/// a block past the adaptive stopping point is then harmless).
 pub(crate) fn serial_blocked(
-    cq: &mut CompiledQuery,
+    prep: &mut Prepared,
+    expr: &Tape,
     cfg: &SamplerConfig,
     rng: &mut PipRng,
-    reuse: bool,
-) -> pip_core::Result<Option<LoopStats>> {
+) -> Result<LoopStats> {
     let target = cfg.z_target();
-    let n_slots = cq.slots.len();
+    let mut cur = Cursor::new(prep);
     let mut regs = Vec::new();
     let mut values = Vec::new();
     let mut stats = LoopStats::default();
-    'blocks: while stats.n < cfg.max_samples {
+    while stats.n < cfg.max_samples {
         let want = SERIAL_BLOCK.min(cfg.max_samples - stats.n);
-        let Some(block) = fill_block_cached(&mut cq.kernels, rng, cfg, n_slots, want, reuse) else {
-            return Ok(None);
-        };
-        let first_err = cq.expr.eval_block(
+        let block = fill_block_cached(prep, rng, cfg, &mut cur, want);
+        let first_err = expr.eval_block(
             &block.data,
             block.requested,
             block.filled,
@@ -470,48 +514,41 @@ pub(crate) fn serial_blocked(
         );
         for (s, &value) in values.iter().enumerate().take(block.filled) {
             if first_err == Some(s) {
-                // The interpreted loop would have hit this evaluation
-                // error at exactly this sample: fatal.
-                return Err(div_by_zero());
+                return Err(lane_error(expr, &block, s, &mut regs));
             }
             stats.push(value);
             if stats.should_stop(cfg, target) {
-                break 'blocks;
+                return Ok(stats);
             }
         }
-        if block.sampling_error.is_some() || block.filled < want {
+        if let Some(e) = &block.error {
+            partial_or_fail(e.clone())?;
             break;
         }
     }
-    Ok(Some(stats))
+    Ok(stats)
 }
 
-/// Compiled driver for [`crate::expectation_samples`]: exactly `n`
-/// conditional samples of the target expression, drawn through the
-/// kernels over cached columnar blocks. Mirrors the interpreted loop's
-/// error discipline — a sampling failure or an evaluation error at
-/// sample `k` surfaces as the same `Err` the interpreted loop raises at
-/// `k` — and returns `None` on a Metropolis escalation (the caller
-/// reruns interpreted from the untouched RNG).
+/// The loop of [`crate::expectation_samples`]: exactly `n` conditional
+/// samples of the target expression over cached columnar blocks. Any
+/// error at sample `k` — the rejection cap included — is the result.
 pub(crate) fn serial_samples(
-    cq: &mut CompiledQuery,
+    prep: &mut Prepared,
+    expr: &Tape,
     n: usize,
     cfg: &SamplerConfig,
     rng: &mut PipRng,
-    reuse: bool,
-) -> pip_core::Result<Option<Vec<f64>>> {
-    let n_slots = cq.slots.len();
+) -> Result<Vec<f64>> {
+    let mut cur = Cursor::new(prep);
     let mut regs = Vec::new();
     let mut values = Vec::new();
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
         // Exactly the remaining count is requested, never more: the
-        // RNG must end where the interpreted loop's would.
+        // RNG must end where a sample-at-a-time loop's would.
         let want = SERIAL_BLOCK.min(n - out.len());
-        let Some(block) = fill_block_cached(&mut cq.kernels, rng, cfg, n_slots, want, reuse) else {
-            return Ok(None);
-        };
-        let first_err = cq.expr.eval_block(
+        let block = fill_block_cached(prep, rng, cfg, &mut cur, want);
+        let first_err = expr.eval_block(
             &block.data,
             block.requested,
             block.filled,
@@ -520,40 +557,47 @@ pub(crate) fn serial_samples(
         );
         for (s, &value) in values.iter().enumerate().take(block.filled) {
             if first_err == Some(s) {
-                return Err(div_by_zero());
+                return Err(lane_error(expr, &block, s, &mut regs));
             }
             out.push(value);
         }
-        if block.filled < want {
-            // The fill only stops short on a sampling failure, which
-            // the interpreted loop propagates at this exact sample.
-            return Err(block
-                .sampling_error
-                .clone()
-                .unwrap_or_else(|| pip_core::PipError::sampling("sample block underfilled")));
+        if let Some(e) = &block.error {
+            return Err(e.clone());
         }
     }
-    Ok(Some(out))
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::GroupSampler;
+    use crate::expectation::prepare;
     use pip_dist::prelude::builtin;
     use pip_dist::rng_from_seed;
-    use pip_expr::{atoms, Conjunction, RandomVar};
+    use pip_expr::{atoms, Conjunction, Equation, RandomVar, SlotMap};
 
-    fn kernel_for(cond: &Conjunction, cfg: &SamplerConfig) -> (GroupKernel, SlotMap) {
-        let bounds = pip_ctable::consistency_check(cond).bounds();
-        let group = pip_expr::independent_groups(cond, &[])
-            .into_iter()
-            .next()
-            .unwrap();
-        let mut slots = SlotMap::new();
-        slots.intern_all(&group.vars);
-        let sampler = GroupSampler::new(group, &bounds, cfg);
-        (GroupKernel::compile(&sampler, &slots).unwrap(), slots)
+    /// The prepared operator of `E[y | cond]`.
+    fn prepared(y: &RandomVar, cond: &Conjunction, cfg: &SamplerConfig) -> Prepared {
+        prepare(&Equation::from(y.clone()), cond, cfg).unwrap()
+    }
+
+    fn fill(
+        prep: &mut Prepared,
+        rng: &mut PipRng,
+        cfg: &SamplerConfig,
+        n: usize,
+        reuse: bool,
+    ) -> Arc<SampleBlock> {
+        let cfg = cfg.clone().with_block_reuse(reuse);
+        let mut cur = Cursor::new(prep);
+        fill_block_cached(prep, rng, &cfg, &mut cur, n)
+    }
+
+    fn counters(prep: &Prepared) -> Vec<(u64, u64)> {
+        prep.samplers
+            .iter()
+            .map(|k| (k.attempts, k.accepts))
+            .collect()
     }
 
     #[test]
@@ -562,34 +606,17 @@ mod tests {
         let y = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
         let cond = Conjunction::single(atoms::gt(Equation::from(y.clone()), 0.2));
         let cfg = SamplerConfig::default();
-        let (kernel, slots) = kernel_for(&cond, &cfg);
 
-        let mut k1 = kernel.clone();
+        let mut p1 = prepared(&y, &cond, &cfg);
         let mut rng1 = rng_from_seed(77);
-        let b1 = fill_block_cached(
-            std::slice::from_mut(&mut k1),
-            &mut rng1,
-            &cfg,
-            slots.len(),
-            64,
-            true,
-        )
-        .unwrap();
+        let b1 = fill(&mut p1, &mut rng1, &cfg, 64, true);
 
-        let mut k2 = kernel.clone();
+        let mut p2 = prepared(&y, &cond, &cfg);
         let mut rng2 = rng_from_seed(77);
-        let b2 = fill_block_cached(
-            std::slice::from_mut(&mut k2),
-            &mut rng2,
-            &cfg,
-            slots.len(),
-            64,
-            true,
-        )
-        .unwrap();
+        let b2 = fill(&mut p2, &mut rng2, &cfg, 64, true);
 
         assert!(Arc::ptr_eq(&b1, &b2), "second fill must be a cache hit");
-        assert_eq!((k1.attempts, k1.accepts), (k2.attempts, k2.accepts));
+        assert_eq!(counters(&p1), counters(&p2));
         assert_eq!(rng1.state(), rng2.state());
         let stats = block_cache_stats();
         assert!(stats.hits >= 1 && stats.misses >= 1, "{stats:?}");
@@ -601,30 +628,13 @@ mod tests {
         let y = RandomVar::create(builtin::normal(), &[1.0, 2.0]).unwrap();
         let cond = Conjunction::single(atoms::lt(Equation::from(y.clone()), 2.5));
         let cfg = SamplerConfig::default();
-        let (kernel, slots) = kernel_for(&cond, &cfg);
         for reuse in [true, true, false] {
-            let mut k = kernel.clone();
+            let mut p = prepared(&y, &cond, &cfg);
             let mut rng = rng_from_seed(3);
-            let b = fill_block_cached(
-                std::slice::from_mut(&mut k),
-                &mut rng,
-                &cfg,
-                slots.len(),
-                32,
-                reuse,
-            )
-            .unwrap();
-            let mut k2 = kernel.clone();
+            let b = fill(&mut p, &mut rng, &cfg, 32, reuse);
+            let mut p2 = prepared(&y, &cond, &cfg);
             let mut rng2 = rng_from_seed(3);
-            let b2 = fill_block_cached(
-                std::slice::from_mut(&mut k2),
-                &mut rng2,
-                &cfg,
-                slots.len(),
-                32,
-                false,
-            )
-            .unwrap();
+            let b2 = fill(&mut p2, &mut rng2, &cfg, 32, false);
             assert_eq!(b.filled, b2.filled);
             assert_eq!(b.data, b2.data);
             assert_eq!(b.counters_after, b2.counters_after);
@@ -638,22 +648,19 @@ mod tests {
         let y = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
         let cond = Conjunction::single(atoms::gt(Equation::from(y.clone()), 1.0));
         let cfg = SamplerConfig::naive(50);
-        let (kernel, slots) = kernel_for(&cond, &cfg);
-
-        let mut k1 = kernel.clone();
-        let mut rng1 = rng_from_seed(11);
-        let p1 = probe_estimate_cached(&mut k1, &mut rng1, 2000, slots.len(), &cfg, true).unwrap();
-        let mut k2 = kernel.clone();
-        let mut rng2 = rng_from_seed(11);
-        let p2 = probe_estimate_cached(&mut k2, &mut rng2, 2000, slots.len(), &cfg, true).unwrap();
-        let mut k3 = kernel.clone();
-        let mut rng3 = rng_from_seed(11);
-        let p3 = probe_estimate_cached(&mut k3, &mut rng3, 2000, slots.len(), &cfg, false).unwrap();
-        assert_eq!(p1.to_bits(), p2.to_bits());
-        assert_eq!(p1.to_bits(), p3.to_bits());
-        assert_eq!(rng1.state(), rng2.state());
-        assert_eq!(rng1.state(), rng3.state());
-        assert_eq!((k1.attempts, k1.accepts), (k3.attempts, k3.accepts));
+        let probe = |reuse| {
+            let group = pip_expr::independent_groups(&cond, &[]).pop().unwrap();
+            let mut slots = SlotMap::new();
+            let mut k =
+                GroupKernel::for_group(group, &pip_ctable::BoundsMap::new(), &cfg, &mut slots);
+            let mut rng = rng_from_seed(11);
+            let cfg = cfg.clone().with_block_reuse(reuse);
+            let p = probe_estimate_cached(&mut k, &mut rng, 2000, slots.len(), &cfg).unwrap();
+            (p.to_bits(), rng.state(), k.attempts, k.accepts)
+        };
+        let cold = probe(true);
+        assert_eq!(probe(true), cold, "warm probe");
+        assert_eq!(probe(false), cold, "uncached probe");
     }
 
     #[test]
@@ -662,35 +669,45 @@ mod tests {
         let y = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
         let cond = Conjunction::single(atoms::gt(Equation::from(y.clone()), 0.0));
         let cfg = SamplerConfig::default();
-        let (kernel, slots) = kernel_for(&cond, &cfg);
-        // Warm the cache from a zero-counter kernel...
-        let mut k1 = kernel.clone();
+        // Warm the cache from zero-counter kernels...
+        let mut p = prepared(&y, &cond, &cfg);
         let mut rng = rng_from_seed(5);
-        fill_block_cached(
-            std::slice::from_mut(&mut k1),
-            &mut rng,
-            &cfg,
-            slots.len(),
-            16,
-            true,
-        )
-        .unwrap();
-        // ...then fill from the advanced kernel at the same RNG state:
+        fill(&mut p, &mut rng, &cfg, 16, true);
+        // ...then fill from the advanced kernels at the same RNG state:
         // the starting counters differ, so this must be a miss, not a
         // stale hit.
         let before = block_cache_stats();
         let mut rng2 = rng_from_seed(5);
-        fill_block_cached(
-            std::slice::from_mut(&mut k1),
-            &mut rng2,
-            &cfg,
-            slots.len(),
-            16,
-            true,
-        )
-        .unwrap();
+        fill(&mut p, &mut rng2, &cfg, 16, true);
         let after = block_cache_stats();
         assert_eq!(after.hits, before.hits, "stale hit on different counters");
         assert!(after.misses > before.misses);
+    }
+
+    #[test]
+    fn chain_fills_are_one_sample_and_bypass_the_cache() {
+        // P[Y > 4] ≈ 3.2e-5 without CDF bounds: the first fill reaches
+        // the trigger on its first sample and switches.
+        let y = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
+        let cond = Conjunction::single(atoms::gt(Equation::from(y.clone()), 4.0));
+        let cfg = SamplerConfig {
+            use_cdf_sampling: false,
+            ..SamplerConfig::default()
+        };
+        let mut p = prepared(&y, &cond, &cfg);
+        let mut rng = rng_from_seed(5);
+        let published = |p: &Prepared, rng: &PipRng| {
+            let key = kernels_key(0, p.samplers.iter(), &cfg, rng, 64);
+            move || cache().lock().unwrap().map.contains_key(&key)
+        };
+        let first = published(&p, &rng);
+        let block = fill(&mut p, &mut rng, &cfg, 64, true);
+        assert!(p.samplers[0].uses_metropolis());
+        assert_eq!(block.filled, 1, "chain samples are never overdrawn");
+        assert!(!first(), "a fill that switched was published");
+        // In Metropolis mode the kernel neither looks up nor publishes.
+        let second = published(&p, &rng);
+        assert_eq!(fill(&mut p, &mut rng, &cfg, 64, true).filled, 1);
+        assert!(!second(), "a fill in Metropolis mode was published");
     }
 }

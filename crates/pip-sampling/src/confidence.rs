@@ -15,17 +15,21 @@
 //!   Monte Carlo, over its own variables alone.
 
 use pip_core::Result;
-use pip_dist::{mix64, rng_from_seed};
-use pip_expr::{independent_components, independent_groups, Assignment, Conjunction, Dnf, Truth};
+use pip_dist::{mix64, rng_from_seed, PipRng};
+use pip_expr::{
+    independent_components, independent_groups, Assignment, Conjunction, Dnf, SlotMap, Truth,
+    VarGroup,
+};
 
 use pip_ctable::{consistency_check, BoundsMap, Consistency};
 
-use crate::blocks::LoopStats;
+use crate::blocks::{probe_estimate_cached, LoopStats};
 use crate::config::SamplerConfig;
-use crate::strategy::{exact_group_probability, GroupSampler};
+use crate::strategy::exact_group_probability;
+use crate::tape::GroupKernel;
 
 /// What the static checks leave of a row condition.
-enum Checked {
+pub(crate) enum Checked {
     /// Holds in no world (folds to false, or fails Algorithm 3.2).
     Dead,
     /// Holds in every world.
@@ -35,7 +39,7 @@ enum Checked {
 }
 
 /// Simplify, then run the consistency check when the config allows.
-fn check(condition: &Conjunction, cfg: &SamplerConfig) -> Checked {
+pub(crate) fn check(condition: &Conjunction, cfg: &SamplerConfig) -> Checked {
     let (condition, truth) = condition.simplify();
     match truth {
         Truth::False => return Checked::Dead,
@@ -62,6 +66,24 @@ pub fn conf(condition: &Conjunction, cfg: &SamplerConfig, site: u64) -> Result<f
     })
 }
 
+/// The groups `conf` multiplies over: independent groups, or one
+/// monolithic group with `use_independence` off.
+pub(crate) fn conf_groups(condition: &Conjunction, cfg: &SamplerConfig) -> Vec<VarGroup> {
+    if cfg.use_independence {
+        independent_groups(condition, &[])
+    } else {
+        vec![VarGroup {
+            atoms: condition.atoms().to_vec(),
+            vars: condition.variables(),
+        }]
+    }
+}
+
+/// The generator of `conf` at `site`.
+pub(crate) fn conf_rng(cfg: &SamplerConfig, site: u64) -> PipRng {
+    rng_from_seed(mix64(cfg.world_seed ^ site ^ 0xC0FF))
+}
+
 /// `P[condition]` of a [`Checked::Open`] condition, with the number of
 /// candidate worlds the estimate rests on — 0 when every group had a
 /// closed form.
@@ -71,18 +93,10 @@ fn conf_open(
     cfg: &SamplerConfig,
     site: u64,
 ) -> Result<(f64, u64)> {
-    let groups = if cfg.use_independence {
-        independent_groups(condition, &[])
-    } else {
-        vec![pip_expr::VarGroup {
-            atoms: condition.atoms().to_vec(),
-            vars: condition.variables(),
-        }]
-    };
-    let mut rng = rng_from_seed(mix64(cfg.world_seed ^ site ^ 0xC0FF));
+    let mut rng = conf_rng(cfg, site);
     let mut prob = 1.0;
     let mut draws = 0;
-    for g in groups {
+    for g in conf_groups(condition, cfg) {
         if g.atoms.is_empty() {
             continue;
         }
@@ -94,26 +108,11 @@ fn conf_open(
         }
         let budget = cfg.max_samples.max(cfg.min_samples).max(1) as u64;
         draws += budget;
-        // Compiled path: the same fixed-budget candidate sequence, drawn
-        // through a slot-indexed kernel (and skipped entirely when the
-        // sample-block cache already holds this (group, stream) probe).
-        if cfg.compile {
-            let mut slots = pip_expr::SlotMap::new();
-            slots.intern_all(&g.vars);
-            if let Some(mut kernel) = crate::tape::GroupKernel::for_group(&g, bounds, cfg, &slots) {
-                prob *= crate::blocks::probe_estimate_cached(
-                    &mut kernel,
-                    &mut rng,
-                    budget,
-                    slots.len(),
-                    cfg,
-                    cfg.reuse_blocks,
-                )?;
-                continue;
-            }
-        }
-        let mut s = GroupSampler::new(g, bounds, cfg);
-        prob *= s.estimate_probability(&mut rng, budget)?;
+        // A fixed-budget candidate probe, skipped entirely when the
+        // sample-block cache already holds this (group, stream) probe.
+        let mut slots = SlotMap::new();
+        let mut kernel = GroupKernel::for_group(g, bounds, cfg, &mut slots);
+        prob *= probe_estimate_cached(&mut kernel, &mut rng, budget, slots.len(), cfg)?;
     }
     Ok((prob, draws))
 }

@@ -43,15 +43,6 @@ pub struct SamplerConfig {
     /// thread count (per-row RNG streams are derived from
     /// `(world_seed, site)` alone).
     pub threads: usize,
-    /// Run the sampling phase through the compiled kernels of
-    /// [`crate::tape`] (slot-indexed evaluation tapes + columnar sample
-    /// blocks) instead of the interpreted tree-walking loop. The two
-    /// paths are bit-identical at every seed and thread count — the
-    /// interpreted path remains the semantics oracle, and anything the
-    /// compiler cannot express (or a Metropolis escalation) falls back
-    /// to it automatically. Off = the pre-compiler engine, kept for
-    /// benchmarks and the equivalence test suite.
-    pub compile: bool,
     /// Let compiled execution reuse cached sample blocks
     /// ([`crate::blocks`]) when the identical `(group, seed-site,
     /// counters)` draw sequence recurs. Pure memoization: toggling this
@@ -76,7 +67,6 @@ impl Default for SamplerConfig {
             use_exact_cdf: true,
             world_seed: 0x5151_5151,
             threads: 1,
-            compile: true,
             reuse_blocks: true,
         }
     }
@@ -107,13 +97,6 @@ impl SamplerConfig {
         self
     }
 
-    /// Toggle the sampling compiler. Both settings produce bit-identical
-    /// results; `false` forces the interpreted reference path.
-    pub fn with_compile(mut self, compile: bool) -> Self {
-        self.compile = compile;
-        self
-    }
-
     /// Toggle sample-block reuse (pure memoization, value-neutral).
     pub fn with_block_reuse(mut self, reuse: bool) -> Self {
         self.reuse_blocks = reuse;
@@ -121,9 +104,8 @@ impl SamplerConfig {
     }
 
     /// Baseline configuration with every PIP-specific optimization off —
-    /// pure rejection sampling through the interpreted engine, no
-    /// compiled kernels and no sample-block reuse: the ablation
-    /// reference point.
+    /// pure rejection sampling, no Metropolis switch and no sample-block
+    /// reuse: the ablation reference point.
     pub fn naive(n: usize) -> Self {
         SamplerConfig {
             use_cdf_sampling: false,
@@ -131,7 +113,6 @@ impl SamplerConfig {
             use_consistency: false,
             use_metropolis: false,
             use_exact_cdf: false,
-            compile: false,
             reuse_blocks: false,
             ..Self::fixed_samples(n)
         }
@@ -185,7 +166,6 @@ mod tests {
         assert!(!c.use_consistency);
         assert!(!c.use_metropolis);
         assert!(!c.use_exact_cdf);
-        assert!(!c.compile, "ablation baseline must run interpreted");
         assert!(!c.reuse_blocks);
     }
 
@@ -207,11 +187,10 @@ mod tests {
     }
 
     #[test]
-    fn compiler_knobs_default_on_and_toggle() {
+    fn block_reuse_defaults_on_and_toggles() {
         let c = SamplerConfig::default();
-        assert!(c.compile && c.reuse_blocks);
-        let c = c.with_compile(false).with_block_reuse(false);
-        assert!(!c.compile && !c.reuse_blocks);
+        assert!(c.reuse_blocks);
+        assert!(!c.with_block_reuse(false).reuse_blocks);
     }
 
     #[test]

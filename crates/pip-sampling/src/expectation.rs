@@ -19,13 +19,14 @@
 
 use pip_core::Result;
 use pip_dist::{mix64, rng_from_seed, PipRng};
-use pip_expr::{independent_groups, Assignment, Conjunction, Equation};
+use pip_expr::{independent_groups, Conjunction, Equation, SlotMap, VarGroup};
 
 use pip_ctable::{consistency_check, BoundsMap, Consistency};
 
-use crate::blocks::LoopStats;
+use crate::blocks::{compile_expr, serial_blocked, serial_per_sample, serial_samples};
 use crate::config::SamplerConfig;
-use crate::strategy::{exact_group_probability, GroupSampler};
+use crate::strategy::exact_group_probability;
+use crate::tape::GroupKernel;
 
 /// Result of the expectation operator.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,24 +57,40 @@ impl ExpectationResult {
             used_metropolis: false,
         }
     }
+
+    /// An answer that needed no averaging loop.
+    pub(crate) fn exact(expectation: f64, probability: f64) -> Self {
+        ExpectationResult {
+            expectation,
+            probability,
+            n_samples: 0,
+            std_error: 0.0,
+            used_metropolis: false,
+        }
+    }
 }
 
-/// State shared by [`expectation`] and the histogram variant.
-pub(crate) struct Prepared {
-    pub(crate) samplers: Vec<GroupSampler>,
+/// A prepared operator: one sampler per independent group (a
+/// [`GroupKernel`] in production).
+pub(crate) struct Prepared<S = GroupKernel> {
+    pub(crate) samplers: Vec<S>,
     /// Indices of samplers relevant to the expression (must be sampled in
     /// the averaging loop).
     pub(crate) relevant: Vec<usize>,
     pub(crate) bounds: BoundsMap,
     pub(crate) condition: Conjunction,
+    /// Slot layout of every group's variables, in group order.
+    pub(crate) slots: SlotMap,
 }
 
-/// Consistency + grouping + strategy selection (lines 1–10).
-pub(crate) fn prepare(
+/// Consistency + grouping + strategy selection (lines 1–10); `build`
+/// turns each group into its sampler.
+pub(crate) fn prepare_with<S>(
     expr: &Equation,
     condition: &Conjunction,
     cfg: &SamplerConfig,
-) -> Option<Prepared> {
+    mut build: impl FnMut(VarGroup, &BoundsMap, &mut SlotMap) -> S,
+) -> Option<Prepared<S>> {
     let (condition, truth) = condition.simplify();
     if truth == pip_expr::Truth::False {
         return None;
@@ -91,50 +108,66 @@ pub(crate) fn prepare(
         independent_groups(&condition, &expr_vars)
     } else {
         // Ablation: one monolithic group holding everything.
-        let mut gs = independent_groups(&Conjunction::top(), &[]);
-        debug_assert!(gs.is_empty());
         let mut vars = condition.variables();
         for v in &expr_vars {
             if !vars.iter().any(|o| o.key == v.key) {
                 vars.push(v.clone());
             }
         }
-        if !vars.is_empty() || !condition.atoms().is_empty() {
-            gs.push(pip_expr::VarGroup {
+        if vars.is_empty() && condition.atoms().is_empty() {
+            Vec::new()
+        } else {
+            vec![VarGroup {
                 atoms: condition.atoms().to_vec(),
                 vars,
-            });
+            }]
         }
-        gs
     };
     let expr_ids: Vec<_> = expr_vars.iter().map(|v| v.key.id).collect();
+    let mut slots = SlotMap::new();
     let mut samplers = Vec::with_capacity(groups.len());
     let mut relevant = Vec::new();
     for (i, g) in groups.into_iter().enumerate() {
         if g.touches(&expr_ids) {
             relevant.push(i);
         }
-        samplers.push(GroupSampler::new(g, &bounds, cfg));
+        samplers.push(build(g, &bounds, &mut slots));
     }
     Some(Prepared {
         samplers,
         relevant,
         bounds,
         condition,
+        slots,
+    })
+}
+
+/// [`prepare_with`] one [`GroupKernel`] per group.
+pub(crate) fn prepare(
+    expr: &Equation,
+    condition: &Conjunction,
+    cfg: &SamplerConfig,
+) -> Option<Prepared> {
+    prepare_with(expr, condition, cfg, |g, bounds, slots| {
+        GroupKernel::for_group(g, bounds, cfg, slots)
     })
 }
 
 /// Deterministic per-call RNG: callers at different sites pass distinct
 /// `site` values so results don't correlate across rows.
-fn rng_for_site(cfg: &SamplerConfig, site: u64) -> PipRng {
+pub(crate) fn rng_for_site(cfg: &SamplerConfig, site: u64) -> PipRng {
     rng_from_seed(mix64(cfg.world_seed ^ site))
 }
 
 /// Exact shortcut (linearity of expectation): an unconstrained affine
 /// expression `c + Σ aᵢXᵢ` has expectation `c + Σ aᵢ·E[Xᵢ]` whenever
 /// every class exposes its mean — no sampling at all.
-fn linear_exact(expr: &Equation, prep: &Prepared, cfg: &SamplerConfig) -> Option<f64> {
-    if !prep.condition.is_trivially_true() || !cfg.use_exact_cdf {
+pub(crate) fn linear_exact(
+    expr: &Equation,
+    condition: &Conjunction,
+    cfg: &SamplerConfig,
+) -> Option<f64> {
+    if !condition.is_trivially_true() || !cfg.use_exact_cdf {
         return None;
     }
     let (coeffs, c) = expr.linear_coeffs()?;
@@ -179,39 +212,39 @@ pub fn expectation(
         } else {
             f64::NAN
         };
-        return Ok(ExpectationResult {
-            expectation,
-            probability,
-            n_samples: 0,
-            std_error: 0.0,
-            used_metropolis: false,
-        });
+        return Ok(ExpectationResult::exact(expectation, probability));
     }
 
-    if let Some(expectation) = linear_exact(&expr, &prep, cfg) {
-        return Ok(ExpectationResult {
-            expectation,
-            // The linear shortcut only applies to trivially-true
-            // conditions, whose probability is exactly 1.
-            probability: if want_probability { 1.0 } else { f64::NAN },
-            n_samples: 0,
-            std_error: 0.0,
-            used_metropolis: false,
-        });
+    if let Some(expectation) = linear_exact(&expr, &prep.condition, cfg) {
+        // The linear shortcut only applies to trivially-true conditions,
+        // whose probability is exactly 1.
+        let probability = if want_probability { 1.0 } else { f64::NAN };
+        return Ok(ExpectationResult::exact(expectation, probability));
     }
 
-    // Averaging loop (lines 11–28): compiled (slot-indexed kernels +
-    // tapes) when the query is within the compiler's reach, else the
-    // interpreted loop — the semantics oracle, and the fallback when a
-    // group escalates to Metropolis — from the same untouched generator.
-    let compiled = if cfg.compile {
-        compiled_loop(&expr, &mut prep, want_probability, cfg, &mut rng)?
-    } else {
-        None
+    // Averaging loop (lines 11–28): the kernels draw into slot buffers
+    // and the expression evaluates as a tape.
+    //
+    // Does anything after the loop consume the *loop's sampling state*?
+    // With `want_probability`, a group without an exact CDF path feeds
+    // the probability product either through the generator (Monte-Carlo
+    // estimation of expression-disjoint groups) or through the loop's
+    // acceptance counters (relevant groups' estimates). Either way,
+    // overdrawing a columnar block past the adaptive stopping point
+    // would perturb the result — so blocked (overdraw-prone) mode is only
+    // taken when every atom group resolves exactly, and the
+    // sample-at-a-time loop otherwise.
+    let tape = compile_expr(&expr, &prep);
+    let sampling_state_consumed_after = |k: &GroupKernel| {
+        let has_exact_path = cfg.use_exact_cdf && exact_group_probability(&k.group).is_some();
+        !k.group.atoms.is_empty() && !has_exact_path
     };
-    let stats = match compiled {
-        Some(stats) => stats,
-        None => interpreted_loop(&expr, &mut prep, cfg, &mut rng)?,
+    let loop_state_needed_after =
+        want_probability && prep.samplers.iter().any(sampling_state_consumed_after);
+    let stats = if loop_state_needed_after {
+        serial_per_sample(&mut prep, &tape, cfg, &mut rng)?
+    } else {
+        serial_blocked(&mut prep, &tape, cfg, &mut rng)?
     };
     if stats.n == 0 {
         // Could not draw a single satisfying sample: treat the context as
@@ -219,7 +252,7 @@ pub fn expectation(
         return Ok(ExpectationResult::nan(want_probability));
     }
 
-    let used_metropolis = prep.samplers.iter().any(|s| s.uses_metropolis());
+    let used_metropolis = prep.samplers.iter().any(|k| k.uses_metropolis());
     let probability = if want_probability {
         let relevant = prep.relevant.clone();
         condition_probability(&mut prep, &relevant, cfg, &mut rng)?
@@ -236,93 +269,6 @@ pub fn expectation(
     })
 }
 
-/// The interpreted averaging loop: tree-walking samplers and evaluation,
-/// the ε–δ rule applied after every sample. A sampling failure ends the
-/// loop and the partial estimate stands (Algorithm 4.3 line 25); an
-/// evaluation failure is fatal.
-fn interpreted_loop(
-    expr: &Equation,
-    prep: &mut Prepared,
-    cfg: &SamplerConfig,
-    rng: &mut PipRng,
-) -> Result<LoopStats> {
-    let target = cfg.z_target();
-    let mut a = Assignment::new();
-    let mut stats = LoopStats::default();
-    'sampling: while stats.n < cfg.max_samples {
-        for &i in &prep.relevant {
-            let s = &mut prep.samplers[i];
-            if s.sample_into(rng, cfg, &prep.bounds, &mut a).is_err() {
-                break 'sampling;
-            }
-        }
-        stats.push(expr.eval_f64(&a)?);
-        if stats.should_stop(cfg, target) {
-            break;
-        }
-    }
-    Ok(stats)
-}
-
-/// The compiled averaging loop: kernels draw into slot buffers and the
-/// expression evaluates as a tape (columnar over whole sample blocks
-/// when nothing downstream needs the RNG). Returns the loop's sums,
-/// leaving `rng` as the loop left it — or `Ok(None)` with `rng`
-/// untouched when the query is out of the compiler's reach or a group
-/// escalates to Metropolis: the caller then runs [`interpreted_loop`],
-/// whose results this reproduces bit for bit (same draws, same float
-/// ops, same stopping point, same counters feeding the probability
-/// pass).
-fn compiled_loop(
-    expr: &Equation,
-    prep: &mut Prepared,
-    want_probability: bool,
-    cfg: &SamplerConfig,
-    rng: &mut PipRng,
-) -> Result<Option<LoopStats>> {
-    use crate::blocks::{serial_blocked, serial_per_sample, CompiledQuery};
-
-    let Some(mut cq) = CompiledQuery::compile(expr, prep) else {
-        return Ok(None);
-    };
-    // Work on a clone of the caller's generator: a bail below leaves the
-    // interpreted fallback's stream untouched.
-    let mut local = rng.clone();
-
-    // Does anything after the averaging loop consume the *loop's
-    // sampling state*? With `want_probability`, a group without an
-    // exact CDF path feeds the probability product either through the
-    // generator (Monte-Carlo estimation of expression-disjoint groups)
-    // or through the loop's acceptance counters (relevant groups'
-    // `probability_estimate`). Either way, overdrawing a columnar block
-    // past the adaptive stopping point would perturb the result — so
-    // blocked (overdraw-prone) mode is only taken when every atom group
-    // resolves exactly, and the per-sample mirror loop otherwise.
-    let sampling_state_consumed_after = |s: &GroupSampler| {
-        let has_exact_path = cfg.use_exact_cdf && s.exact_probability().is_some();
-        !s.group.atoms.is_empty() && !has_exact_path
-    };
-    let loop_state_needed_after =
-        want_probability && prep.samplers.iter().any(sampling_state_consumed_after);
-    let stats = if loop_state_needed_after {
-        serial_per_sample(&mut cq, cfg, &mut local)?
-    } else {
-        serial_blocked(&mut cq, cfg, &mut local, cfg.reuse_blocks)?
-    };
-    let Some(stats) = stats else {
-        return Ok(None); // Metropolis escalation: interpreted rerun
-    };
-
-    // Publish the kernels' acceptance counters so the probability pass
-    // sees exactly the interpreted loop's sampler state.
-    for (kernel, &i) in cq.kernels.iter().zip(&prep.relevant) {
-        prep.samplers[i].attempts = kernel.attempts;
-        prep.samplers[i].accepts = kernel.accepts;
-    }
-    *rng = local;
-    Ok(Some(stats))
-}
-
 /// `P[C]` as the product over independent groups (lines 29–35):
 /// already-sampled groups contribute their acceptance estimate; the rest
 /// use the exact CDF path when available and sampling otherwise.
@@ -332,44 +278,38 @@ fn condition_probability(
     cfg: &SamplerConfig,
     rng: &mut PipRng,
 ) -> Result<f64> {
+    let mut slots = vec![0.0; prep.slots.len()];
+    let mut regs = Vec::new();
     let mut prob = 1.0;
-    for (i, s) in prep.samplers.iter_mut().enumerate() {
-        if s.group.atoms.is_empty() {
+    for (i, k) in prep.samplers.iter_mut().enumerate() {
+        if k.group.atoms.is_empty() {
             continue;
         }
-        if already_sampled.contains(&i) && !s.uses_metropolis() && s.attempts > 0 {
+        let exact = || {
+            cfg.use_exact_cdf
+                .then(|| exact_group_probability(&k.group))
+                .flatten()
+        };
+        if already_sampled.contains(&i) && !k.uses_metropolis() && k.attempts > 0 {
             // Free by-product of the averaging loop... unless an exact
             // path gives a sharper answer at constant cost.
-            if cfg.use_exact_cdf {
-                if let Some(p) = s.exact_probability() {
-                    prob *= p;
-                    continue;
-                }
-            }
-            prob *= s.probability_estimate();
+            prob *= exact().unwrap_or_else(|| k.probability_estimate());
             continue;
         }
-        if cfg.use_exact_cdf {
-            if let Some(p) = exact_group_probability(&s.group) {
-                prob *= p;
-                continue;
-            }
+        if let Some(p) = exact() {
+            prob *= p;
+            continue;
         }
         // Estimate by direct Monte Carlo over candidates of this group.
         let budget = cfg.max_samples.max(cfg.min_samples).max(1) as u64;
-        prob *= s.estimate_probability(rng, budget)?;
+        prob *= k.estimate_probability(rng, budget, &mut slots, &mut regs)?;
     }
     Ok(prob)
 }
 
 /// Sampling variant that returns the raw conditional samples of `expr`
 /// (the `expected_*_hist` functions of Section V-C build histograms from
-/// this).
-///
-/// Runs compiled through the [`crate::tape::GroupKernel`] path (cached
-/// columnar blocks included) when the expression and every relevant
-/// group compile, bit-identical to the interpreted loop below — which
-/// stays the fallback for escalations and uncompilable queries.
+/// this), drawn through the group kernels over cached columnar blocks.
 pub fn expectation_samples(
     expr: &Equation,
     condition: &Conjunction,
@@ -383,32 +323,8 @@ pub fn expectation_samples(
         Some(p) => p,
     };
     let mut rng = rng_for_site(cfg, site);
-
-    if cfg.compile {
-        if let Some(mut cq) = crate::blocks::CompiledQuery::compile(&expr, &prep) {
-            // A bail (Metropolis escalation) must leave the interpreted
-            // fallback's stream untouched: work on a clone.
-            let mut crng = rng.clone();
-            if let Some(out) =
-                crate::blocks::serial_samples(&mut cq, n, cfg, &mut crng, cfg.reuse_blocks)?
-            {
-                return Ok(out);
-            }
-        }
-    }
-    let mut a = Assignment::new();
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        for &i in &prep.relevant {
-            prep.samplers[i].sample_into(&mut rng, cfg, &prep.bounds, &mut a)?;
-        }
-        // Unconstrained expression variables missing from every group
-        // (possible when the condition is empty and use_independence is
-        // off with no vars) — prepare() puts them in singleton groups, so
-        // by now `a` covers everything expr needs.
-        out.push(expr.eval_f64(&a)?);
-    }
-    Ok(out)
+    let tape = compile_expr(&expr, &prep);
+    serial_samples(&mut prep, &tape, n, cfg, &mut rng)
 }
 
 #[cfg(test)]
@@ -572,13 +488,9 @@ mod tests {
             atoms::lt(Equation::from(z.clone()), 0.0),
         ]);
         let compiled = SamplerConfig::default();
-        let interpreted = SamplerConfig {
-            compile: false,
-            ..SamplerConfig::default()
-        };
         for site in [0u64, 17, 991] {
             let a = expectation_samples(&expr, &cond, 300, &compiled, site).unwrap();
-            let b = expectation_samples(&expr, &cond, 300, &interpreted, site).unwrap();
+            let b = crate::oracle::expectation_samples(&expr, &cond, 300, &compiled, site).unwrap();
             assert_eq!(a.len(), 300);
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.to_bits(), y.to_bits());
@@ -598,20 +510,16 @@ mod tests {
 
     #[test]
     fn expectation_samples_error_parity_on_division_by_zero() {
-        // x / (y - y) divides by zero on every sample; compiled and
-        // interpreted paths must agree that this is an error.
+        // x / (y - y) divides by zero on every sample; kernels and the
+        // oracle must agree that this is an error.
         let y = normal(0.0, 1.0);
         let expr =
             Equation::from(y.clone()) / (Equation::from(y.clone()) - Equation::from(y.clone()));
         let cond = Conjunction::top();
-        for compile in [true, false] {
-            let cfg = SamplerConfig {
-                compile,
-                ..SamplerConfig::default()
-            };
-            let r = expectation_samples(&expr, &cond, 10, &cfg, 5);
-            assert!(r.is_err(), "compile={compile}");
-        }
+        let cfg = SamplerConfig::default();
+        let a = expectation_samples(&expr, &cond, 10, &cfg, 5).unwrap_err();
+        let b = crate::oracle::expectation_samples(&expr, &cond, 10, &cfg, 5).unwrap_err();
+        assert_eq!(a.to_string(), b.to_string());
     }
 
     #[test]

@@ -40,6 +40,8 @@ pub mod expectation;
 pub mod histogram;
 pub mod metropolis;
 pub mod obs;
+#[doc(hidden)]
+pub mod oracle;
 pub mod parallel;
 pub mod strategy;
 pub mod streaming;
@@ -56,7 +58,7 @@ pub use config::SamplerConfig;
 pub use expectation::{expectation, expectation_samples, ExpectationResult};
 pub use histogram::{quantile, Histogram};
 pub use parallel::ParallelSampler;
-pub use strategy::{exact_group_probability, GroupSampler};
+pub use strategy::exact_group_probability;
 pub use streaming::{ConfStream, StreamingGroups};
 pub use tape::{CondTape, Tape, TapeOp};
 pub use worlds::sample_worlds;
@@ -72,7 +74,7 @@ pub mod prelude {
     pub use crate::expectation::{expectation, expectation_samples, ExpectationResult};
     pub use crate::histogram::{quantile, Histogram};
     pub use crate::parallel::ParallelSampler;
-    pub use crate::strategy::{exact_group_probability, GroupSampler};
+    pub use crate::strategy::exact_group_probability;
     pub use crate::streaming::{ConfStream, StreamingGroups};
     pub use crate::worlds::sample_worlds;
 }

@@ -15,7 +15,7 @@ use rand::Rng;
 use pip_ctable::BoundsMap;
 
 /// Metropolis chain state for one variable group.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MetropolisState {
     /// Current point, one slot per group variable (same order as
     /// `group.vars`).
@@ -182,6 +182,21 @@ impl MetropolisState {
         Ok(())
     }
 
+    /// Advance `thinning` steps; the resulting point, one value per
+    /// group variable (same order as `group.vars`).
+    pub fn advance(
+        &mut self,
+        group: &VarGroup,
+        rng: &mut PipRng,
+        thinning: usize,
+    ) -> Result<&[f64]> {
+        let mut scratch = Assignment::new();
+        for _ in 0..thinning.max(1) {
+            self.step_once(group, rng, &mut scratch)?;
+        }
+        Ok(&self.current)
+    }
+
     /// Advance `thinning` steps and write the resulting point into `out`.
     pub fn sample_into(
         &mut self,
@@ -190,11 +205,8 @@ impl MetropolisState {
         thinning: usize,
         out: &mut Assignment,
     ) -> Result<()> {
-        let mut scratch = Assignment::new();
-        for _ in 0..thinning.max(1) {
-            self.step_once(group, rng, &mut scratch)?;
-        }
-        for (v, &x) in group.vars.iter().zip(&self.current) {
+        let point = self.advance(group, rng, thinning)?;
+        for (v, &x) in group.vars.iter().zip(point) {
             out.set(v.key, x);
         }
         Ok(())

@@ -1,8 +1,8 @@
 //! Per-group sampling strategies (paper Section IV-A).
 //!
-//! A [`GroupSampler`] owns one minimal independent subset of constraint
-//! atoms and produces joint samples of its variables that satisfy those
-//! atoms. It combines, in order of preference:
+//! Every minimal independent subset of constraint atoms is sampled by one
+//! compiled [`GroupKernel`](crate::tape::GroupKernel); this module decides
+//! how. In order of preference:
 //!
 //! * **exact CDF integration** — interval constraints on one variable,
 //!   or on an affine combination of independent Normals (itself Normal),
@@ -13,20 +13,17 @@
 //! * **rejection sampling** — candidates are always re-checked against
 //!   the *exact* atoms, so coarser-than-atom bounds stay correct;
 //! * **Metropolis** — engaged when the observed rejection rate crosses
-//!   the configured threshold (Algorithm 4.3 lines 19–24).
+//!   the configured threshold (Algorithm 4.3 lines 19–24): the kernel
+//!   hands its group to [`crate::metropolis`] in place.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pip_core::{PipError, Result};
-use pip_dist::PipRng;
-use pip_expr::{Assignment, CmpOp, RandomVar, VarGroup, VarKey};
-use rand::Rng;
+use pip_expr::{CmpOp, RandomVar, VarGroup, VarKey};
 
 use pip_ctable::{BoundsMap, Interval};
 
 use crate::config::SamplerConfig;
-use crate::metropolis::MetropolisState;
 
 /// Hard cap on consecutive rejections for a single sample; reaching it
 /// means the constraint is (numerically) unsatisfiable and the caller
@@ -34,10 +31,12 @@ use crate::metropolis::MetropolisState;
 pub(crate) const MAX_ATTEMPTS_PER_SAMPLE: u64 = 200_000;
 
 /// Attempts before the Metropolis switch may engage: the rejection rate
-/// needs enough evidence that a high value is not a fluke. Shared with
-/// the compiled kernels in [`crate::tape`], which must trip (and bail to
-/// this interpreted path) at exactly the same draw.
+/// needs enough evidence that a high value is not a fluke.
 pub(crate) const METROPOLIS_MIN_ATTEMPTS: u64 = 256;
+
+/// Rejection-scan draws [`crate::metropolis::MetropolisState::init`] may
+/// spend looking for the chain's start point.
+pub(crate) const METROPOLIS_START_ATTEMPTS: usize = 100_000;
 
 /// How a single variable is generated inside the rejection loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,39 +48,63 @@ pub(crate) enum VarStrategy {
     CdfBounded { p_lo: f64, p_hi: f64 },
 }
 
-impl GroupSampler {
-    /// Per-variable strategies, aligned with `group.vars` — the compiled
-    /// kernels replicate exactly these draws.
-    pub(crate) fn var_strategies(&self) -> &[VarStrategy] {
-        &self.strategies
+/// Strategy selection for `group`: one [`VarStrategy`] per variable
+/// (aligned with `group.vars`), exploiting `bounds` when the config
+/// allows CDF-bounded generation, and the probability mass of the
+/// resulting sampling box — the product over bounded variables of
+/// `p_hi − p_lo`, 1.0 when nothing is bounded.
+pub(crate) fn select_strategies(
+    group: &VarGroup,
+    bounds: &BoundsMap,
+    cfg: &SamplerConfig,
+) -> (Vec<VarStrategy>, f64) {
+    let mut strategies = Vec::with_capacity(group.vars.len());
+    let mut box_mass = 1.0;
+    for v in &group.vars {
+        let iv = bounds.get(v.key);
+        let strategy = if cfg.use_cdf_sampling && !iv.is_unbounded() {
+            match (
+                cdf_below(v, iv.lo),
+                cdf_at(v, iv.hi),
+                v.class.inverse_cdf(&v.params, 0.5),
+            ) {
+                (Some(p_lo), Some(p_hi), Some(_)) if p_hi > p_lo => {
+                    box_mass *= p_hi - p_lo;
+                    VarStrategy::CdfBounded { p_lo, p_hi }
+                }
+                _ => VarStrategy::Natural,
+            }
+        } else {
+            VarStrategy::Natural
+        };
+        strategies.push(strategy);
     }
-
-    /// Probability mass of the CDF-restricted sampling box.
-    pub(crate) fn cdf_box_mass(&self) -> f64 {
-        self.box_mass
-    }
+    (strategies, box_mass)
 }
 
-/// Sampler for one independent variable group.
-#[derive(Debug)]
-pub struct GroupSampler {
-    pub group: VarGroup,
-    strategies: Vec<VarStrategy>,
-    /// Probability mass of the CDF-restricted box (product over bounded
-    /// variables of `p_hi − p_lo`); 1.0 when nothing is bounded.
-    box_mass: f64,
-    /// Rejection-loop counters: candidates generated / accepted.
-    pub attempts: u64,
-    pub accepts: u64,
-    metropolis: Option<MetropolisState>,
-    /// Metropolis init already failed (no PDF or no feasible start): the
-    /// switch is off for good and the attempt cap is the only exit. The
-    /// init scan is expensive, so retrying it on every rejected candidate
-    /// would stretch the cap from bounded to effectively infinite.
-    metropolis_unavailable: bool,
-    /// Counters frozen at the moment of the Metropolis switch — the last
-    /// unbiased acceptance estimate available for probabilities.
-    frozen: Option<(u64, u64)>,
+/// The Metropolis switch of Algorithm 4.3 line 19, checked after every
+/// rejected candidate: the overall rejection fraction exceeds the
+/// threshold, with enough evidence that it is not a fluke.
+pub(crate) fn metropolis_due(cfg: &SamplerConfig, attempts: u64, accepts: u64) -> bool {
+    cfg.use_metropolis
+        && attempts >= METROPOLIS_MIN_ATTEMPTS
+        && 1.0 - accepts as f64 / attempts as f64 > cfg.metropolis_threshold
+}
+
+/// Monte-Carlo estimate of `P[group atoms]` from the rejection counters.
+///
+/// Candidates are drawn inside the CDF box, so the estimate is
+/// `box_mass · accepts/attempts`. The counters are live: after a
+/// Metropolis switch they hold the candidates drawn before it plus any
+/// fixed-budget probe since — iid draws from the same box either way
+/// (the walk itself carries no acceptance information).
+pub(crate) fn acceptance_estimate(box_mass: f64, attempts: u64, accepts: u64, atoms: bool) -> f64 {
+    if attempts == 0 {
+        // No sampling happened: either the group has no atoms
+        // (probability 1) or only exact paths were used.
+        return if atoms { f64::NAN } else { box_mass };
+    }
+    box_mass * accepts as f64 / attempts as f64
 }
 
 /// `P[X ≤ x]` helper that tolerates infinite arguments.
@@ -105,190 +128,6 @@ fn cdf_below(v: &RandomVar, lo: f64) -> Option<f64> {
         cdf_at(v, lo.ceil() - 1.0)
     } else {
         cdf_at(v, lo)
-    }
-}
-
-impl GroupSampler {
-    /// Build a sampler for `group`, exploiting `bounds` when the config
-    /// allows CDF-bounded generation.
-    pub fn new(group: VarGroup, bounds: &BoundsMap, cfg: &SamplerConfig) -> Self {
-        let mut strategies = Vec::with_capacity(group.vars.len());
-        let mut box_mass = 1.0;
-        for v in &group.vars {
-            let iv = bounds.get(v.key);
-            let strategy = if cfg.use_cdf_sampling && !iv.is_unbounded() {
-                match (
-                    cdf_below(v, iv.lo),
-                    cdf_at(v, iv.hi),
-                    v.class.inverse_cdf(&v.params, 0.5),
-                ) {
-                    (Some(p_lo), Some(p_hi), Some(_)) if p_hi > p_lo => {
-                        box_mass *= p_hi - p_lo;
-                        VarStrategy::CdfBounded { p_lo, p_hi }
-                    }
-                    _ => VarStrategy::Natural,
-                }
-            } else {
-                VarStrategy::Natural
-            };
-            strategies.push(strategy);
-        }
-        GroupSampler {
-            group,
-            strategies,
-            box_mass,
-            attempts: 0,
-            accepts: 0,
-            metropolis: None,
-            metropolis_unavailable: false,
-            frozen: None,
-        }
-    }
-
-    /// True once the sampler has switched to Metropolis.
-    pub fn uses_metropolis(&self) -> bool {
-        self.metropolis.is_some()
-    }
-
-    /// Generate one candidate point (no atom check) into `out`.
-    fn generate_candidate(&self, rng: &mut PipRng, out: &mut Assignment) {
-        for (v, s) in self.group.vars.iter().zip(&self.strategies) {
-            let x = match s {
-                VarStrategy::Natural => v.class.generate(&v.params, rng),
-                VarStrategy::CdfBounded { p_lo, p_hi } => {
-                    let u: f64 = rng.gen();
-                    let p = p_lo + u * (p_hi - p_lo);
-                    v.class
-                        .inverse_cdf(&v.params, p)
-                        .expect("strategy guaranteed inverse CDF")
-                }
-            };
-            out.set(v.key, x);
-        }
-    }
-
-    /// Check the group's atoms at the current contents of `out`.
-    fn satisfied(&self, out: &Assignment) -> Result<bool> {
-        for atom in &self.group.atoms {
-            if !atom.eval(out)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Draw one joint sample satisfying the group's atoms into `out`.
-    ///
-    /// `bounds` is only consulted if a mid-flight Metropolis switch needs
-    /// a start point.
-    pub fn sample_into(
-        &mut self,
-        rng: &mut PipRng,
-        cfg: &SamplerConfig,
-        bounds: &BoundsMap,
-        out: &mut Assignment,
-    ) -> Result<()> {
-        if let Some(m) = self.metropolis.as_mut() {
-            return m.sample_into(&self.group, rng, cfg.metropolis_thinning, out);
-        }
-        let mut local_attempts: u64 = 0;
-        loop {
-            self.attempts += 1;
-            local_attempts += 1;
-            self.generate_candidate(rng, out);
-            if self.satisfied(out)? {
-                self.accepts += 1;
-                return Ok(());
-            }
-            // Metropolis switch (Algorithm 4.3 line 19): when the overall
-            // rejection fraction exceeds the threshold and we have enough
-            // evidence it isn't a fluke.
-            if cfg.use_metropolis
-                && !self.metropolis_unavailable
-                && self.attempts >= METROPOLIS_MIN_ATTEMPTS
-                && self.rejection_rate() > cfg.metropolis_threshold
-            {
-                match MetropolisState::init(
-                    &self.group,
-                    bounds,
-                    rng,
-                    cfg.metropolis_burn_in,
-                    100_000,
-                ) {
-                    Ok(m) => {
-                        crate::obs::metrics().metropolis_escalations_total.inc();
-                        self.frozen = Some((self.attempts, self.accepts));
-                        self.metropolis = Some(m);
-                        return self.metropolis.as_mut().expect("just set").sample_into(
-                            &self.group,
-                            rng,
-                            cfg.metropolis_thinning,
-                            out,
-                        );
-                    }
-                    Err(_) => {
-                        // No PDF or no start point: keep rejecting (the
-                        // attempt cap below will eventually fire), and
-                        // don't pay for this scan again.
-                        self.metropolis_unavailable = true;
-                    }
-                }
-            }
-            if local_attempts >= MAX_ATTEMPTS_PER_SAMPLE {
-                return Err(PipError::Sampling(format!(
-                    "group rejected {MAX_ATTEMPTS_PER_SAMPLE} consecutive candidates"
-                )));
-            }
-        }
-    }
-
-    fn rejection_rate(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            1.0 - self.accepts as f64 / self.attempts as f64
-        }
-    }
-
-    /// Monte-Carlo estimate of `P[group atoms]`.
-    ///
-    /// Sampling happens inside the CDF box, so the estimate is
-    /// `box_mass · accepts/attempts`. After a Metropolis switch the
-    /// counters frozen at switch time are used (the walk itself carries
-    /// no acceptance information).
-    pub fn probability_estimate(&self) -> f64 {
-        let (attempts, accepts) = self.frozen.unwrap_or((self.attempts, self.accepts));
-        if attempts == 0 {
-            // No sampling happened: either the group has no atoms
-            // (probability 1) or only exact paths were used.
-            if self.group.atoms.is_empty() {
-                return self.box_mass;
-            }
-            return f64::NAN;
-        }
-        self.box_mass * accepts as f64 / attempts as f64
-    }
-
-    /// Exact probability via CDF integration, when the group is a single
-    /// univariate variable constrained only by affine atoms (Algorithm
-    /// 4.3 lines 32–33). Returns `None` when inapplicable.
-    pub fn exact_probability(&self) -> Option<f64> {
-        exact_group_probability(&self.group)
-    }
-
-    /// Estimate `P[group atoms]` with a fixed number of candidate draws
-    /// (cheaper than `sample_into` for selective conditions, where one
-    /// accepted sample may cost thousands of candidates).
-    pub fn estimate_probability(&mut self, rng: &mut PipRng, n_attempts: u64) -> Result<f64> {
-        let mut scratch = Assignment::new();
-        for _ in 0..n_attempts {
-            self.attempts += 1;
-            self.generate_candidate(rng, &mut scratch);
-            if self.satisfied(&scratch)? {
-                self.accepts += 1;
-            }
-        }
-        Ok(self.probability_estimate())
     }
 }
 
@@ -424,18 +263,60 @@ pub fn exact_group_probability(group: &VarGroup) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tape::GroupKernel;
+    use pip_core::Result;
     use pip_ctable::consistency_check;
     use pip_dist::prelude::builtin;
-    use pip_dist::{rng_from_seed, special};
-    use pip_expr::{atoms, independent_groups, Conjunction, Equation};
+    use pip_dist::{rng_from_seed, special, PipRng};
+    use pip_expr::{atoms, independent_groups, Conjunction, Equation, SlotMap};
 
-    fn make(cond: &Conjunction, cfg: &SamplerConfig) -> (Vec<GroupSampler>, BoundsMap) {
+    /// One group's kernel and its slot buffer, drawn a sample at a time.
+    struct Drawn {
+        k: GroupKernel,
+        bounds: BoundsMap,
+        slots: SlotMap,
+        buf: Vec<f64>,
+        regs: Vec<f64>,
+    }
+
+    impl Drawn {
+        fn new(group: VarGroup, bounds: BoundsMap, cfg: &SamplerConfig) -> Drawn {
+            let mut slots = SlotMap::new();
+            let k = GroupKernel::for_group(group, &bounds, cfg, &mut slots);
+            let buf = vec![0.0; slots.len()];
+            Drawn {
+                k,
+                bounds,
+                slots,
+                buf,
+                regs: Vec::new(),
+            }
+        }
+
+        fn sample(&mut self, rng: &mut PipRng, cfg: &SamplerConfig) -> Result<()> {
+            let drawn = self.k.sample_into_slots(
+                rng,
+                cfg,
+                &self.bounds,
+                &mut self.buf,
+                &mut self.regs,
+                false,
+            )?;
+            assert!(drawn, "nothing holds the switch");
+            Ok(())
+        }
+
+        fn get(&self, v: &RandomVar) -> f64 {
+            self.buf[self.slots.slot_of(v.key).unwrap() as usize]
+        }
+    }
+
+    /// The kernel of the one group of `cond`, with consistency bounds.
+    fn make(cond: &Conjunction, cfg: &SamplerConfig) -> Drawn {
         let bounds = consistency_check(cond).bounds();
-        let samplers = independent_groups(cond, &[])
-            .into_iter()
-            .map(|g| GroupSampler::new(g, &bounds, cfg))
-            .collect();
-        (samplers, bounds)
+        let mut groups = independent_groups(cond, &[]);
+        assert_eq!(groups.len(), 1);
+        Drawn::new(groups.pop().unwrap(), bounds, cfg)
     }
 
     #[test]
@@ -444,16 +325,14 @@ mod tests {
         let cfg = SamplerConfig::default();
         let cond = Conjunction::top();
         let groups = independent_groups(&cond, std::slice::from_ref(&y));
-        let mut s = GroupSampler::new(groups.into_iter().next().unwrap(), &BoundsMap::new(), &cfg);
+        let mut s = Drawn::new(groups.into_iter().next().unwrap(), BoundsMap::new(), &cfg);
         let mut rng = rng_from_seed(1);
-        let mut a = Assignment::new();
         for _ in 0..100 {
-            s.sample_into(&mut rng, &cfg, &BoundsMap::new(), &mut a)
-                .unwrap();
-            assert!(a.get(y.key).unwrap().is_finite());
+            s.sample(&mut rng, &cfg).unwrap();
+            assert!(s.get(&y).is_finite());
         }
-        assert_eq!(s.accepts, 100);
-        assert_eq!(s.probability_estimate(), 1.0);
+        assert_eq!(s.k.accepts, 100);
+        assert_eq!(s.k.probability_estimate(), 1.0);
     }
 
     #[test]
@@ -465,21 +344,18 @@ mod tests {
             atoms::lt(Equation::from(y.clone()), 2.0),
         ]);
         let cfg = SamplerConfig::default();
-        let (mut samplers, bounds) = make(&cond, &cfg);
-        assert_eq!(samplers.len(), 1);
-        let s = &mut samplers[0];
+        let mut s = make(&cond, &cfg);
         let mut rng = rng_from_seed(2);
-        let mut a = Assignment::new();
         let n = 2000;
         let mut sum = 0.0;
         for _ in 0..n {
-            s.sample_into(&mut rng, &cfg, &bounds, &mut a).unwrap();
-            let x = a.get(y.key).unwrap();
+            s.sample(&mut rng, &cfg).unwrap();
+            let x = s.get(&y);
             assert!(x > -3.0 && x < 2.0, "{x}");
             sum += x;
         }
         // With CDF bounds the box is sampled directly: zero rejections.
-        assert_eq!(s.accepts, s.attempts);
+        assert_eq!(s.k.accepts, s.k.attempts);
         // Truncated-normal mean: μ + σ(φ(a)−φ(b))/(Φ(b)−Φ(a)),
         // a = (−3−5)/10 = −0.8, b = (2−5)/10 = −0.3.
         let (za, zb) = (-0.8, -0.3);
@@ -495,17 +371,15 @@ mod tests {
         let y = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
         let cond = Conjunction::single(atoms::gt(Equation::from(y.clone()), 1.0));
         let cfg = SamplerConfig::naive(100);
-        let (mut samplers, bounds) = make(&cond, &cfg);
-        let s = &mut samplers[0];
+        let mut s = make(&cond, &cfg);
         let mut rng = rng_from_seed(3);
-        let mut a = Assignment::new();
         for _ in 0..50 {
-            s.sample_into(&mut rng, &cfg, &bounds, &mut a).unwrap();
-            assert!(a.get(y.key).unwrap() > 1.0);
+            s.sample(&mut rng, &cfg).unwrap();
+            assert!(s.get(&y) > 1.0);
         }
-        assert!(s.attempts > s.accepts, "rejection must be happening");
+        assert!(s.k.attempts > s.k.accepts, "rejection must be happening");
         // Estimate approximates P[Y > 1] ≈ 0.1587.
-        let est = s.probability_estimate();
+        let est = s.k.probability_estimate();
         assert!((est - 0.1587).abs() < 0.08, "{est}");
     }
 
@@ -518,15 +392,13 @@ mod tests {
             atoms::lt(Equation::from(y.clone()), 1.0),
         ]);
         let cfg = SamplerConfig::default();
-        let (mut samplers, bounds) = make(&cond, &cfg);
-        let s = &mut samplers[0];
+        let mut s = make(&cond, &cfg);
         let mut rng = rng_from_seed(4);
-        let mut a = Assignment::new();
         for _ in 0..500 {
-            s.sample_into(&mut rng, &cfg, &bounds, &mut a).unwrap();
+            s.sample(&mut rng, &cfg).unwrap();
         }
         let expected = special::normal_cdf(1.0) - special::normal_cdf(-1.0);
-        assert!((s.probability_estimate() - expected).abs() < 1e-9);
+        assert!((s.k.probability_estimate() - expected).abs() < 1e-9);
     }
 
     #[test]
@@ -536,9 +408,8 @@ mod tests {
             atoms::ge(Equation::from(y.clone()), -1.0),
             atoms::le(Equation::from(y.clone()), 2.0),
         ]);
-        let cfg = SamplerConfig::default();
-        let (samplers, _) = make(&cond, &cfg);
-        let p = samplers[0].exact_probability().unwrap();
+        let g = independent_groups(&cond, &[]).pop().unwrap();
+        let p = exact_group_probability(&g).unwrap();
         let truth = special::normal_cdf(2.0) - special::normal_cdf(-1.0);
         assert!((p - truth).abs() < 1e-9, "{p} vs {truth}");
     }
@@ -682,15 +553,13 @@ mod tests {
             use_cdf_sampling: false,
             ..Default::default()
         };
-        let (mut samplers, bounds) = make(&cond, &cfg);
-        let s = &mut samplers[0];
+        let mut s = make(&cond, &cfg);
         let mut rng = rng_from_seed(5);
-        let mut a = Assignment::new();
         for _ in 0..20 {
-            s.sample_into(&mut rng, &cfg, &bounds, &mut a).unwrap();
-            assert!(a.get(y.key).unwrap() > 4.0);
+            s.sample(&mut rng, &cfg).unwrap();
+            assert!(s.get(&y) > 4.0);
         }
-        assert!(s.uses_metropolis());
+        assert!(s.k.uses_metropolis());
     }
 
     #[test]
@@ -702,10 +571,9 @@ mod tests {
         let cfg = SamplerConfig::naive(10);
         // Bypass consistency (naive config) — build group directly.
         let g = independent_groups(&cond, &[]).into_iter().next().unwrap();
-        let mut s = GroupSampler::new(g, &BoundsMap::new(), &cfg);
+        let mut s = Drawn::new(g, BoundsMap::new(), &cfg);
         let mut rng = rng_from_seed(6);
-        let mut a = Assignment::new();
-        let err = s.sample_into(&mut rng, &cfg, &BoundsMap::new(), &mut a);
+        let err = s.sample(&mut rng, &cfg);
         assert!(err.is_err());
     }
 
@@ -724,14 +592,15 @@ mod tests {
             cfg.use_metropolis,
             "default config must exercise the switch"
         );
-        let (mut samplers, bounds) = make(&cond, &cfg);
-        let s = &mut samplers[0];
+        let mut s = make(&cond, &cfg);
         let mut rng = rng_from_seed(7);
-        let mut a = Assignment::new();
         let start = std::time::Instant::now();
-        let err = s.sample_into(&mut rng, &cfg, &bounds, &mut a);
+        let err = s.sample(&mut rng, &cfg);
         assert!(err.is_err(), "{err:?}");
-        assert!(s.metropolis_unavailable, "init failure must be remembered");
+        assert!(
+            s.k.metropolis_unavailable,
+            "init failure must be remembered"
+        );
         assert!(
             start.elapsed() < std::time::Duration::from_secs(30),
             "attempt cap took {:?} — init scan is being retried",

@@ -10,11 +10,11 @@
 //!   arrival order and their confidences computed a fixed-size wave at a
 //!   time through [`run_indexed`]. Each row's sampler is seeded by its
 //!   global row index (never by wave or thread), so every wave size and
-//!   thread count produces the table operator's numbers. With
-//!   `SamplerConfig::compile` (the default) each `conf` runs through the
-//!   compiled kernels of [`crate::tape`] and the probe cache of
-//!   [`crate::blocks`] — join fan-outs that re-evaluate one gate group
-//!   at the same seed-site skip the re-draw entirely, bit-identically.
+//!   thread count produces the table operator's numbers. Each `conf`
+//!   runs through the group kernels of [`crate::tape`] and the probe
+//!   cache of [`crate::blocks`] — join fan-outs that re-evaluate one
+//!   gate group at the same seed-site skip the re-draw entirely,
+//!   bit-identically.
 //! * [`StreamingGroups`] — incremental group-by partitioning with the
 //!   exact key semantics of [`pip_ctable::partition_by`]: deterministic
 //!   keys only, groups emitted in first-appearance order. With no group

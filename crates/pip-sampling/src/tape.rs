@@ -1,42 +1,44 @@
-//! The sampling compiler: slot-indexed evaluation tapes and compiled
-//! group kernels.
+//! The sampling compiler: slot-indexed evaluation tapes and group
+//! kernels — the one production sampler.
 //!
-//! The interpreted hot loop of Algorithm 4.3 walks `Equation` trees
-//! (enum dispatch + `Arc` hops) and resolves every variable through an
-//! [`Assignment`] hash map — per sample, per candidate. This module
-//! flattens that work once per query:
+//! A tree walk of Algorithm 4.3's hot loop would dispatch on `Equation`
+//! enums (with `Arc` hops) and resolve every variable through an
+//! [`Assignment`](pip_expr::Assignment) hash map — per sample, per
+//! candidate. This module flattens that work once per query:
 //!
 //! * [`Tape`] — a register-based program compiled from an [`Equation`].
 //!   Operands are register indices; variables are reads from a dense
 //!   `f64` slot buffer laid out by a [`pip_expr::SlotMap`]. Evaluation
-//!   performs exactly the interpreted post-order float operations, so
-//!   results are **bit-identical** to [`Equation::eval_f64`] (including
-//!   the division-by-zero error).
+//!   performs exactly the tree walk's post-order float operations, so
+//!   results are **bit-identical** to [`Equation::eval_f64`], errors
+//!   included: division by zero, and the non-numeric constants and
+//!   unbound variables a tape compiles into [`TapeOp::Fail`].
 //! * [`CondTape`] — a compiled conjunction: per atom, the two side tapes
 //!   plus the comparison, short-circuiting in atom order exactly like
 //!   [`pip_expr::Conjunction::eval`].
-//! * [`GroupKernel`] — a compiled [`GroupSampler`]: the same candidate
-//!   generation (same RNG draws, same strategies, same rejection loop,
-//!   same counters) writing into slots instead of an `Assignment`. The
-//!   Metropolis escalation point is detected at exactly the interpreted
-//!   trigger; the kernel then *bails* and the caller reruns the
-//!   interpreted `GroupSampler` path from scratch, which keeps results
-//!   bit-identical in the rare escalation case.
+//! * [`GroupKernel`] — one variable group's sampler: strategy-selected
+//!   candidate generation writing into slots, the rejection loop with its
+//!   counters, and the Metropolis switch of Algorithm 4.3 (lines 19–24).
+//!   At the trigger the kernel starts a [`MetropolisState`] chain and
+//!   draws from it into its slots from then on.
 //!
-//! Anything the compiler cannot express (non-numeric constants inside
-//! arithmetic, exotic atoms) refuses to compile and the caller falls
-//! back to the interpreted path — the semantics oracle.
+//! Compilation is total: every [`Equation`] and every atom has a tape.
+//! The tree-walking twin that tests compare against lives in
+//! [`crate::oracle`].
 
 use std::sync::Arc;
 
 use pip_core::{PipError, Result};
+use pip_ctable::BoundsMap;
 use pip_dist::{DistRef, PipRng, PreparedGen, PreparedInverseCdf};
 use pip_expr::{Atom, BinOp, CmpOp, Conjunction, Equation, SlotMap, UnOp, VarGroup};
 use rand::Rng;
 
 use crate::config::SamplerConfig;
+use crate::metropolis::MetropolisState;
 use crate::strategy::{
-    GroupSampler, VarStrategy, MAX_ATTEMPTS_PER_SAMPLE, METROPOLIS_MIN_ATTEMPTS,
+    acceptance_estimate, metropolis_due, select_strategies, VarStrategy, MAX_ATTEMPTS_PER_SAMPLE,
+    METROPOLIS_START_ATTEMPTS,
 };
 
 /// One instruction of a [`Tape`]. Instruction `i` writes register `i`;
@@ -52,6 +54,10 @@ pub enum TapeOp {
     Mul(u32, u32),
     Div(u32, u32),
     Neg(u32),
+    /// Raise the tape's error `i`: a non-numeric constant or an unbound
+    /// variable, which the tree walk rejects at this point of its
+    /// post-order.
+    Fail(u32),
 }
 
 /// Opcode of a [`TapeOp`] without its operands, for run segmentation.
@@ -64,6 +70,7 @@ enum OpKind {
     Mul,
     Div,
     Neg,
+    Fail,
 }
 
 /// A maximal run of consecutive instructions sharing one opcode:
@@ -94,24 +101,25 @@ pub struct Tape {
     b: Vec<u32>,
     /// Constant payload per instruction; 0.0 when unused.
     c: Vec<f64>,
+    /// The errors [`TapeOp::Fail`] raises, in the tree walk's wording.
+    errors: Vec<PipError>,
 }
 
-/// The one runtime error a tape can raise — identical text to
-/// [`pip_expr::BinOp::apply`] so fallback and compiled paths agree.
-pub(crate) fn div_by_zero() -> PipError {
+/// The division error a tape raises — identical text to
+/// [`pip_expr::BinOp::apply`], so tape and tree walk agree.
+fn div_by_zero() -> PipError {
     PipError::Eval("division by zero".into())
 }
 
 impl Tape {
-    /// Compile `expr` against `slots` (every variable must already be
-    /// interned). Returns `None` when the expression contains a
-    /// non-numeric constant or an unmapped variable — the interpreted
-    /// path handles those.
-    pub fn compile(expr: &Equation, slots: &SlotMap) -> Option<Tape> {
+    /// Compile `expr` against `slots`. What the tree walk would reject —
+    /// a non-numeric constant, a variable without a slot — compiles into
+    /// a [`TapeOp::Fail`] raising the tree walk's error at the same point.
+    pub fn compile(expr: &Equation, slots: &SlotMap) -> Tape {
         let mut tape = Tape::default();
-        tape.emit(expr, slots)?;
+        tape.emit(expr, slots);
         tape.seal();
-        Some(tape)
+        tape
     }
 
     /// Build the run-segmented form from the instruction list.
@@ -155,6 +163,10 @@ impl Tape {
                     self.a[i] = x;
                     OpKind::Neg
                 }
+                TapeOp::Fail(e) => {
+                    self.a[i] = e;
+                    OpKind::Fail
+                }
             };
             match self.runs.last_mut() {
                 Some(r) if r.kind == kind => r.end += 1,
@@ -167,19 +179,22 @@ impl Tape {
         }
     }
 
-    fn emit(&mut self, expr: &Equation, slots: &SlotMap) -> Option<u32> {
-        let reg = match expr {
-            Equation::Const(v) => {
-                let x = v.as_f64().ok()?;
-                self.push(TapeOp::Const(x))
-            }
-            Equation::Var(v) => {
-                let slot = slots.slot_of(v.key)?;
-                self.push(TapeOp::Load(slot))
-            }
+    fn emit(&mut self, expr: &Equation, slots: &SlotMap) -> u32 {
+        match expr {
+            Equation::Const(v) => match v.as_f64() {
+                Ok(x) => self.push(TapeOp::Const(x)),
+                Err(e) => self.fail(e),
+            },
+            Equation::Var(v) => match slots.slot_of(v.key) {
+                Some(slot) => self.push(TapeOp::Load(slot)),
+                None => self.fail(PipError::Eval(format!(
+                    "variable {} not assigned",
+                    v.key.id
+                ))),
+            },
             Equation::Binary { op, left, right } => {
-                let l = self.emit(left, slots)?;
-                let r = self.emit(right, slots)?;
+                let l = self.emit(left, slots);
+                let r = self.emit(right, slots);
                 self.push(match op {
                     BinOp::Add => TapeOp::Add(l, r),
                     BinOp::Sub => TapeOp::Sub(l, r),
@@ -191,11 +206,10 @@ impl Tape {
                 op: UnOp::Neg,
                 expr,
             } => {
-                let e = self.emit(expr, slots)?;
+                let e = self.emit(expr, slots);
                 self.push(TapeOp::Neg(e))
             }
-        };
-        Some(reg)
+        }
     }
 
     fn push(&mut self, op: TapeOp) -> u32 {
@@ -203,13 +217,9 @@ impl Tape {
         (self.ops.len() - 1) as u32
     }
 
-    /// Number of registers (== instructions) the tape needs.
-    pub fn n_regs(&self) -> usize {
-        self.ops.len()
-    }
-
-    pub fn ops(&self) -> &[TapeOp] {
-        &self.ops
+    fn fail(&mut self, error: PipError) -> u32 {
+        self.errors.push(error);
+        self.push(TapeOp::Fail(self.errors.len() as u32 - 1))
     }
 
     /// Evaluate over one sample. `regs` is caller-provided scratch,
@@ -262,6 +272,7 @@ impl Tape {
                         regs[i] = -regs[self.a[i] as usize];
                     }
                 }
+                OpKind::Fail => return Err(self.errors[self.a[s] as usize].clone()),
             }
         }
         Ok(regs[last])
@@ -269,10 +280,10 @@ impl Tape {
 
     /// Evaluate over a columnar sample block: lane `s` reads column
     /// entries `data[slot * stride + s]`. Writes the `len` results into
-    /// `out` and returns the earliest lane whose evaluation would have
-    /// errored (division by zero), if any — per lane the computation is
-    /// the same float op sequence as [`Tape::eval`], so every non-error
-    /// lane is bit-identical to the scalar path.
+    /// `out` and returns the earliest lane whose evaluation errors, if
+    /// any ([`Tape::eval`] on that lane names the error) — per lane the
+    /// computation is the same float op sequence as [`Tape::eval`], so
+    /// every non-error lane is bit-identical to the scalar path.
     pub fn eval_block(
         &self,
         data: &[f64],
@@ -334,6 +345,13 @@ impl Tape {
                         cur[s] = -a[s];
                     }
                 }
+                TapeOp::Fail(_) => {
+                    // Every lane errors here; lane 0 is the earliest.
+                    if len > 0 {
+                        first_err = Some(0);
+                    }
+                    cur.fill(0.0);
+                }
             }
         }
         let last = &regs[(self.ops.len() - 1) * len..];
@@ -360,6 +378,11 @@ impl Tape {
                 TapeOp::Mul(a, b) => sig.extend([4, a as u64, b as u64]),
                 TapeOp::Div(a, b) => sig.extend([5, a as u64, b as u64]),
                 TapeOp::Neg(a) => sig.extend([6, a as u64]),
+                TapeOp::Fail(e) => {
+                    let text = self.errors[e as usize].to_string();
+                    sig.extend([7, text.len() as u64]);
+                    sig.extend(text.bytes().map(u64::from));
+                }
             }
         }
     }
@@ -394,15 +417,12 @@ enum AtomProgram {
 #[derive(Debug, Clone, Default)]
 pub struct CondTape {
     atoms: Vec<AtomProgram>,
-    n_regs: usize,
 }
 
 impl CondTape {
-    /// Compile a list of atoms against `slots`. `None` when any atom is
-    /// out of the compiler's reach.
-    pub fn compile_atoms(atoms: &[Atom], slots: &SlotMap) -> Option<CondTape> {
+    /// Compile a list of atoms against `slots`.
+    pub fn compile_atoms(atoms: &[Atom], slots: &SlotMap) -> CondTape {
         let mut programs = Vec::with_capacity(atoms.len());
-        let mut n_regs = 0;
         for atom in atoms {
             // Mirror of Atom::eval: two root constants compare under the
             // total Value order (strings included), everything else goes
@@ -411,8 +431,8 @@ impl CondTape {
                 programs.push(AtomProgram::Const(atom.op.eval_value(l, r)));
                 continue;
             }
-            let left = Tape::compile(&atom.left, slots)?;
-            let right = Tape::compile(&atom.right, slots)?;
+            let left = Tape::compile(&atom.left, slots);
+            let right = Tape::compile(&atom.right, slots);
             // Specialize the one-op shapes (comparison flip is exact for
             // floats, so const-on-the-left reuses the same direct form).
             let program = match (left.ops.as_slice(), right.ops.as_slice()) {
@@ -431,25 +451,19 @@ impl CondTape {
                     op: atom.op,
                     r: *r,
                 },
-                _ => {
-                    n_regs = n_regs.max(left.n_regs()).max(right.n_regs());
-                    AtomProgram::Cmp {
-                        left: Box::new(left),
-                        op: atom.op,
-                        right: Box::new(right),
-                    }
-                }
+                _ => AtomProgram::Cmp {
+                    left: Box::new(left),
+                    op: atom.op,
+                    right: Box::new(right),
+                },
             };
             programs.push(program);
         }
-        Some(CondTape {
-            atoms: programs,
-            n_regs,
-        })
+        CondTape { atoms: programs }
     }
 
     /// Compile a whole row condition.
-    pub fn compile(cond: &Conjunction, slots: &SlotMap) -> Option<CondTape> {
+    pub fn compile(cond: &Conjunction, slots: &SlotMap) -> CondTape {
         Self::compile_atoms(cond.atoms(), slots)
     }
 
@@ -482,11 +496,6 @@ impl CondTape {
         self.atoms.is_empty()
     }
 
-    /// Scratch registers needed by [`CondTape::eval_bool`].
-    pub fn n_regs(&self) -> usize {
-        self.n_regs
-    }
-
     pub(crate) fn signature(&self, sig: &mut Vec<u64>) {
         sig.push(self.atoms.len() as u64);
         for atom in &self.atoms {
@@ -508,116 +517,112 @@ impl CondTape {
     }
 }
 
-/// How one variable of a kernel is generated — the compiled twin of
-/// [`VarStrategy`], carrying the distribution handle and the target slot.
+/// How one variable of a kernel is generated: its [`VarStrategy`], the
+/// distribution handle and the target slot.
 #[derive(Debug, Clone)]
 struct VarGen {
     slot: u32,
     class: DistRef,
     params: Arc<[f64]>,
-    kind: GenKind,
+    strategy: VarStrategy,
     /// Draw-identical prepared sampler (Natural strategy).
     prepared: Option<Arc<dyn PreparedGen>>,
     /// Bit-identical prepared inverse CDF (CdfBounded strategy).
     prepared_inv: Option<Arc<dyn PreparedInverseCdf>>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum GenKind {
-    Natural,
-    CdfBounded { p_lo: f64, p_hi: f64 },
-}
-
-/// Outcome of one kernel sampling step.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelStep {
-    /// A satisfying joint sample was written into the slots.
-    Sampled,
-    /// The interpreted path would attempt the Metropolis switch here:
-    /// the kernel stops and the caller must rerun the interpreted
-    /// sampler from scratch (bit-identical, just slower).
-    Escalate,
-}
-
-/// The compiled twin of one [`GroupSampler`]: same candidate draws, same
-/// rejection loop, same counters — but slot writes instead of hash-map
-/// inserts and tape checks instead of tree walks.
+/// The sampler of one independent variable group: candidate generation
+/// into slots, the rejection loop checked by a [`CondTape`], and — past
+/// the rejection threshold — the group's Metropolis chain.
 #[derive(Debug, Clone)]
 pub struct GroupKernel {
+    pub(crate) group: VarGroup,
     vars: Vec<VarGen>,
     cond: CondTape,
     box_mass: f64,
-    /// Candidates generated, mirroring [`GroupSampler::attempts`].
+    /// Candidates generated by the rejection loop and probes.
     pub attempts: u64,
-    /// Candidates accepted, mirroring [`GroupSampler::accepts`].
+    /// Candidates that satisfied the group's atoms.
     pub accepts: u64,
+    metropolis: Option<MetropolisState>,
+    /// Metropolis init already failed (no PDF or no feasible start): the
+    /// switch is off for good and the attempt cap is the only exit. The
+    /// init scan is expensive, so retrying it on every rejected candidate
+    /// would stretch the cap from bounded to effectively infinite.
+    pub(crate) metropolis_unavailable: bool,
+    /// The rejection loop stopped at the switch trigger without switching
+    /// (see [`GroupKernel::sample_into_slots`]), after this many
+    /// consecutive attempts on the sample in flight.
+    held_at_switch: Option<u64>,
 }
 
 impl GroupKernel {
-    /// Compile the kernel equivalent of `sampler`. `None` when an atom
-    /// or constant falls outside the compiler's reach.
-    pub(crate) fn compile(sampler: &GroupSampler, slots: &SlotMap) -> Option<GroupKernel> {
-        let cond = CondTape::compile_atoms(&sampler.group.atoms, slots)?;
-        let mut vars = Vec::with_capacity(sampler.group.vars.len());
-        for (v, s) in sampler.group.vars.iter().zip(sampler.var_strategies()) {
-            let kind = match *s {
-                VarStrategy::Natural => GenKind::Natural,
-                VarStrategy::CdfBounded { p_lo, p_hi } => GenKind::CdfBounded { p_lo, p_hi },
-            };
-            let (prepared, prepared_inv) = match kind {
-                GenKind::Natural => (v.class.prepare_generate(&v.params), None),
-                GenKind::CdfBounded { .. } => (None, v.class.prepare_inverse_cdf(&v.params)),
-            };
-            vars.push(VarGen {
-                slot: slots.slot_of(v.key)?,
-                class: Arc::clone(&v.class),
-                params: Arc::clone(&v.params),
-                kind,
-                prepared,
-                prepared_inv,
-            });
-        }
-        Some(GroupKernel {
+    /// The kernel for `group`: strategy selection against `bounds`, the
+    /// group's variables interned into `slots`, its atoms compiled.
+    pub(crate) fn for_group(
+        group: VarGroup,
+        bounds: &BoundsMap,
+        cfg: &SamplerConfig,
+        slots: &mut SlotMap,
+    ) -> GroupKernel {
+        let (strategies, box_mass) = select_strategies(&group, bounds, cfg);
+        let vars = group
+            .vars
+            .iter()
+            .zip(strategies)
+            .map(|(v, strategy)| {
+                let (prepared, prepared_inv) = match strategy {
+                    VarStrategy::Natural => (v.class.prepare_generate(&v.params), None),
+                    VarStrategy::CdfBounded { .. } => {
+                        (None, v.class.prepare_inverse_cdf(&v.params))
+                    }
+                };
+                VarGen {
+                    slot: slots.intern(v.key),
+                    class: Arc::clone(&v.class),
+                    params: Arc::clone(&v.params),
+                    strategy,
+                    prepared,
+                    prepared_inv,
+                }
+            })
+            .collect();
+        let cond = CondTape::compile_atoms(&group.atoms, slots);
+        GroupKernel {
+            group,
             vars,
             cond,
-            box_mass: sampler.cdf_box_mass(),
-            attempts: sampler.attempts,
-            accepts: sampler.accepts,
-        })
-    }
-
-    /// Build a standalone kernel for `group` (the `conf()` path, which
-    /// has no [`GroupSampler`] yet): instantiates the interpreted sampler
-    /// once to reuse its strategy selection verbatim.
-    pub(crate) fn for_group(
-        group: &VarGroup,
-        bounds: &pip_ctable::BoundsMap,
-        cfg: &SamplerConfig,
-        slots: &SlotMap,
-    ) -> Option<GroupKernel> {
-        let sampler = GroupSampler::new(group.clone(), bounds, cfg);
-        Self::compile(&sampler, slots)
-    }
-
-    fn rejection_rate(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            1.0 - self.accepts as f64 / self.attempts as f64
+            box_mass,
+            attempts: 0,
+            accepts: 0,
+            metropolis: None,
+            metropolis_unavailable: false,
+            held_at_switch: None,
         }
     }
 
-    /// Generate one candidate into the slots — the same draws, in the
-    /// same order, as [`GroupSampler`]'s `generate_candidate`.
+    /// True once the kernel has switched to Metropolis.
+    pub fn uses_metropolis(&self) -> bool {
+        self.metropolis.is_some()
+    }
+
+    /// Plain rejection mode: no chain, no trigger held, no failed init.
+    /// The sample-block cache replays counters and the generator only, so
+    /// it serves and publishes fills of plain kernels alone.
+    pub(crate) fn is_plain(&self) -> bool {
+        self.metropolis.is_none() && self.held_at_switch.is_none() && !self.metropolis_unavailable
+    }
+
+    /// Generate one candidate into the slots.
     #[inline]
     fn generate_candidate(&self, rng: &mut PipRng, slots: &mut [f64]) {
         for vg in &self.vars {
-            let x = match vg.kind {
-                GenKind::Natural => match &vg.prepared {
+            let x = match vg.strategy {
+                VarStrategy::Natural => match &vg.prepared {
                     Some(p) => p.generate(rng),
                     None => vg.class.generate(&vg.params, rng),
                 },
-                GenKind::CdfBounded { p_lo, p_hi } => {
+                VarStrategy::CdfBounded { p_lo, p_hi } => {
                     let u: f64 = rng.gen();
                     let p = p_lo + u * (p_hi - p_lo);
                     match &vg.prepared_inv {
@@ -633,43 +638,106 @@ impl GroupKernel {
         }
     }
 
-    /// Draw one satisfying joint sample into the slots, mirroring
-    /// [`GroupSampler::sample_into`] draw for draw (same counters, same
-    /// attempt cap, same Metropolis trigger point).
-    #[inline]
+    /// Draw one joint sample satisfying the group's atoms into the slots
+    /// (Algorithm 4.3 lines 12–24).
+    ///
+    /// Candidates are rejected until one satisfies the atoms; once the
+    /// rejection rate crosses the threshold the kernel starts a
+    /// [`MetropolisState`] chain (a failed init latches the switch off)
+    /// and every later sample is the chain's next thinned point. With
+    /// `hold_switch` the kernel instead stops at the trigger and returns
+    /// `Ok(false)`; the next call switches from exactly that state. A
+    /// block fill holds every sample but its first, so a switch only
+    /// happens on a sample the averaging loop asked for. `Ok(true)`: a
+    /// sample is in the slots.
     pub(crate) fn sample_into_slots(
         &mut self,
         rng: &mut PipRng,
         cfg: &SamplerConfig,
+        bounds: &BoundsMap,
         slots: &mut [f64],
         regs: &mut Vec<f64>,
-    ) -> Result<KernelStep> {
-        let mut local_attempts: u64 = 0;
+        hold_switch: bool,
+    ) -> Result<bool> {
+        let mut local_attempts = 0;
+        if let Some(held) = self.held_at_switch.take() {
+            local_attempts = held;
+            if self.switch_to_metropolis(rng, cfg, bounds) {
+                return self.chain_sample(rng, cfg, slots);
+            }
+        } else if self.metropolis.is_some() {
+            return self.chain_sample(rng, cfg, slots);
+        }
         loop {
-            self.attempts += 1;
-            local_attempts += 1;
-            self.generate_candidate(rng, slots);
-            if self.cond.eval_bool(slots, regs)? {
-                self.accepts += 1;
-                return Ok(KernelStep::Sampled);
-            }
-            if cfg.use_metropolis
-                && self.attempts >= METROPOLIS_MIN_ATTEMPTS
-                && self.rejection_rate() > cfg.metropolis_threshold
-            {
-                return Ok(KernelStep::Escalate);
-            }
             if local_attempts >= MAX_ATTEMPTS_PER_SAMPLE {
                 return Err(PipError::Sampling(format!(
                     "group rejected {MAX_ATTEMPTS_PER_SAMPLE} consecutive candidates"
                 )));
             }
+            self.attempts += 1;
+            local_attempts += 1;
+            self.generate_candidate(rng, slots);
+            if self.cond.eval_bool(slots, regs)? {
+                self.accepts += 1;
+                return Ok(true);
+            }
+            if !self.metropolis_unavailable && metropolis_due(cfg, self.attempts, self.accepts) {
+                if hold_switch {
+                    self.held_at_switch = Some(local_attempts);
+                    return Ok(false);
+                }
+                if self.switch_to_metropolis(rng, cfg, bounds) {
+                    return self.chain_sample(rng, cfg, slots);
+                }
+            }
         }
     }
 
-    /// Fixed-budget candidate estimation — the compiled twin of
-    /// [`GroupSampler::estimate_probability`], drawing the identical
-    /// candidate sequence.
+    /// Start the group's chain from the current generator state; `false`
+    /// (and the latch set) when the group has no PDF or no start point.
+    fn switch_to_metropolis(
+        &mut self,
+        rng: &mut PipRng,
+        cfg: &SamplerConfig,
+        bounds: &BoundsMap,
+    ) -> bool {
+        match MetropolisState::init(
+            &self.group,
+            bounds,
+            rng,
+            cfg.metropolis_burn_in,
+            METROPOLIS_START_ATTEMPTS,
+        ) {
+            Ok(m) => {
+                crate::obs::metrics().metropolis_escalations_total.inc();
+                self.metropolis = Some(m);
+                true
+            }
+            Err(_) => {
+                self.metropolis_unavailable = true;
+                false
+            }
+        }
+    }
+
+    /// The chain's next thinned point, written into the group's slots.
+    fn chain_sample(
+        &mut self,
+        rng: &mut PipRng,
+        cfg: &SamplerConfig,
+        slots: &mut [f64],
+    ) -> Result<bool> {
+        let chain = self.metropolis.as_mut().expect("switched to Metropolis");
+        let point = chain.advance(&self.group, rng, cfg.metropolis_thinning)?;
+        for (vg, &x) in self.vars.iter().zip(point) {
+            slots[vg.slot as usize] = x;
+        }
+        Ok(true)
+    }
+
+    /// Estimate `P[group atoms]` with a fixed number of candidate draws
+    /// (cheaper than sampling for selective conditions, where one
+    /// accepted sample may cost thousands of candidates).
     pub(crate) fn estimate_probability(
         &mut self,
         rng: &mut PipRng,
@@ -687,22 +755,20 @@ impl GroupKernel {
         Ok(self.probability_estimate())
     }
 
-    /// Mirror of [`GroupSampler::probability_estimate`] for kernels that
-    /// never escalated (escalation bails to the interpreted path).
+    /// `box_mass · accepts/attempts` over the live counters.
     pub(crate) fn probability_estimate(&self) -> f64 {
-        if self.attempts == 0 {
-            if self.cond.is_empty() {
-                return self.box_mass;
-            }
-            return f64::NAN;
-        }
-        self.box_mass * self.accepts as f64 / self.attempts as f64
+        acceptance_estimate(
+            self.box_mass,
+            self.attempts,
+            self.accepts,
+            !self.cond.is_empty(),
+        )
     }
 
-    /// Structural signature of everything that determines the kernel's
-    /// draw sequence, folded into sample-block cache keys. Distribution
-    /// class names go into `names` (exact string compare — no hash
-    /// collisions decide cache hits).
+    /// Structural signature of everything that determines a plain
+    /// kernel's draw sequence, folded into sample-block cache keys.
+    /// Distribution class names go into `names` (exact string compare —
+    /// no hash collisions decide cache hits).
     pub(crate) fn signature(&self, sig: &mut Vec<u64>, names: &mut Vec<&'static str>) {
         sig.push(self.vars.len() as u64);
         for vg in &self.vars {
@@ -710,9 +776,9 @@ impl GroupKernel {
             sig.push(vg.slot as u64);
             sig.push(vg.params.len() as u64);
             sig.extend(vg.params.iter().map(|p| p.to_bits()));
-            match vg.kind {
-                GenKind::Natural => sig.push(0),
-                GenKind::CdfBounded { p_lo, p_hi } => {
+            match vg.strategy {
+                VarStrategy::Natural => sig.push(0),
+                VarStrategy::CdfBounded { p_lo, p_hi } => {
                     sig.extend([1, p_lo.to_bits(), p_hi.to_bits()])
                 }
             }
@@ -725,7 +791,9 @@ impl GroupKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::GroupSampler;
     use pip_core::Value;
+    use pip_ctable::BoundsMap;
     use pip_dist::prelude::builtin;
     use pip_dist::rng_from_seed;
     use pip_expr::{atoms, Assignment, RandomVar};
@@ -748,7 +816,7 @@ mod tests {
             / (Equation::from(w.clone()) + 10.0)
             + (-Equation::from(v.clone()));
         let slots = slots_for(&[v.clone(), w.clone()]);
-        let tape = Tape::compile(&expr, &slots).unwrap();
+        let tape = Tape::compile(&expr, &slots);
         let mut regs = Vec::new();
         for (a, b) in [(0.5, -1.75), (1e300, 1e-300), (-3.0, 7.0)] {
             let mut asg = Assignment::new();
@@ -767,7 +835,7 @@ mod tests {
         let v = x();
         let expr = Equation::val(1.0) / Equation::from(v.clone());
         let slots = slots_for(std::slice::from_ref(&v));
-        let tape = Tape::compile(&expr, &slots).unwrap();
+        let tape = Tape::compile(&expr, &slots);
         let mut regs = Vec::new();
         assert!(tape.eval(&[0.0], &mut regs).is_err());
         assert_eq!(tape.eval(&[2.0], &mut regs).unwrap(), 0.5);
@@ -781,7 +849,7 @@ mod tests {
         let expr =
             Equation::from(v.clone()) * Equation::from(w.clone()) + Equation::from(v.clone()) * 2.0;
         let slots = slots_for(&[v, w]);
-        let tape = Tape::compile(&expr, &slots).unwrap();
+        let tape = Tape::compile(&expr, &slots);
         // Runs cover every instruction exactly once, in order.
         let mut next = 0u32;
         for run in &tape.runs {
@@ -806,7 +874,7 @@ mod tests {
         let expr = Equation::val(1.0) / Equation::from(v.clone())
             + Equation::val(1.0) / Equation::from(w.clone());
         let slots = slots_for(&[v, w]);
-        let tape = Tape::compile(&expr, &slots).unwrap();
+        let tape = Tape::compile(&expr, &slots);
         let mut regs = Vec::new();
         assert!(tape.eval(&[0.0, 1.0], &mut regs).is_err());
         assert!(tape.eval(&[1.0, 0.0], &mut regs).is_err());
@@ -815,13 +883,30 @@ mod tests {
     }
 
     #[test]
-    fn tape_refuses_strings_and_unmapped_vars() {
+    fn tape_fails_like_the_tree_on_strings_and_unmapped_vars() {
         let v = x();
-        let s = Equation::val(Value::str("hi")) + Equation::val(1.0);
-        let slots = slots_for(std::slice::from_ref(&v));
-        assert!(Tape::compile(&s, &slots).is_none());
         let other = x();
-        assert!(Tape::compile(&Equation::from(other), &slots).is_none());
+        let slots = slots_for(std::slice::from_ref(&v));
+        let mut asg = Assignment::new();
+        asg.set(v.key, 0.0);
+        let mut regs = Vec::new();
+        for expr in [
+            Equation::val(Value::str("hi")) + Equation::val(1.0),
+            Equation::from(other),
+            // Post-order: the division by zero comes first...
+            Equation::val(1.0) / Equation::from(v.clone()) + Equation::val(Value::str("a")),
+            // ...and here the string does.
+            Equation::val(Value::str("a")) + Equation::val(1.0) / Equation::from(v.clone()),
+        ] {
+            let tape = Tape::compile(&expr, &slots);
+            let tree = expr.eval_f64(&asg).unwrap_err().to_string();
+            assert_eq!(tape.eval(&[0.0], &mut regs).unwrap_err().to_string(), tree);
+            let mut out = Vec::new();
+            assert_eq!(
+                tape.eval_block(&[0.0, 1.0], 2, 2, &mut regs, &mut out),
+                Some(0)
+            );
+        }
     }
 
     #[test]
@@ -831,7 +916,7 @@ mod tests {
         let expr =
             Equation::from(v.clone()) * Equation::from(w.clone()) + Equation::from(v.clone());
         let slots = slots_for(&[v, w]);
-        let tape = Tape::compile(&expr, &slots).unwrap();
+        let tape = Tape::compile(&expr, &slots);
         let n = 7;
         // Column-major block: slot 0 then slot 1.
         let mut data = vec![0.0; 2 * n];
@@ -856,7 +941,7 @@ mod tests {
         let v = x();
         let expr = Equation::val(1.0) / Equation::from(v.clone());
         let slots = slots_for(&[v]);
-        let tape = Tape::compile(&expr, &slots).unwrap();
+        let tape = Tape::compile(&expr, &slots);
         let data = vec![1.0, 0.0, 2.0, 0.0];
         let (mut regs, mut out) = (Vec::new(), Vec::new());
         assert_eq!(tape.eval_block(&data, 4, 4, &mut regs, &mut out), Some(1));
@@ -875,7 +960,7 @@ mod tests {
             atoms::lt(1.0, 2.0), // deterministic: Value-ordering path
         ]);
         let slots = slots_for(&[v.clone(), w.clone()]);
-        let tape = CondTape::compile(&cond, &slots).unwrap();
+        let tape = CondTape::compile(&cond, &slots);
         let mut regs = Vec::new();
         for (a, b) in [(0.0, 0.0), (-1.0, 0.0), (1.0, 0.5), (0.25, -0.5)] {
             let mut asg = Assignment::new();
@@ -889,38 +974,41 @@ mod tests {
         }
     }
 
+    /// The kernel of `cond`'s one group beside the oracle's sampler.
+    fn kernel_and_sampler(
+        cond: &Conjunction,
+        cfg: &SamplerConfig,
+    ) -> (GroupKernel, GroupSampler, BoundsMap, usize) {
+        let bounds = pip_ctable::consistency_check(cond).bounds();
+        let group = pip_expr::independent_groups(cond, &[]).pop().unwrap();
+        let sampler = GroupSampler::new(group.clone(), &bounds, cfg);
+        let mut slots = SlotMap::new();
+        let kernel = GroupKernel::for_group(group, &bounds, cfg, &mut slots);
+        (kernel, sampler, bounds, slots.len())
+    }
+
     #[test]
     fn kernel_draws_identically_to_group_sampler() {
-        use pip_ctable::consistency_check;
         let y = RandomVar::create(builtin::normal(), &[5.0, 10.0]).unwrap();
         let cond = Conjunction::of(vec![
             atoms::gt(Equation::from(y.clone()), -3.0),
             atoms::lt(Equation::from(y.clone()), 2.0),
         ]);
         let cfg = SamplerConfig::default();
-        let bounds = consistency_check(&cond).bounds();
-        let group = pip_expr::independent_groups(&cond, &[])
-            .into_iter()
-            .next()
-            .unwrap();
-        let mut sampler = GroupSampler::new(group.clone(), &bounds, &cfg);
-        let mut slots_map = SlotMap::new();
-        slots_map.intern_all(&group.vars);
-        let mut kernel = GroupKernel::compile(&sampler, &slots_map).unwrap();
+        let (mut kernel, mut sampler, bounds, n_slots) = kernel_and_sampler(&cond, &cfg);
 
         let mut rng_a = rng_from_seed(42);
         let mut rng_b = rng_from_seed(42);
         let mut asg = Assignment::new();
-        let mut buf = vec![0.0; slots_map.len()];
+        let mut buf = vec![0.0; n_slots];
         let mut regs = Vec::new();
         for _ in 0..500 {
             sampler
                 .sample_into(&mut rng_a, &cfg, &bounds, &mut asg)
                 .unwrap();
-            let step = kernel
-                .sample_into_slots(&mut rng_b, &cfg, &mut buf, &mut regs)
-                .unwrap();
-            assert_eq!(step, KernelStep::Sampled);
+            assert!(kernel
+                .sample_into_slots(&mut rng_b, &cfg, &bounds, &mut buf, &mut regs, false)
+                .unwrap());
             assert_eq!(
                 asg.get(y.key).unwrap().to_bits(),
                 buf[0].to_bits(),
@@ -935,42 +1023,74 @@ mod tests {
         );
     }
 
-    #[test]
-    fn kernel_escalates_at_interpreted_trigger() {
-        // Same setup as strategy.rs's metropolis_switch test: the kernel
-        // must report Escalate instead of switching.
-        let y = x();
-        let cond = Conjunction::single(atoms::gt(Equation::from(y.clone()), 4.0));
+    /// `Y > 4` on Normal(0,1) without CDF bounds: P ≈ 3.2e-5, so the
+    /// rejection rate crosses the threshold within the first sample.
+    fn escalating() -> (Conjunction, SamplerConfig) {
+        let cond = Conjunction::single(atoms::gt(Equation::from(x()), 4.0));
         let cfg = SamplerConfig {
             use_cdf_sampling: false,
             ..Default::default()
         };
-        let bounds = pip_ctable::consistency_check(&cond).bounds();
-        let group = pip_expr::independent_groups(&cond, &[])
-            .into_iter()
-            .next()
-            .unwrap();
-        let sampler = GroupSampler::new(group.clone(), &bounds, &cfg);
-        let mut slots_map = SlotMap::new();
-        slots_map.intern_all(&group.vars);
-        let mut kernel = GroupKernel::compile(&sampler, &slots_map).unwrap();
-        let mut rng = rng_from_seed(5);
-        let mut buf = vec![0.0; 1];
-        let mut regs = Vec::new();
-        let mut escalated = false;
-        for _ in 0..400 {
-            match kernel
-                .sample_into_slots(&mut rng, &cfg, &mut buf, &mut regs)
-                .unwrap()
-            {
-                KernelStep::Sampled => {}
-                KernelStep::Escalate => {
-                    escalated = true;
-                    break;
-                }
-            }
+        (cond, cfg)
+    }
+
+    #[test]
+    fn kernel_continues_past_the_switch_like_the_oracle() {
+        let (cond, cfg) = escalating();
+        let (mut kernel, mut sampler, bounds, _) = kernel_and_sampler(&cond, &cfg);
+        let key = sampler.group.vars[0].key;
+        let (mut rng_a, mut rng_b) = (rng_from_seed(5), rng_from_seed(5));
+        let (mut asg, mut buf, mut regs) = (Assignment::new(), vec![0.0; 1], Vec::new());
+        for i in 0..400 {
+            sampler
+                .sample_into(&mut rng_a, &cfg, &bounds, &mut asg)
+                .unwrap();
+            assert!(kernel
+                .sample_into_slots(&mut rng_b, &cfg, &bounds, &mut buf, &mut regs, false)
+                .unwrap());
+            assert_eq!(
+                asg.get(key).unwrap().to_bits(),
+                buf[0].to_bits(),
+                "sample {i}"
+            );
+            assert_eq!(
+                kernel.uses_metropolis(),
+                sampler.uses_metropolis(),
+                "sample {i}"
+            );
         }
-        assert!(escalated, "kernel never hit the Metropolis trigger");
+        assert!(kernel.uses_metropolis(), "kernel never switched");
+        assert_eq!(
+            (kernel.attempts, kernel.accepts),
+            (sampler.attempts, sampler.accepts)
+        );
+        assert_eq!(rng_a.state(), rng_b.state());
+    }
+
+    #[test]
+    fn held_switch_resumes_where_it_stopped() {
+        // Holding the trigger and switching on the next call draws the
+        // same samples as switching at once.
+        let (cond, cfg) = escalating();
+        let (mut held, _, bounds, _) = kernel_and_sampler(&cond, &cfg);
+        let mut direct = held.clone();
+        let (mut rng_a, mut rng_b) = (rng_from_seed(8), rng_from_seed(8));
+        let (mut a, mut b, mut regs) = (vec![0.0; 1], vec![0.0; 1], Vec::new());
+        assert!(!held
+            .sample_into_slots(&mut rng_a, &cfg, &bounds, &mut a, &mut regs, true)
+            .unwrap());
+        assert!(!held.uses_metropolis() && !held.is_plain());
+        for _ in 0..50 {
+            assert!(held
+                .sample_into_slots(&mut rng_a, &cfg, &bounds, &mut a, &mut regs, true)
+                .unwrap());
+            assert!(direct
+                .sample_into_slots(&mut rng_b, &cfg, &bounds, &mut b, &mut regs, false)
+                .unwrap());
+            assert_eq!(a[0].to_bits(), b[0].to_bits());
+        }
+        assert!(held.uses_metropolis());
+        assert_eq!(rng_a.state(), rng_b.state());
     }
 
     #[test]
@@ -978,15 +1098,7 @@ mod tests {
         let y = x();
         let cond = Conjunction::single(atoms::gt(Equation::from(y.clone()), 1.0));
         let cfg = SamplerConfig::naive(100);
-        let group = pip_expr::independent_groups(&cond, &[])
-            .into_iter()
-            .next()
-            .unwrap();
-        let bounds = pip_ctable::BoundsMap::new();
-        let mut sampler = GroupSampler::new(group.clone(), &bounds, &cfg);
-        let mut slots_map = SlotMap::new();
-        slots_map.intern_all(&group.vars);
-        let mut kernel = GroupKernel::compile(&sampler, &slots_map).unwrap();
+        let (mut kernel, mut sampler, _, _) = kernel_and_sampler(&cond, &cfg);
         let mut rng_a = rng_from_seed(9);
         let mut rng_b = rng_from_seed(9);
         let pa = sampler.estimate_probability(&mut rng_a, 5000).unwrap();

@@ -193,10 +193,8 @@ impl Session {
     /// sampling parameters a result depends on, plus the catalog
     /// version. Thread count is excluded — the parallel runtime returns
     /// bit-identical results for any `threads`, so a hit stays valid.
-    /// `compile` and `reuse_blocks` (no wire setting changes them) are
-    /// excluded for the same reason: the compiled engine is bit-identical
-    /// to the interpreted one and the sample-block cache is pure
-    /// memoization.
+    /// `reuse_blocks` (no wire setting changes it) is excluded for the
+    /// same reason: the sample-block cache is pure memoization.
     fn cache_suffix(&self) -> String {
         format!(
             "|seed={}|min={}|max={}|eps={}|delta={}|v={}",

@@ -1,16 +1,16 @@
-//! Sampling-compiler equivalence properties: the compiled path (slot
-//! tapes + group kernels + columnar sample blocks, `SamplerConfig::
-//! compile`) must be **bit-identical** to the interpreted reference
-//! path at every seed, site, thread count, and cache setting.
+//! Sampling equivalence properties: the production operators (slot
+//! tapes + group kernels + columnar sample blocks) must be
+//! **bit-identical** to the tree-walking oracle (`pip::sampling::oracle`)
+//! at every seed, site, thread count, and cache setting.
 //!
 //! * tape vs tree: `Tape::eval` == `Equation::eval_f64` and
 //!   `CondTape::eval_bool` == `Conjunction::eval` over random
 //!   expressions and assignments, to the bit (including errors);
-//! * operator level: `expectation` / `conf` with the compiler on ==
-//!   off, for both `want_probability` settings,
-//!   across sampler configurations that exercise CDF-bounded sampling,
-//!   rejection, multi-group independence, and the Metropolis
-//!   escalation bail-out;
+//! * operator level: `expectation` / `conf` == `oracle::expectation` /
+//!   `oracle::conf`, for both `want_probability` settings, across
+//!   sampler configurations that exercise CDF-bounded sampling,
+//!   rejection, multi-group independence, non-numeric constants, and
+//!   the Metropolis switch;
 //! * the sample-block cache is pure memoization: cold, warm, and
 //!   disabled runs produce the same `ExpectationResult`.
 
@@ -18,10 +18,11 @@ mod common;
 
 use proptest::prelude::*;
 
+use pip::core::Value;
 use pip::dist::prelude::builtin;
 use pip::expr::{atoms, Assignment, Conjunction, Equation, RandomVar, SlotMap};
 use pip::sampling::{
-    block_cache_clear, conf, expectation, CondTape, ExpectationResult, SamplerConfig, Tape,
+    block_cache_clear, conf, expectation, oracle, CondTape, ExpectationResult, SamplerConfig, Tape,
 };
 
 /// Deterministic pseudo-stream for structure generation (the proptest
@@ -63,13 +64,14 @@ fn var_pool(g: &mut Gen, n: usize) -> Vec<RandomVar> {
 }
 
 /// Random arithmetic tree over the pool (division kept, so the
-/// divide-by-zero error path is also compared).
+/// divide-by-zero error path is also compared; a rare string constant
+/// makes the tape's type error meet the tree walk's).
 fn random_expr(g: &mut Gen, pool: &[RandomVar], depth: usize) -> Equation {
     if depth == 0 || g.below(4) == 0 {
-        return if g.below(3) == 0 {
-            Equation::val(g.f64_in(-4.0, 4.0))
-        } else {
-            Equation::from(pool[g.below(pool.len() as u64) as usize].clone())
+        return match g.below(48) {
+            0 => Equation::val(Value::str("a")),
+            1..=15 => Equation::val(g.f64_in(-4.0, 4.0)),
+            _ => Equation::from(pool[g.below(pool.len() as u64) as usize].clone()),
         };
     }
     let l = random_expr(g, pool, depth - 1);
@@ -84,20 +86,24 @@ fn random_expr(g: &mut Gen, pool: &[RandomVar], depth: usize) -> Equation {
 }
 
 /// Random conjunction over the pool: single-variable intervals (exact /
-/// CDF-bounded paths), cross-variable atoms (genuine rejection), and
-/// deterministic atoms.
+/// CDF-bounded paths), cross-variable atoms (genuine rejection),
+/// deterministic atoms, and rarely one that divides or adds a string.
 fn random_cond(g: &mut Gen, pool: &[RandomVar], n_atoms: usize) -> Conjunction {
     let mut atoms_v = Vec::new();
     for _ in 0..n_atoms {
         let a = pool[g.below(pool.len() as u64) as usize].clone();
-        let atom = match g.below(4) {
-            0 => atoms::gt(Equation::from(a), g.f64_in(-2.0, 1.0)),
-            1 => atoms::lt(Equation::from(a), g.f64_in(1.0, 6.0)),
-            2 => {
-                let b = pool[g.below(pool.len() as u64) as usize].clone();
-                atoms::gt(Equation::from(a), Equation::from(b) - g.f64_in(0.0, 3.0))
-            }
-            _ => atoms::le(Equation::val(g.f64_in(-1.0, 1.0)), 0.5),
+        let atom = match g.below(26) {
+            24 => atoms::gt(Equation::from(a) / random_expr(g, pool, 1), 0.5),
+            25 => atoms::lt(Equation::from(a) + Equation::val(Value::str("s")), 1.0),
+            k => match k % 4 {
+                0 => atoms::gt(Equation::from(a), g.f64_in(-2.0, 1.0)),
+                1 => atoms::lt(Equation::from(a), g.f64_in(1.0, 6.0)),
+                2 => {
+                    let b = pool[g.below(pool.len() as u64) as usize].clone();
+                    atoms::gt(Equation::from(a), Equation::from(b) - g.f64_in(0.0, 3.0))
+                }
+                _ => atoms::le(Equation::val(g.f64_in(-1.0, 1.0)), 0.5),
+            },
         };
         atoms_v.push(atom);
     }
@@ -129,12 +135,24 @@ fn assert_results_identical(a: &ExpectationResult, b: &ExpectationResult, what: 
     assert_eq!(a.used_metropolis, b.used_metropolis, "{what}: metropolis");
 }
 
+/// Production and oracle agree: identical results, or identical errors.
+fn assert_same_outcome(
+    prod: pip::core::Result<ExpectationResult>,
+    oracle: pip::core::Result<ExpectationResult>,
+    what: &str,
+) {
+    match (prod, oracle) {
+        (Ok(a), Ok(b)) => assert_results_identical(&a, &b, what),
+        (Err(ea), Err(eb)) => assert_eq!(ea.to_string(), eb.to_string(), "{what}"),
+        (a, b) => panic!("{what}: production {a:?} vs oracle {b:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Tape evaluation is the tree evaluation, to the bit — including
-    /// which of the two errors first (unassigned variables never occur
-    /// in compiled contexts; division by zero must match).
+    /// which error comes first (division by zero, a string constant).
     #[test]
     fn tape_matches_tree_on_random_expressions(
         structure in 0u64..u64::MAX,
@@ -146,7 +164,7 @@ proptest! {
         let expr = random_expr(&mut g, &pool, depth);
         let mut slots = SlotMap::new();
         slots.intern_all(&pool);
-        let tape = Tape::compile(&expr, &slots).expect("numeric expression compiles");
+        let tape = Tape::compile(&expr, &slots);
         let mut regs = Vec::new();
         for _ in 0..8 {
             let mut buf = vec![0.0; slots.len()];
@@ -166,7 +184,7 @@ proptest! {
     }
 
     /// Condition tapes agree with `Conjunction::eval`, short-circuit
-    /// order included.
+    /// order and errors included.
     #[test]
     fn cond_tape_matches_conjunction(
         structure in 0u64..u64::MAX,
@@ -178,7 +196,7 @@ proptest! {
         let cond = random_cond(&mut g, &pool, n_atoms);
         let mut slots = SlotMap::new();
         slots.intern_all(&pool);
-        let tape = CondTape::compile(&cond, &slots).expect("condition compiles");
+        let tape = CondTape::compile(&cond, &slots);
         let mut regs = Vec::new();
         for _ in 0..8 {
             let mut buf = vec![0.0; slots.len()];
@@ -188,16 +206,17 @@ proptest! {
                 buf[i] = x;
                 asg.set(v.key, x);
             }
-            prop_assert_eq!(
-                tape.eval_bool(&buf, &mut regs).unwrap(),
-                cond.eval(&asg).unwrap()
-            );
+            match (tape.eval_bool(&buf, &mut regs), cond.eval(&asg)) {
+                (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+                (Err(ea), Err(eb)) => prop_assert_eq!(ea.to_string(), eb.to_string()),
+                (a, b) => prop_assert!(false, "tape {:?} vs tree {:?}", a, b),
+            }
         }
     }
 
-    /// The headline property: `expectation` with the compiler on is
-    /// bit-identical to the interpreted path, for both probability
-    /// settings, on expressions/conditions spanning every strategy.
+    /// The headline property: `expectation` is bit-identical to the
+    /// oracle, for both probability settings, on expressions/conditions
+    /// spanning every strategy.
     #[test]
     fn expectation_compiled_matches_interpreted(
         structure in 0u64..u64::MAX,
@@ -212,12 +231,11 @@ proptest! {
         let n_atoms = (g.below(3) + 1) as usize;
         let cond = random_cond(&mut g, &pool, n_atoms);
         // Exercise both the fixed-budget loop and the adaptive ε–δ
-        // stopping rule (which can fire mid-block: the compiled path
-        // must stop — and leave its sampler state — at exactly the
-        // interpreted sample, counters included, because the
-        // probability pass reads both the RNG and the acceptance
-        // counts).
-        let interpreted_cfg = match adaptive {
+        // stopping rule (which can fire mid-block: the blocked loop must
+        // stop — and leave its sampler state — at exactly the oracle's
+        // sample, counters included, because the probability pass reads
+        // both the RNG and the acceptance counts).
+        let cfg = match adaptive {
             0 => SamplerConfig::fixed_samples(n),
             1 => SamplerConfig {
                 min_samples: 32,
@@ -230,21 +248,65 @@ proptest! {
                 max_samples: n,
                 ..Default::default()
             },
-        }
-        .with_compile(false);
-        let compiled_cfg = interpreted_cfg.clone().with_compile(true);
+        };
         let want_probability = wp == 1;
-        let a = expectation(&expr, &cond, want_probability, &interpreted_cfg, site);
-        let b = expectation(&expr, &cond, want_probability, &compiled_cfg, site);
-        match (a, b) {
-            (Ok(a), Ok(b)) => assert_results_identical(&a, &b, "expectation"),
-            (Err(ea), Err(eb)) => prop_assert_eq!(ea.to_string(), eb.to_string()),
-            (a, b) => prop_assert!(false, "interpreted {:?} vs compiled {:?}", a, b),
-        }
+        assert_same_outcome(
+            expectation(&expr, &cond, want_probability, &cfg, site),
+            oracle::expectation(&expr, &cond, want_probability, &cfg, site),
+            "expectation",
+        );
     }
 
-    /// `conf` through kernels + the probe cache equals interpreted
-    /// `conf`, bit for bit.
+    /// The same property where groups switch to Metropolis: no CDF
+    /// bounds, selective atoms, a lower switch threshold. The switch
+    /// lands anywhere — first sample, mid-block, past the adaptive stop.
+    #[test]
+    fn expectation_matches_oracle_through_metropolis_switches(
+        structure in 0u64..u64::MAX,
+        site in 0u64..64,
+        n in 64usize..768,
+        wp in 0u8..2,
+        adaptive in 0u8..2,
+    ) {
+        let mut g = Gen(structure);
+        let pool = var_pool(&mut g, 2);
+        let expr = random_expr(&mut g, &pool, 2);
+        // A tail atom on each pool variable, at P ≈ 2–15 %.
+        let mut tail: Vec<_> = pool
+            .iter()
+            .map(|v| {
+                let p = g.f64_in(0.85, 0.98);
+                let c = v.class.inverse_cdf(&v.params, p).unwrap_or(1.0);
+                atoms::gt(Equation::from(v.clone()), c)
+            })
+            .collect();
+        tail.extend(random_cond(&mut g, &pool, 1).atoms().iter().cloned());
+        let cond = Conjunction::of(tail);
+        let cfg = SamplerConfig {
+            use_cdf_sampling: false,
+            metropolis_threshold: g.f64_in(0.8, 0.97),
+            metropolis_burn_in: 50,
+            ..if adaptive == 1 {
+                SamplerConfig {
+                    min_samples: 32,
+                    max_samples: n,
+                    delta: 0.2,
+                    ..Default::default()
+                }
+            } else {
+                SamplerConfig::fixed_samples(n)
+            }
+        };
+        let want_probability = wp == 1;
+        assert_same_outcome(
+            expectation(&expr, &cond, want_probability, &cfg, site),
+            oracle::expectation(&expr, &cond, want_probability, &cfg, site),
+            "escalating expectation",
+        );
+    }
+
+    /// `conf` through kernels + the probe cache equals the oracle's
+    /// `conf`, bit for bit, cold and warm.
     #[test]
     fn conf_compiled_matches_interpreted(
         structure in 0u64..u64::MAX,
@@ -255,17 +317,18 @@ proptest! {
         let pool = var_pool(&mut g, 3);
         let n_atoms = (g.below(4) + 1) as usize;
         let cond = random_cond(&mut g, &pool, n_atoms);
-        let base = if naive_sel == 1 {
+        let cfg = if naive_sel == 1 {
             SamplerConfig::naive(400)
         } else {
             SamplerConfig::fixed_samples(400)
         };
-        let a = conf(&cond, &base.clone().with_compile(false), site).unwrap();
-        let b = conf(&cond, &base.clone().with_compile(true), site).unwrap();
+        let outcome = |r: pip::core::Result<f64>| r.map(f64::to_bits).map_err(|e| e.to_string());
+        let a = outcome(oracle::conf(&cond, &cfg, site));
+        let b = outcome(conf(&cond, &cfg, site));
         // And again with a warm probe cache.
-        let c = conf(&cond, &base.with_compile(true), site).unwrap();
-        prop_assert!(a.to_bits() == b.to_bits(), "cold conf diverged: {} vs {}", a, b);
-        prop_assert!(a.to_bits() == c.to_bits(), "warm conf diverged: {} vs {}", a, c);
+        let c = outcome(conf(&cond, &cfg, site));
+        prop_assert!(a == b, "cold conf diverged: {:?} vs {:?}", a, b);
+        prop_assert!(a == c, "warm conf diverged: {:?} vs {:?}", a, c);
     }
 }
 
@@ -284,36 +347,24 @@ fn adaptive_stop_counters_feed_probability_bit_identically() {
         Equation::from(x.clone()) + Equation::from(y.clone()),
         0.0,
     ));
-    let base = SamplerConfig {
+    let cfg = SamplerConfig {
         min_samples: 32,
         max_samples: 10_000,
         delta: 0.1,
         ..Default::default()
     };
     for site in 0..16u64 {
-        let a = expectation(
-            &Equation::from(x.clone()),
-            &cond,
-            true,
-            &base.clone().with_compile(false),
-            site,
-        )
-        .unwrap();
-        let b = expectation(
-            &Equation::from(x.clone()),
-            &cond,
-            true,
-            &base.clone().with_compile(true),
-            site,
-        )
-        .unwrap();
+        let a = oracle::expectation(&Equation::from(x.clone()), &cond, true, &cfg, site).unwrap();
+        let b = expectation(&Equation::from(x.clone()), &cond, true, &cfg, site).unwrap();
         assert_results_identical(&a, &b, &format!("adaptive site {site}"));
     }
 }
 
 /// Grouped `conf()` over multi-row groups — `aconf`'s factorised,
-/// sampled-component and probe paths — is bit-identical with the
-/// compiler on or off, at one thread and at four, cold cache and warm.
+/// sampled-component and probe paths — is bit-identical at one thread
+/// and at four, cold cache and warm. (The oracle side is the `conf`
+/// property above: a one-disjunct component is `conf` at its
+/// component's site.)
 #[test]
 fn grouped_conf_compiled_matches_interpreted() {
     use pip::engine::{execute, AggFunc, Database, PlanBuilder};
@@ -323,45 +374,116 @@ fn grouped_conf_compiled_matches_interpreted() {
     let plan = PlanBuilder::scan("t")
         .aggregate(vec!["g"], vec![AggFunc::Conf])
         .build();
-    let interpreted = execute(&db, &plan, &SamplerConfig::default().with_compile(false)).unwrap();
-    assert_eq!(interpreted.len(), 3);
+    block_cache_clear();
+    let cold = execute(&db, &plan, &SamplerConfig::default()).unwrap();
+    assert_eq!(cold.len(), 3);
     for threads in [1usize, 4] {
         // Twice: the second pass finds the probe cache warm.
         for _ in 0..2 {
-            let cfg = SamplerConfig::default()
-                .with_compile(true)
-                .with_threads(threads);
+            let cfg = SamplerConfig::default().with_threads(threads);
             assert_eq!(
                 execute(&db, &plan, &cfg).unwrap().rows(),
-                interpreted.rows(),
-                "compiled grouped conf() diverged at {threads} threads"
+                cold.rows(),
+                "grouped conf() diverged at {threads} threads"
             );
         }
     }
 }
 
-/// The Metropolis escalation bail-out: a selectivity extreme enough to
-/// trip the switch (with CDF bounds disabled) must produce the
-/// interpreted numbers exactly, compiler on or off.
+/// A selectivity extreme enough to trip the Metropolis switch (with CDF
+/// bounds disabled): the kernel switches where the oracle does and
+/// continues draw for draw, on the sample-at-a-time loop (a sampled
+/// `P[C]` follows) and on the blocked one.
 #[test]
-fn escalation_falls_back_bit_identically() {
+fn escalation_continues_bit_identically() {
     let y = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
-    let cond = Conjunction::single(atoms::gt(Equation::from(y.clone()), 4.0));
-    let base = SamplerConfig {
+    let e = RandomVar::create(builtin::exponential(), &[1.0]).unwrap();
+    let cfg = SamplerConfig {
         use_cdf_sampling: false,
         ..SamplerConfig::fixed_samples(400)
     };
-    let a = expectation(
-        &Equation::from(y.clone()),
-        &cond,
-        true,
-        &base.clone().with_compile(false),
-        3,
-    )
-    .unwrap();
-    let b = expectation(&Equation::from(y), &cond, true, &base.with_compile(true), 3).unwrap();
-    assert!(a.used_metropolis, "test setup must force the switch");
-    assert_results_identical(&a, &b, "escalated expectation");
+    let tail = Conjunction::single(atoms::gt(Equation::from(y.clone()), 4.0));
+    let sum = Conjunction::single(atoms::gt(
+        Equation::from(y.clone()) + Equation::from(e),
+        7.0,
+    ));
+    for (cond, wp) in [(&tail, true), (&tail, false), (&sum, true)] {
+        let a = oracle::expectation(&Equation::from(y.clone()), cond, wp, &cfg, 3).unwrap();
+        let b = expectation(&Equation::from(y.clone()), cond, wp, &cfg, 3).unwrap();
+        assert!(a.used_metropolis, "test setup must force the switch");
+        assert_results_identical(&a, &b, &format!("escalated expectation of {cond}"));
+    }
+}
+
+/// `E[x | x > 1.2816]` at rejection rate ≈ 0.9 = the switch threshold,
+/// adaptive stop after 32 samples: whether and when a group switches
+/// depends on the draws.
+fn near_threshold() -> (Equation, Conjunction, SamplerConfig) {
+    let x = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
+    let cond = Conjunction::single(atoms::gt(Equation::from(x.clone()), 1.2816));
+    let cfg = SamplerConfig {
+        use_cdf_sampling: false,
+        metropolis_threshold: 0.9,
+        ..SamplerConfig::default()
+    };
+    (Equation::from(x), cond, cfg)
+}
+
+/// A blocked fill draws 256 samples where the adaptive loop may stop
+/// after 32. At site 2 the oracle stops before the rejection rate
+/// crosses the threshold, while 256 samples cross it: the block must
+/// not switch the group in a tail the loop never reads.
+#[test]
+fn overdrawn_block_never_switches_past_the_stop() {
+    let (x, cond, base) = near_threshold();
+    let site = 2;
+    let adaptive = SamplerConfig {
+        min_samples: 32,
+        delta: 0.5,
+        ..base.clone()
+    };
+    let stopped = oracle::expectation(&x, &cond, false, &adaptive, site).unwrap();
+    assert!(stopped.n_samples < 256 && !stopped.used_metropolis);
+    let block = SamplerConfig {
+        min_samples: 256,
+        max_samples: 256,
+        ..base
+    };
+    let crossed = oracle::expectation(&x, &cond, false, &block, site).unwrap();
+    assert!(
+        crossed.used_metropolis,
+        "site {site} no longer crosses in a block"
+    );
+    let prod = expectation(&x, &cond, false, &adaptive, site).unwrap();
+    assert_results_identical(&stopped, &prod, "adaptive stop before the trigger");
+}
+
+/// At site 30 the group switches after its first 256-sample block: the
+/// first block is published to the cache, the switching one is not, and
+/// a rerun at the same site — first block served warm — still equals
+/// the oracle. (A cache hit restores counters and the generator but not
+/// a held switch or a chain; at site 30 the draw after the held trigger
+/// is accepted, so serving the switching block would show.)
+#[test]
+fn escalating_expectation_is_cache_neutral() {
+    let (x, cond, base) = near_threshold();
+    let site = 30;
+    let fixed = |n| SamplerConfig {
+        min_samples: n,
+        max_samples: n,
+        ..base.clone()
+    };
+    let first_block = oracle::expectation(&x, &cond, false, &fixed(256), site).unwrap();
+    assert!(!first_block.used_metropolis);
+    let truth = oracle::expectation(&x, &cond, false, &fixed(1024), site).unwrap();
+    assert!(
+        truth.used_metropolis,
+        "site {site} no longer switches after 256"
+    );
+    for pass in ["cold", "warm"] {
+        let r = expectation(&x, &cond, false, &fixed(1024), site).unwrap();
+        assert_results_identical(&truth, &r, pass);
+    }
 }
 
 /// Satellite regression: the sample-block cache never changes an
@@ -397,25 +519,32 @@ fn block_cache_never_changes_results() {
 
 /// Satellite fix: `probability` is NAN — never a fake 0 or 1 — when the
 /// caller did not request it, on every path (sampled, exact-constant,
-/// linear-exact, unsatisfiable).
+/// linear-exact, unsatisfiable), in production and in the oracle.
 #[test]
 fn probability_is_nan_when_not_requested() {
+    type Operator = fn(
+        &Equation,
+        &Conjunction,
+        bool,
+        &SamplerConfig,
+        u64,
+    ) -> pip::core::Result<ExpectationResult>;
     let y = RandomVar::create(builtin::normal(), &[1.0, 2.0]).unwrap();
     let cond = Conjunction::single(atoms::gt(Equation::from(y.clone()), 0.5));
     let dead = Conjunction::of(vec![
         atoms::gt(Equation::from(y.clone()), 5.0),
         atoms::lt(Equation::from(y.clone()), 3.0),
     ]);
-    for compile in [false, true] {
-        let cfg = SamplerConfig::fixed_samples(100).with_compile(compile);
+    let cfg = SamplerConfig::fixed_samples(100);
+    for operator in [expectation as Operator, oracle::expectation] {
         // Sampled path.
-        let r = expectation(&Equation::from(y.clone()), &cond, false, &cfg, 0).unwrap();
+        let r = operator(&Equation::from(y.clone()), &cond, false, &cfg, 0).unwrap();
         assert!(r.probability.is_nan(), "sampled: {}", r.probability);
         // Exact-constant expression path.
-        let r = expectation(&Equation::val(42.0), &cond, false, &cfg, 0).unwrap();
+        let r = operator(&Equation::val(42.0), &cond, false, &cfg, 0).unwrap();
         assert!(r.probability.is_nan(), "const: {}", r.probability);
         // Linear-exact path (trivially-true condition).
-        let r = expectation(
+        let r = operator(
             &Equation::from(y.clone()),
             &Conjunction::top(),
             false,
@@ -425,10 +554,10 @@ fn probability_is_nan_when_not_requested() {
         .unwrap();
         assert!(r.probability.is_nan(), "linear: {}", r.probability);
         // Unsatisfiable context.
-        let r = expectation(&Equation::from(y.clone()), &dead, false, &cfg, 0).unwrap();
+        let r = operator(&Equation::from(y.clone()), &dead, false, &cfg, 0).unwrap();
         assert!(r.expectation.is_nan() && r.probability.is_nan());
         // And the probability is still real when requested.
-        let r = expectation(&Equation::from(y.clone()), &cond, true, &cfg, 0).unwrap();
+        let r = operator(&Equation::from(y.clone()), &cond, true, &cfg, 0).unwrap();
         assert!(r.probability > 0.0 && r.probability <= 1.0);
     }
 }

@@ -134,3 +134,32 @@ fn seeded_runs_are_fully_reproducible_across_the_stack() {
     let t2 = BundleTable::instantiate(&ct, 64, 5).unwrap();
     assert_eq!(t1, t2);
 }
+
+/// `P[C]` of a group that switched to Metropolis rests on every candidate
+/// the group drew: the rejection prefix before the switch and the
+/// fixed-budget probe after it, iid draws from the same box. The prefix
+/// alone is a few hundred candidates at P ≈ 0.004, often without a hit.
+#[test]
+fn probability_after_a_metropolis_switch_uses_every_candidate() {
+    let x = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
+    let e = RandomVar::create(builtin::exponential(), &[1.0]).unwrap();
+    let cond = Conjunction::single(atoms::gt(
+        Equation::from(x.clone()) + Equation::from(e),
+        6.0,
+    ));
+    // P[x + e > 6] = Φ̄(6) + e^{−5.5}·Φ(5): the x > 6 tail, plus
+    // ∫_{−∞}^{6} φ(x)·e^{−(6−x)} dx.
+    let truth = 1.0 - special::normal_cdf(6.0) + (-5.5f64).exp() * special::normal_cdf(5.0);
+    let cfg = SamplerConfig::default();
+    let mut rel_errs: Vec<f64> = (0..40u64)
+        .map(|site| {
+            let r = expectation(&Equation::from(x.clone()), &cond, true, &cfg, site).unwrap();
+            assert!(r.used_metropolis, "site {site}: the setup must switch");
+            assert!(r.probability > 0.0, "site {site}: P[C] = 0");
+            (r.probability - truth).abs() / truth
+        })
+        .collect();
+    rel_errs.sort_by(f64::total_cmp);
+    let median = (rel_errs[19] + rel_errs[20]) / 2.0;
+    assert!(median < 0.15, "median rel_err {median}");
+}

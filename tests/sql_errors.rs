@@ -132,3 +132,29 @@ fn malformed_statements_and_semantics() {
     // And the catalog is still usable afterwards.
     assert!(sql::run(&db, "SELECT a FROM t", &cfg).is_ok());
 }
+
+/// An evaluation error inside a condition atom is the query's error, as
+/// it is for `conf()` on the same condition — never an empty estimate.
+#[test]
+fn evaluation_errors_in_conditions_surface() {
+    let (db, cfg) = db();
+    expect_err(
+        &db,
+        &cfg,
+        "SELECT expected_sum(x) FROM t WHERE x / (x - x) > 1",
+        "division by zero",
+    );
+    sql::run(&db, "CREATE TABLE u (x SYMBOLIC, s TEXT)", &cfg).unwrap();
+    sql::run(
+        &db,
+        "INSERT INTO u VALUES (create_variable('Normal', 5, 1), 'a')",
+        &cfg,
+    )
+    .unwrap();
+    expect_err(
+        &db,
+        &cfg,
+        "SELECT expected_sum(x) FROM u WHERE x + s > 1",
+        "not numeric",
+    );
+}
