@@ -258,8 +258,8 @@ pub(crate) fn partial_or_fail(error: PipError) -> Result<()> {
 /// Overdrawing is cheap only in rejection mode. Only the first sample
 /// may switch a kernel to Metropolis; a trigger later in the block ends
 /// the fill there (see [`Cursor`]). And a chain sample costs `thinning`
-/// walk steps, so a fill ends after any sample drawn with a kernel on
-/// its chain: in Metropolis mode every fill is one sample.
+/// walk steps, so a fill whose first sample left a kernel on its chain
+/// ends there: in Metropolis mode every fill is one sample.
 fn fill_block(
     prep: &mut Prepared,
     rng: &mut PipRng,
@@ -300,7 +300,7 @@ fn fill_block(
             col[s] = v;
         }
         filled += 1;
-        if relevant.iter().any(|&i| kernels[i].uses_metropolis()) {
+        if s == 0 && relevant.iter().any(|&i| kernels[i].uses_metropolis()) {
             break;
         }
     }

@@ -413,6 +413,23 @@ enum AtomProgram {
     },
 }
 
+/// An atom side that compiles to a one-instruction tape: a variable with
+/// a slot (`Load`) or a numeric constant (`Const`).
+enum Leaf {
+    Slot(u32),
+    Const(f64),
+}
+
+impl Leaf {
+    fn of(side: &Equation, slots: &SlotMap) -> Option<Leaf> {
+        match side {
+            Equation::Var(v) => slots.slot_of(v.key).map(Leaf::Slot),
+            Equation::Const(c) => c.as_f64().ok().map(Leaf::Const),
+            _ => None,
+        }
+    }
+}
+
 /// A compiled conjunction of atoms, short-circuiting in atom order.
 #[derive(Debug, Clone, Default)]
 pub struct CondTape {
@@ -431,30 +448,26 @@ impl CondTape {
                 programs.push(AtomProgram::Const(atom.op.eval_value(l, r)));
                 continue;
             }
-            let left = Tape::compile(&atom.left, slots);
-            let right = Tape::compile(&atom.right, slots);
             // Specialize the one-op shapes (comparison flip is exact for
             // floats, so const-on-the-left reuses the same direct form).
-            let program = match (left.ops.as_slice(), right.ops.as_slice()) {
-                ([TapeOp::Load(s)], [TapeOp::Const(c)]) => AtomProgram::SlotCmpConst {
-                    slot: *s,
+            let program = match (Leaf::of(&atom.left, slots), Leaf::of(&atom.right, slots)) {
+                (Some(Leaf::Slot(slot)), Some(Leaf::Const(c))) => AtomProgram::SlotCmpConst {
+                    slot,
                     op: atom.op,
-                    c: *c,
+                    c,
                 },
-                ([TapeOp::Const(c)], [TapeOp::Load(s)]) => AtomProgram::SlotCmpConst {
-                    slot: *s,
+                (Some(Leaf::Const(c)), Some(Leaf::Slot(slot))) => AtomProgram::SlotCmpConst {
+                    slot,
                     op: atom.op.flip(),
-                    c: *c,
+                    c,
                 },
-                ([TapeOp::Load(l)], [TapeOp::Load(r)]) => AtomProgram::SlotCmpSlot {
-                    l: *l,
-                    op: atom.op,
-                    r: *r,
-                },
+                (Some(Leaf::Slot(l)), Some(Leaf::Slot(r))) => {
+                    AtomProgram::SlotCmpSlot { l, op: atom.op, r }
+                }
                 _ => AtomProgram::Cmp {
-                    left: Box::new(left),
+                    left: Box::new(Tape::compile(&atom.left, slots)),
                     op: atom.op,
-                    right: Box::new(right),
+                    right: Box::new(Tape::compile(&atom.right, slots)),
                 },
             };
             programs.push(program);
@@ -650,6 +663,7 @@ impl GroupKernel {
     /// block fill holds every sample but its first, so a switch only
     /// happens on a sample the averaging loop asked for. `Ok(true)`: a
     /// sample is in the slots.
+    #[inline]
     pub(crate) fn sample_into_slots(
         &mut self,
         rng: &mut PipRng,
@@ -660,7 +674,8 @@ impl GroupKernel {
         hold_switch: bool,
     ) -> Result<bool> {
         let mut local_attempts = 0;
-        if let Some(held) = self.held_at_switch.take() {
+        if let Some(held) = self.held_at_switch {
+            self.held_at_switch = None;
             local_attempts = held;
             if self.switch_to_metropolis(rng, cfg, bounds) {
                 return self.chain_sample(rng, cfg, slots);
@@ -695,6 +710,7 @@ impl GroupKernel {
 
     /// Start the group's chain from the current generator state; `false`
     /// (and the latch set) when the group has no PDF or no start point.
+    #[cold]
     fn switch_to_metropolis(
         &mut self,
         rng: &mut PipRng,
