@@ -278,31 +278,29 @@ fn condition_probability(
     cfg: &SamplerConfig,
     rng: &mut PipRng,
 ) -> Result<f64> {
-    let mut slots = vec![0.0; prep.slots.len()];
-    let mut regs = Vec::new();
+    let n_slots = prep.slots.len();
     let mut prob = 1.0;
     for (i, k) in prep.samplers.iter_mut().enumerate() {
         if k.group.atoms.is_empty() {
             continue;
         }
-        let exact = || {
-            cfg.use_exact_cdf
-                .then(|| exact_group_probability(&k.group))
-                .flatten()
-        };
+        let exact = cfg
+            .use_exact_cdf
+            .then(|| exact_group_probability(&k.group))
+            .flatten();
         if already_sampled.contains(&i) && !k.uses_metropolis() && k.attempts > 0 {
             // Free by-product of the averaging loop... unless an exact
             // path gives a sharper answer at constant cost.
-            prob *= exact().unwrap_or_else(|| k.probability_estimate());
+            prob *= exact.unwrap_or_else(|| k.probability_estimate());
             continue;
         }
-        if let Some(p) = exact() {
+        if let Some(p) = exact {
             prob *= p;
             continue;
         }
         // Estimate by direct Monte Carlo over candidates of this group.
         let budget = cfg.max_samples.max(cfg.min_samples).max(1) as u64;
-        prob *= k.estimate_probability(rng, budget, &mut slots, &mut regs)?;
+        prob *= k.estimate_probability(rng, budget, &mut vec![0.0; n_slots], &mut Vec::new())?;
     }
     Ok(prob)
 }
