@@ -9,9 +9,14 @@
 //! of Example 4.4 (constant targets) or naive per-world evaluation
 //! (symbolic targets).
 //!
-//! The per-row fan-out runs each row's `expectation`/`conf` through the
-//! group kernels: the row's equation and condition lower once into
-//! slot-indexed tapes and kernels ([`crate::tape`]), samples land in
+//! The per-row fan-out runs each row's `expectation`/`conf` closed forms
+//! first: a row whose expression is affine and shares no variable with
+//! an atom of its condition (paper Example 3.1) is `E[cell]·P[φ]` by
+//! linearity and per-group CDFs, and draws nothing and compiles no tape
+//! (a condition group without a closed form still gets its fixed-budget
+//! probe). Every other row goes through the group kernels: the row's
+//! equation and condition lower once into slot-indexed tapes and
+//! kernels ([`crate::tape`]), samples land in
 //! columnar blocks ([`crate::blocks`]), and identical `(group,
 //! seed-site)` draw sequences — e.g. `expected_count` next to
 //! `expected_avg` in one SELECT list, or a re-executed prepared
@@ -42,9 +47,10 @@ pub struct AggregateResult {
 /// (linearity of expectation, Section II-C).
 ///
 /// Per-row sample budgets are relaxed by √N (law of large numbers: the
-/// per-row errors average out in the sum, Section IV-C). Row `i` owns
-/// the stream `(world_seed, i)`, so rows go through [`run_indexed`] and
-/// fold in row order.
+/// per-row errors average out in the sum, Section IV-C). Rows answered
+/// in closed form (see [`expectation`]) run no averaging loop and add 0 to
+/// `n_samples`. Row `i` owns the stream `(world_seed, i)`, so rows go
+/// through [`run_indexed`] and fold in row order.
 pub fn expected_sum(table: &CTable, col: &str, cfg: &SamplerConfig) -> Result<AggregateResult> {
     let idx = table.schema().index_of(col)?;
     let row_cfg = cfg.scaled_for_rows(table.len());

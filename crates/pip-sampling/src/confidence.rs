@@ -106,7 +106,7 @@ fn conf_open(
                 continue;
             }
         }
-        let budget = cfg.max_samples.max(cfg.min_samples).max(1) as u64;
+        let budget = cfg.probe_budget();
         draws += budget;
         // A fixed-budget candidate probe, skipped entirely when the
         // sample-block cache already holds this (group, stream) probe.

@@ -133,6 +133,12 @@ impl SamplerConfig {
         }
     }
 
+    /// Candidate draws of a fixed-budget acceptance probe (`P[group]`
+    /// without a closed form).
+    pub(crate) fn probe_budget(&self) -> u64 {
+        self.max_samples.max(self.min_samples).max(1) as u64
+    }
+
     /// The z-score `target = √2·erf⁻¹(1−ε)` from Algorithm 4.3 line 3.
     pub fn z_target(&self) -> f64 {
         std::f64::consts::SQRT_2 * pip_dist::special::erf_inv(1.0 - self.epsilon)

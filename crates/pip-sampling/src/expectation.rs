@@ -7,15 +7,21 @@
 //!    `(NAN, 0)` immediately;
 //! 2. partition `C` into minimal independent variable groups; only groups
 //!    sharing variables with `E` need to be sampled inside the averaging
-//!    loop;
+//!    loop. If none of them carries an atom, `E` is independent of `C`,
+//!    and an affine `E` over classes with a mean is answered in closed
+//!    form — `E[E | C] = E[E]` by linearity, `P[C]` as in step 5 — with
+//!    no loop, no expression tape and no kernel for its groups (the
+//!    paper's Example 3.1: a price independent of the shipping-duration
+//!    condition). Nothing below is built until a row needs it;
 //! 3. per group pick a strategy: CDF-bounded inverse transform when
 //!    bounds + capabilities allow, else rejection, escalating to
 //!    Metropolis past the rejection threshold;
 //! 4. adaptively stop when the running confidence interval is within the
 //!    relative precision goal;
 //! 5. for `P[C]`, multiply the per-group acceptance estimates, finishing
-//!    off expression-disjoint groups exactly via CDF where possible
-//!    (lines 29–35).
+//!    off expression-disjoint groups exactly via CDF where possible and
+//!    by a fixed-budget probe of that group alone otherwise (lines
+//!    29–35).
 
 use pip_core::Result;
 use pip_dist::{mix64, rng_from_seed, PipRng};
@@ -70,6 +76,16 @@ impl ExpectationResult {
     }
 }
 
+/// Consistency + grouping (lines 1–10) before anything is built: the
+/// simplified condition's independent variable groups and which of them
+/// share a variable with the expression.
+pub(crate) struct Grouping {
+    groups: Vec<VarGroup>,
+    /// Indices of the groups relevant to the expression.
+    relevant: Vec<usize>,
+    bounds: BoundsMap,
+}
+
 /// A prepared operator: one sampler per independent group (a
 /// [`GroupKernel`] in production).
 pub(crate) struct Prepared<S = GroupKernel> {
@@ -78,19 +94,17 @@ pub(crate) struct Prepared<S = GroupKernel> {
     /// the averaging loop).
     pub(crate) relevant: Vec<usize>,
     pub(crate) bounds: BoundsMap,
-    pub(crate) condition: Conjunction,
     /// Slot layout of every group's variables, in group order.
     pub(crate) slots: SlotMap,
 }
 
-/// Consistency + grouping + strategy selection (lines 1–10); `build`
-/// turns each group into its sampler.
-pub(crate) fn prepare_with<S>(
+/// Consistency + grouping (lines 1–10); `None` when the condition holds
+/// in no world.
+pub(crate) fn group(
     expr: &Equation,
     condition: &Conjunction,
     cfg: &SamplerConfig,
-    mut build: impl FnMut(VarGroup, &BoundsMap, &mut SlotMap) -> S,
-) -> Option<Prepared<S>> {
+) -> Option<Grouping> {
     let (condition, truth) = condition.simplify();
     if truth == pip_expr::Truth::False {
         return None;
@@ -124,33 +138,93 @@ pub(crate) fn prepare_with<S>(
         }
     };
     let expr_ids: Vec<_> = expr_vars.iter().map(|v| v.key.id).collect();
-    let mut slots = SlotMap::new();
-    let mut samplers = Vec::with_capacity(groups.len());
-    let mut relevant = Vec::new();
-    for (i, g) in groups.into_iter().enumerate() {
-        if g.touches(&expr_ids) {
-            relevant.push(i);
-        }
-        samplers.push(build(g, &bounds, &mut slots));
-    }
-    Some(Prepared {
-        samplers,
+    let relevant = (0..groups.len())
+        .filter(|&i| groups[i].touches(&expr_ids))
+        .collect();
+    Some(Grouping {
+        groups,
         relevant,
         bounds,
-        condition,
-        slots,
     })
 }
 
-/// [`prepare_with`] one [`GroupKernel`] per group.
+impl Grouping {
+    /// `build` turns each group into its sampler, interning the groups'
+    /// variables into one slot layout in group order.
+    pub(crate) fn build<S>(
+        self,
+        mut build: impl FnMut(VarGroup, &BoundsMap, &mut SlotMap) -> S,
+    ) -> Prepared<S> {
+        let Grouping {
+            groups,
+            relevant,
+            bounds,
+        } = self;
+        let mut slots = SlotMap::new();
+        let samplers = groups
+            .into_iter()
+            .map(|g| build(g, &bounds, &mut slots))
+            .collect();
+        Prepared {
+            samplers,
+            relevant,
+            bounds,
+            slots,
+        }
+    }
+
+    /// The answer without an averaging loop. When no group relevant to
+    /// `expr` carries an atom, `expr` is independent of the condition, so
+    /// `E[expr | C] = E[expr]`; if [`linear_exact`] has that mean, it is
+    /// the answer. `P[C]` is then the product over the atom groups, in
+    /// group order: exact CDF integration under `use_exact_cdf`, else
+    /// `probe(group, bounds, rng, budget)` — a fixed-budget acceptance
+    /// probe of that group alone, drawn from the row's generator.
+    /// Production and the oracle share this rule; only `probe` differs.
+    pub(crate) fn closed_form(
+        &self,
+        expr: &Equation,
+        want_probability: bool,
+        cfg: &SamplerConfig,
+        rng: &mut PipRng,
+        mut probe: impl FnMut(&VarGroup, &BoundsMap, &mut PipRng, u64) -> Result<f64>,
+    ) -> Result<Option<ExpectationResult>> {
+        if self
+            .relevant
+            .iter()
+            .any(|&i| !self.groups[i].atoms.is_empty())
+        {
+            return Ok(None);
+        }
+        let Some(expectation) = linear_exact(expr, cfg)? else {
+            return Ok(None);
+        };
+        let mut probability = f64::NAN;
+        if want_probability {
+            probability = 1.0;
+            for g in self.groups.iter().filter(|g| !g.atoms.is_empty()) {
+                let exact = cfg
+                    .use_exact_cdf
+                    .then(|| exact_group_probability(g))
+                    .flatten();
+                probability *= match exact {
+                    Some(p) => p,
+                    None => probe(g, &self.bounds, rng, cfg.probe_budget())?,
+                };
+            }
+        }
+        Ok(Some(ExpectationResult::exact(expectation, probability)))
+    }
+}
+
+/// [`group`], then one [`GroupKernel`] per group.
 pub(crate) fn prepare(
     expr: &Equation,
     condition: &Conjunction,
     cfg: &SamplerConfig,
 ) -> Option<Prepared> {
-    prepare_with(expr, condition, cfg, |g, bounds, slots| {
-        GroupKernel::for_group(g, bounds, cfg, slots)
-    })
+    group(expr, condition, cfg)
+        .map(|g| g.build(|g, bounds, slots| GroupKernel::for_group(g, bounds, cfg, slots)))
 }
 
 /// Deterministic per-call RNG: callers at different sites pass distinct
@@ -159,31 +233,34 @@ pub(crate) fn rng_for_site(cfg: &SamplerConfig, site: u64) -> PipRng {
     rng_from_seed(mix64(cfg.world_seed ^ site))
 }
 
-/// Exact shortcut (linearity of expectation): an unconstrained affine
-/// expression `c + Σ aᵢXᵢ` has expectation `c + Σ aᵢ·E[Xᵢ]` whenever
-/// every class exposes its mean — no sampling at all.
-pub(crate) fn linear_exact(
-    expr: &Equation,
-    condition: &Conjunction,
-    cfg: &SamplerConfig,
-) -> Option<f64> {
-    if !condition.is_trivially_true() || !cfg.use_exact_cdf {
-        return None;
+/// Closed-form mean by linearity of expectation: an affine expression
+/// `c + Σ aᵢXᵢ` has mean `c + Σ aᵢ·E[Xᵢ]` whenever every class exposes
+/// its mean, summed in the order the variables first appear in `expr` (so
+/// the bits do not depend on hashing). A constant is its own mean (a
+/// non-numeric one is the type error); any other expression takes the
+/// shortcut only under `use_exact_cdf`, the switch of every closed form.
+/// `None`: not affine, or a class without a mean.
+pub(crate) fn linear_exact(expr: &Equation, cfg: &SamplerConfig) -> Result<Option<f64>> {
+    if let Some(v) = expr.as_const() {
+        return v.as_f64().map(Some);
     }
-    let (coeffs, c) = expr.linear_coeffs()?;
-    let mut acc = Some(c);
-    let vars = expr.variables();
-    for (key, a) in &coeffs {
-        let mean = vars
-            .iter()
-            .find(|v| v.key == *key)
-            .and_then(|v| v.class.mean(&v.params));
-        acc = match (acc, mean) {
-            (Some(t), Some(m)) => Some(t + a * m),
-            _ => None,
+    if !cfg.use_exact_cdf {
+        return Ok(None);
+    }
+    let Some((coeffs, c)) = expr.linear_coeffs() else {
+        return Ok(None);
+    };
+    let mut mean = c;
+    for v in expr.variables() {
+        let Some(a) = coeffs.get(&v.key) else {
+            continue; // the coefficient cancelled to 0
         };
+        match v.class.mean(&v.params) {
+            Some(m) => mean += a * m,
+            None => return Ok(None),
+        }
     }
-    acc
+    Ok(Some(mean))
 }
 
 /// Compute `E[expr | condition]` and optionally `P[condition]`.
@@ -196,31 +273,22 @@ pub fn expectation(
     cfg: &SamplerConfig,
     site: u64,
 ) -> Result<ExpectationResult> {
-    // Fast path: deterministic expression under a trivially-true
-    // condition (after simplification).
     let expr = expr.simplify();
-    let mut prep = match prepare(&expr, condition, cfg) {
-        None => return Ok(ExpectationResult::nan(want_probability)),
-        Some(p) => p,
+    let Some(grouping) = group(&expr, condition, cfg) else {
+        return Ok(ExpectationResult::nan(want_probability));
     };
     let mut rng = rng_for_site(cfg, site);
-
-    if let Some(v) = expr.as_const() {
-        let expectation = v.as_f64()?;
-        let probability = if want_probability {
-            condition_probability(&mut prep, &[], cfg, &mut rng)?
-        } else {
-            f64::NAN
-        };
-        return Ok(ExpectationResult::exact(expectation, probability));
+    // Closed form first; it builds a kernel only for a condition group
+    // without an exact probability.
+    let probe = |g: &VarGroup, bounds: &BoundsMap, rng: &mut PipRng, budget| {
+        let mut slots = SlotMap::new();
+        let mut k = GroupKernel::for_group(g.clone(), bounds, cfg, &mut slots);
+        k.estimate_probability(rng, budget, &mut vec![0.0; slots.len()], &mut Vec::new())
+    };
+    if let Some(r) = grouping.closed_form(&expr, want_probability, cfg, &mut rng, probe)? {
+        return Ok(r);
     }
-
-    if let Some(expectation) = linear_exact(&expr, &prep.condition, cfg) {
-        // The linear shortcut only applies to trivially-true conditions,
-        // whose probability is exactly 1.
-        let probability = if want_probability { 1.0 } else { f64::NAN };
-        return Ok(ExpectationResult::exact(expectation, probability));
-    }
+    let mut prep = grouping.build(|g, bounds, slots| GroupKernel::for_group(g, bounds, cfg, slots));
 
     // Averaging loop (lines 11–28): the kernels draw into slot buffers
     // and the expression evaluates as a tape.
@@ -254,8 +322,7 @@ pub fn expectation(
 
     let used_metropolis = prep.samplers.iter().any(|k| k.uses_metropolis());
     let probability = if want_probability {
-        let relevant = prep.relevant.clone();
-        condition_probability(&mut prep, &relevant, cfg, &mut rng)?
+        condition_probability(&mut prep, cfg, &mut rng)?
     } else {
         f64::NAN
     };
@@ -269,12 +336,12 @@ pub fn expectation(
     })
 }
 
-/// `P[C]` as the product over independent groups (lines 29–35):
-/// already-sampled groups contribute their acceptance estimate; the rest
-/// use the exact CDF path when available and sampling otherwise.
+/// `P[C]` after the averaging loop, as the product over independent
+/// groups (lines 29–35): the groups the loop sampled contribute their
+/// acceptance estimate; the rest use the exact CDF path when available
+/// and a fixed-budget probe otherwise.
 fn condition_probability(
     prep: &mut Prepared,
-    already_sampled: &[usize],
     cfg: &SamplerConfig,
     rng: &mut PipRng,
 ) -> Result<f64> {
@@ -288,7 +355,7 @@ fn condition_probability(
             .use_exact_cdf
             .then(|| exact_group_probability(&k.group))
             .flatten();
-        if already_sampled.contains(&i) && !k.uses_metropolis() && k.attempts > 0 {
+        if prep.relevant.contains(&i) && !k.uses_metropolis() && k.attempts > 0 {
             // Free by-product of the averaging loop... unless an exact
             // path gives a sharper answer at constant cost.
             prob *= exact.unwrap_or_else(|| k.probability_estimate());
@@ -299,7 +366,7 @@ fn condition_probability(
             continue;
         }
         // Estimate by direct Monte Carlo over candidates of this group.
-        let budget = cfg.max_samples.max(cfg.min_samples).max(1) as u64;
+        let budget = cfg.probe_budget();
         prob *= k.estimate_probability(rng, budget, &mut vec![0.0; n_slots], &mut Vec::new())?;
     }
     Ok(prob)
@@ -394,13 +461,24 @@ mod tests {
         let y2 = normal(4.0, 2.0);
         let cond = Conjunction::single(atoms::ge(Equation::from(y2), 7.0));
         let cfg = SamplerConfig::default();
-        let r = expectation(&Equation::from(y1), &cond, true, &cfg, 3).unwrap();
-        // E[Y1 | Y2 ≥ 7] = E[Y1] = 100 — exact because the groups are
-        // independent and Y1 is unconstrained... but the loop does sample
-        // Y1's group (no atoms → no rejection). The estimate converges.
-        assert!((r.expectation - 100.0).abs() < 1.5, "{}", r.expectation);
+        let r = expectation(&Equation::from(y1.clone()), &cond, true, &cfg, 3).unwrap();
+        assert_eq!(r.expectation, 100.0);
+        assert_eq!(r.n_samples, 0, "closed form must not sample");
         let p_truth = 1.0 - special::normal_cdf((7.0 - 4.0) / 2.0);
         assert!((r.probability - p_truth).abs() < 1e-9, "{}", r.probability);
+
+        // An unrelated group without a closed form is probed on its own;
+        // the expression is still not sampled.
+        let y2 = normal(1.0, 1.0);
+        let y3 = normal(1.0, 1.0);
+        let cond = Conjunction::single(atoms::gt(Equation::from(y2) * Equation::from(y3), 1.0));
+        let expr = Equation::from(y1) * 2.0 + 1.0;
+        let r = expectation(&expr, &cond, true, &cfg, 3).unwrap();
+        assert_eq!(r.expectation, 201.0);
+        assert_eq!(r.n_samples, 0);
+        assert!(r.probability > 0.0 && r.probability < 1.0);
+        let o = crate::oracle::expectation(&expr, &cond, true, &cfg, 3).unwrap();
+        assert_eq!(r, o, "production and oracle apply the same rule");
     }
 
     #[test]

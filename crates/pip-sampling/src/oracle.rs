@@ -19,7 +19,7 @@ use rand::Rng;
 use crate::blocks::{partial_or_fail, LoopStats};
 use crate::confidence::{check, conf_groups, conf_rng, Checked};
 use crate::config::SamplerConfig;
-use crate::expectation::{linear_exact, prepare_with, rng_for_site, ExpectationResult, Prepared};
+use crate::expectation::{group, rng_for_site, ExpectationResult, Prepared};
 use crate::metropolis::MetropolisState;
 use crate::strategy::{
     acceptance_estimate, exact_group_probability, metropolis_due, select_strategies, VarStrategy,
@@ -176,27 +176,17 @@ pub fn expectation(
     site: u64,
 ) -> Result<ExpectationResult> {
     let expr = expr.simplify();
-    let mut prep = match prepare_with(&expr, condition, cfg, |g, bounds, _| {
-        GroupSampler::new(g, bounds, cfg)
-    }) {
-        None => return Ok(ExpectationResult::nan(want_probability)),
-        Some(p) => p,
+    let Some(grouping) = group(&expr, condition, cfg) else {
+        return Ok(ExpectationResult::nan(want_probability));
     };
     let mut rng = rng_for_site(cfg, site);
-
-    if let Some(v) = expr.as_const() {
-        let expectation = v.as_f64()?;
-        let probability = if want_probability {
-            condition_probability(&mut prep, &[], cfg, &mut rng)?
-        } else {
-            f64::NAN
-        };
-        return Ok(ExpectationResult::exact(expectation, probability));
+    let probe = |g: &VarGroup, bounds: &BoundsMap, rng: &mut PipRng, budget| {
+        GroupSampler::new(g.clone(), bounds, cfg).estimate_probability(rng, budget)
+    };
+    if let Some(r) = grouping.closed_form(&expr, want_probability, cfg, &mut rng, probe)? {
+        return Ok(r);
     }
-    if let Some(expectation) = linear_exact(&expr, &prep.condition, cfg) {
-        let probability = if want_probability { 1.0 } else { f64::NAN };
-        return Ok(ExpectationResult::exact(expectation, probability));
-    }
+    let mut prep = grouping.build(|g, bounds, _| GroupSampler::new(g, bounds, cfg));
 
     let stats = averaging_loop(&expr, &mut prep, cfg, &mut rng)?;
     if stats.n == 0 {
@@ -204,8 +194,7 @@ pub fn expectation(
     }
     let used_metropolis = prep.samplers.iter().any(|s| s.uses_metropolis());
     let probability = if want_probability {
-        let relevant = prep.relevant.clone();
-        condition_probability(&mut prep, &relevant, cfg, &mut rng)?
+        condition_probability(&mut prep, cfg, &mut rng)?
     } else {
         f64::NAN
     };
@@ -248,7 +237,6 @@ fn averaging_loop(
 /// `P[C]` over the samplers, as production's over the kernels.
 fn condition_probability(
     prep: &mut Prepared<GroupSampler>,
-    already_sampled: &[usize],
     cfg: &SamplerConfig,
     rng: &mut PipRng,
 ) -> Result<f64> {
@@ -261,7 +249,7 @@ fn condition_probability(
             .use_exact_cdf
             .then(|| exact_group_probability(&s.group))
             .flatten();
-        if already_sampled.contains(&i) && !s.uses_metropolis() && s.attempts > 0 {
+        if prep.relevant.contains(&i) && !s.uses_metropolis() && s.attempts > 0 {
             prob *= exact.unwrap_or_else(|| s.probability_estimate());
             continue;
         }
@@ -269,8 +257,7 @@ fn condition_probability(
             prob *= p;
             continue;
         }
-        let budget = cfg.max_samples.max(cfg.min_samples).max(1) as u64;
-        prob *= s.estimate_probability(rng, budget)?;
+        prob *= s.estimate_probability(rng, cfg.probe_budget())?;
     }
     Ok(prob)
 }
@@ -285,12 +272,10 @@ pub fn expectation_samples(
     site: u64,
 ) -> Result<Vec<f64>> {
     let expr = expr.simplify();
-    let mut prep = match prepare_with(&expr, condition, cfg, |g, bounds, _| {
-        GroupSampler::new(g, bounds, cfg)
-    }) {
-        None => return Ok(Vec::new()),
-        Some(p) => p,
+    let Some(grouping) = group(&expr, condition, cfg) else {
+        return Ok(Vec::new());
     };
+    let mut prep = grouping.build(|g, bounds, _| GroupSampler::new(g, bounds, cfg));
     let mut rng = rng_for_site(cfg, site);
     let mut a = Assignment::new();
     let mut out = Vec::with_capacity(n);
@@ -322,8 +307,8 @@ pub fn conf(condition: &Conjunction, cfg: &SamplerConfig, site: u64) -> Result<f
                 continue;
             }
         }
-        let budget = cfg.max_samples.max(cfg.min_samples).max(1) as u64;
-        prob *= GroupSampler::new(g, &bounds, cfg).estimate_probability(&mut rng, budget)?;
+        prob *= GroupSampler::new(g, &bounds, cfg)
+            .estimate_probability(&mut rng, cfg.probe_budget())?;
     }
     Ok(prob)
 }

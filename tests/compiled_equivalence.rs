@@ -12,7 +12,10 @@
 //!   rejection, multi-group independence, non-numeric constants, and
 //!   the Metropolis switch;
 //! * the sample-block cache is pure memoization: cold, warm, and
-//!   disabled runs produce the same `ExpectationResult`.
+//!   disabled runs produce the same `ExpectationResult`;
+//! * an affine expression independent of its condition is answered in
+//!   closed form: no draws, the unconditional mean, and the `P[C]` of a
+//!   constant expression.
 
 mod common;
 
@@ -108,6 +111,27 @@ fn random_cond(g: &mut Gen, pool: &[RandomVar], n_atoms: usize) -> Conjunction {
         atoms_v.push(atom);
     }
     Conjunction::of(atoms_v)
+}
+
+/// Random affine expression `c + Σ ±aᵢ·Xᵢ` over the pool, in the shapes
+/// the closed form must recognise (`a * X`, `X * a`, `X / a`, `-X`).
+fn random_affine(g: &mut Gen, pool: &[RandomVar]) -> Equation {
+    let mut expr = Equation::val(g.f64_in(-4.0, 4.0));
+    for v in pool {
+        let x = Equation::from(v.clone());
+        let term = match g.below(4) {
+            0 => x * g.f64_in(-3.0, 3.0),
+            1 => Equation::val(g.f64_in(-3.0, 3.0)) * x,
+            2 => x / g.f64_in(0.5, 4.0),
+            _ => -x,
+        };
+        expr = if g.below(2) == 0 {
+            expr + term
+        } else {
+            expr - term
+        };
+    }
+    expr
 }
 
 /// Bit-exact comparison (NaN == NaN, unlike PartialEq).
@@ -303,6 +327,54 @@ proptest! {
             oracle::expectation(&expr, &cond, want_probability, &cfg, site),
             "escalating expectation",
         );
+    }
+
+    /// An affine expression over variables no condition atom touches is
+    /// answered in closed form (paper Example 3.1): its expectation is
+    /// the unconditional one, nothing is drawn for it, and `P[C]` is the
+    /// one a constant expression gets — probes included, on the same
+    /// generator.
+    #[test]
+    fn unconstrained_affine_expectation_is_closed_form(
+        structure in 0u64..u64::MAX,
+        site in 0u64..64,
+        n in 64usize..512,
+        n_vars in 1usize..4,
+    ) {
+        let mut g = Gen(structure);
+        let expr_pool = var_pool(&mut g, n_vars);
+        let cond_pool = var_pool(&mut g, 3);
+        let expr = random_affine(&mut g, &expr_pool);
+        let n_atoms = (g.below(4) + 1) as usize;
+        let cond = random_cond(&mut g, &cond_pool, n_atoms);
+        let cfg = SamplerConfig::fixed_samples(n);
+        let one = expectation(&Equation::val(1.0), &cond, true, &cfg, site);
+        let r = expectation(&expr, &cond, true, &cfg, site);
+        assert_same_outcome(
+            r.clone(),
+            oracle::expectation(&expr, &cond, true, &cfg, site),
+            "closed-form expectation",
+        );
+        match (r, one) {
+            (Ok(r), Ok(one)) => {
+                prop_assert_eq!(r.n_samples, 0);
+                prop_assert_eq!(r.probability.to_bits(), one.probability.to_bits());
+                if one.expectation.is_nan() {
+                    // The condition holds in no world.
+                    prop_assert!(r.expectation.is_nan());
+                } else {
+                    let top = expectation(&expr, &Conjunction::top(), true, &cfg, site).unwrap();
+                    prop_assert_eq!(top.n_samples, 0);
+                    prop_assert_eq!(r.expectation.to_bits(), top.expectation.to_bits());
+                }
+            }
+            (Err(ea), Err(eb)) => prop_assert_eq!(ea.to_string(), eb.to_string()),
+            (a, b) => prop_assert!(false, "affine {:?} vs constant {:?}", a, b),
+        }
+        // A non-affine expression of the same variables still averages.
+        let x = Equation::from(expr_pool[0].clone());
+        let sq = expectation(&(x.clone() * x), &cond, false, &cfg, site).unwrap();
+        prop_assert!(sq.expectation.is_nan() || sq.n_samples > 0);
     }
 
     /// `conf` through kernels + the probe cache equals the oracle's
