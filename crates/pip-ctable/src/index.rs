@@ -19,13 +19,15 @@
 //! therefore sample-site- and bit-identical — to their full-scan
 //! equivalents.
 //!
-//! Maintenance is incremental: [`OrderedIndex::with_appended`] merges a
-//! sorted run of new entries in O(existing + new), matching the
-//! catalog's copy-on-write INSERT path.
+//! Maintenance is incremental and in place: [`OrderedIndex::append`]
+//! merges a sorted batch of new entries in O(existing + new) and
+//! binary-search inserts a single one, matching the catalog's INSERT
+//! path, which appends to the table and its indexes in place (copying
+//! them first only while a reader still holds the old snapshot).
 
 use pip_core::{PipError, Result, Value};
 
-use crate::ctable::CTable;
+use crate::ctable::{CRow, CTable};
 
 /// Inclusive/exclusive bound of a seek range.
 pub type Bound = (Value, bool);
@@ -59,51 +61,42 @@ impl OrderedIndex {
             others: Vec::new(),
             covered: 0,
         };
-        idx.append_rows(table, 0);
+        idx.append(table.rows());
         Ok(idx)
     }
 
-    /// A copy of the index extended with the rows of `table` from
-    /// `start_row` on (the catalog's INSERT path: the table was cloned
-    /// and appended to, the index follows suit).
-    pub fn with_appended(&self, table: &CTable, start_row: usize) -> Result<OrderedIndex> {
-        if start_row != self.covered as usize {
-            return Err(PipError::Schema(format!(
-                "index covers {} rows but insert starts at row {start_row}",
-                self.covered
-            )));
-        }
-        let mut idx = self.clone();
-        idx.append_rows(table, start_row);
-        Ok(idx)
-    }
-
-    fn append_rows(&mut self, table: &CTable, start_row: usize) {
+    /// Extend the index in place with `rows`, which the table has just
+    /// appended after the [`covered_rows`](Self::covered_rows) it had
+    /// (row ids continue from there). A batch is sorted and merged into
+    /// the entries once; a single row is a binary-search insert, which
+    /// for keys that only grow is a push.
+    pub fn append(&mut self, rows: &[CRow]) {
         let mut fresh: Vec<(Value, u32)> = Vec::new();
-        for (i, row) in table.rows().iter().enumerate().skip(start_row) {
-            let id = i as u32;
+        for (id, row) in (self.covered..).zip(rows) {
             match row.cells[self.column].as_const() {
                 Some(v) => fresh.push((v.clone(), id)),
                 None => self.others.push(id),
             }
         }
-        self.covered = table.len() as u32;
-        if fresh.is_empty() {
+        self.covered += rows.len() as u32;
+        if let [(key, _)] = fresh.as_slice() {
+            // Every existing id is below the new one, so it goes after
+            // all cmp_total-equal keys.
+            let at = self
+                .entries
+                .partition_point(|(k, _)| k.cmp_total(key).is_le());
+            self.entries.insert(at, fresh.pop().expect("one entry"));
             return;
         }
         fresh.sort_by(|a, b| a.0.cmp_total(&b.0).then(a.1.cmp(&b.1)));
-        if self
-            .entries
-            .last()
-            .map(|last| last.0.cmp_total(&fresh[0].0).is_le())
-            .unwrap_or(true)
-        {
-            // Appended keys all sort after the existing run (common for
-            // monotone inserts): plain extend.
-            self.entries.extend(fresh);
-        } else {
-            let old = std::mem::take(&mut self.entries);
-            self.entries = merge_entries(old, fresh);
+        match (self.entries.last(), fresh.first()) {
+            (Some(last), Some(first)) if last.0.cmp_total(&first.0).is_gt() => {
+                let old = std::mem::take(&mut self.entries);
+                self.entries = merge_entries(old, fresh);
+            }
+            // Appended keys all sort after the existing run (monotone
+            // inserts): plain extend.
+            _ => self.entries.extend(fresh),
         }
     }
 
@@ -222,7 +215,6 @@ fn merge_ids(a: &[u32], b: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctable::CRow;
     use pip_core::{DataType, Schema};
     use pip_dist::prelude::builtin;
     use pip_expr::{Equation, RandomVar};
@@ -297,37 +289,65 @@ mod tests {
     }
 
     #[test]
-    fn with_appended_matches_full_rebuild() {
-        let mut t = table(&[Some(5), None, Some(2)]);
-        let idx = OrderedIndex::build(&t, 0).unwrap();
-        t.push(CRow::unconditional(vec![
-            Equation::val(3i64),
-            Equation::val(3i64),
-        ]))
-        .unwrap();
-        t.push(CRow::unconditional(vec![
-            Equation::val(7i64),
-            Equation::val(4i64),
-        ]))
-        .unwrap();
-        let incremental = idx.with_appended(&t, 3).unwrap();
-        let rebuilt = OrderedIndex::build(&t, 0).unwrap();
-        assert_eq!(incremental, rebuilt);
-        // Appending from the wrong watermark is a hard error.
-        assert!(idx.with_appended(&t, 4).is_err());
+    fn append_matches_full_rebuild() {
+        let t = table(&[Some(5), None, Some(2), Some(3), Some(7)]);
+        let prefix = CTable::new(t.schema().clone(), t.rows()[..3].to_vec()).unwrap();
+        let mut idx = OrderedIndex::build(&prefix, 0).unwrap();
+        idx.append(&t.rows()[3..]);
+        assert_eq!(idx, OrderedIndex::build(&t, 0).unwrap());
     }
 
     #[test]
     fn monotone_append_fast_path_stays_sorted() {
-        let mut t = table(&[Some(1), Some(2)]);
-        let idx = OrderedIndex::build(&t, 0).unwrap();
-        t.push(CRow::unconditional(vec![
-            Equation::val(3i64),
-            Equation::val(2i64),
-        ]))
-        .unwrap();
-        let inc = idx.with_appended(&t, 2).unwrap();
-        assert_eq!(inc, OrderedIndex::build(&t, 0).unwrap());
+        let t = table(&[Some(1), Some(2), Some(3), Some(4)]);
+        let prefix = CTable::new(t.schema().clone(), t.rows()[..2].to_vec()).unwrap();
+        let mut idx = OrderedIndex::build(&prefix, 0).unwrap();
+        idx.append(&t.rows()[2..]);
+        assert_eq!(idx, OrderedIndex::build(&t, 0).unwrap());
+    }
+
+    /// Code `4k + r` is a symbolic cell (`r = 0`), `Int(k)` (`r = 1`),
+    /// `Float(k)` (`r = 2`, `cmp_total`-equal to `Int(k)`) or
+    /// `Float(k + 0.5)` (`r = 3`); sorted codes give monotone keys.
+    fn coded_row(code: i64) -> CRow {
+        let k = code / 4;
+        let cell = match code % 4 {
+            0 => Equation::from(RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap()),
+            1 => Equation::val(k),
+            2 => Equation::val(k as f64),
+            _ => Equation::val(k as f64 + 0.5),
+        };
+        CRow::unconditional(vec![cell, Equation::val(code)])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Appending rows in batches of any size (1 is the binary-search
+        /// insert, more the sorted merge) gives the index `build` makes
+        /// over the same rows.
+        #[test]
+        fn append_equals_build(
+            codes in proptest::collection::vec(0i64..48, 0..60),
+            batches in proptest::collection::vec(0i64..6, 1..10),
+            monotone in 0i64..2,
+        ) {
+            let mut codes = codes;
+            if monotone == 1 {
+                codes.sort_unstable();
+            }
+            let rows: Vec<CRow> = codes.into_iter().map(coded_row).collect();
+            let schema = Schema::of(&[("k", DataType::Symbolic), ("v", DataType::Int)]);
+            let mut idx = OrderedIndex::build(&CTable::empty(schema.clone()), 0).unwrap();
+            let mut start = 0;
+            for size in batches.into_iter().map(|b| b as usize).chain([rows.len()]) {
+                let end = (start + size).min(rows.len());
+                idx.append(&rows[start..end]);
+                start = end;
+                let prefix = CTable::new(schema.clone(), rows[..end].to_vec()).unwrap();
+                proptest::prop_assert_eq!(&idx, &OrderedIndex::build(&prefix, 0).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,16 @@
 //! variable id, which is what makes recovered query results
 //! *bit-identical*: sampling seeds derive from variable ids, and both
 //! ids and `f64` parameters round-trip exactly.
+//!
+//! ## Snapshots and INSERT
+//!
+//! Readers take `Arc` snapshots of a table and its indexes
+//! ([`Database::table`], [`Database::index`]) and never see a later
+//! mutation. An INSERT appends to the catalog's own table and indexes
+//! in place (`Arc::make_mut`): it copies one first only while some
+//! reader still holds that snapshot, so an insert into an unshared
+//! table is an amortised O(1) append (plus the index's merge), not a
+//! copy of the table.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -258,8 +268,14 @@ impl Database {
     /// it). Called with the tables write lock held, so log order always
     /// matches apply order.
     fn log(&self, version: u64, record: CatalogRecord) -> Result<()> {
+        self.log_entry(&WalEntry { version, record })
+    }
+
+    /// [`Database::log`] for an entry built by the caller (which may
+    /// take the entry's rows back afterwards).
+    fn log_entry(&self, entry: &WalEntry) -> Result<()> {
         match self.store.get() {
-            Some(store) => store.append(&WalEntry { version, record }),
+            Some(store) => store.append(entry),
             None => Ok(()),
         }
     }
@@ -527,6 +543,15 @@ impl Database {
 
     /// Append symbolic rows to a table.
     ///
+    /// The rows are validated (arity, dependent-index watermarks) and
+    /// logged before they are applied, so a logged record never fails to
+    /// apply; the log takes the rows by move and hands them back, so no
+    /// row is cloned for it. They are then appended in place to the
+    /// table and to every index on it: a table or index is copied first
+    /// only while a reader still holds that snapshot (a running query, a
+    /// checkpoint capture, `ANALYZE`), and that reader keeps the rows it
+    /// saw. `pip_engine_insert_copies_total` counts those copies.
+    ///
     /// Optimizer statistics get cheap delta maintenance instead of
     /// retirement: the cached [`TableStats`] entry (if it was fresh at
     /// the pre-insert version) has its row counts bumped in place and is
@@ -538,63 +563,32 @@ impl Database {
         self.check_writable()?;
         let mut tables = self.tables.write();
         let table = tables
-            .get(name)
+            .get_mut(name)
             .ok_or_else(|| PipError::NotFound(format!("table '{name}'")))?;
-        // Validate fully (arity checks in push) before the WAL append —
-        // a logged record must never fail to apply. (At durability OFF
-        // the record is built but only validated, never written; for a
-        // memory-only catalog rows move straight into the table — the
-        // pre-durability in-memory work exactly.)
+        let mut indexes = self.indexes.write();
+        check_append(table, &indexes, name, &rows)?;
         let old_len = table.len();
-        let mut new = (**table).clone();
-        let log_rows = if self.durable() {
-            for r in &rows {
-                new.push(r.clone())?;
-            }
-            Some(rows)
-        } else {
-            for r in rows {
-                new.push(r)?;
-            }
-            None
-        };
-        // Dependent indexes extend incrementally over the appended
-        // suffix — staged before the WAL append, alongside the arity
-        // checks above, so a logged record can never leave an index
-        // unbuildable.
-        let staged_indexes: Vec<(String, Arc<OrderedIndex>)> = self
-            .indexes
-            .read()
-            .iter()
-            .filter(|(_, e)| e.table == name)
-            .map(|(iname, e)| {
-                Ok((
-                    iname.clone(),
-                    Arc::new(e.index.with_appended(&new, old_len)?),
-                ))
-            })
-            .collect::<Result<_>>()?;
         let post_insert = self.bump_version();
-        if let Some(rows) = log_rows {
-            self.log(
-                post_insert,
-                CatalogRecord::Insert {
+        // At durability OFF the record is built but only validated, never
+        // written; a memory-only catalog builds none.
+        let rows = if self.durable() {
+            let entry = WalEntry {
+                version: post_insert,
+                record: CatalogRecord::Insert {
                     name: name.to_string(),
                     rows,
                 },
-            )?;
-        }
-        let new = Arc::new(new);
-        tables.insert(name.to_string(), Arc::clone(&new));
-        if !staged_indexes.is_empty() {
-            let mut indexes = self.indexes.write();
-            for (iname, idx) in staged_indexes {
-                if let Some(e) = indexes.get_mut(&iname) {
-                    e.index = idx;
-                }
-            }
-        }
-        drop(tables);
+            };
+            self.log_entry(&entry)?;
+            let CatalogRecord::Insert { rows, .. } = entry.record else {
+                unreachable!("built as an Insert record")
+            };
+            rows
+        } else {
+            rows
+        };
+        self.append_in_place(table, &mut indexes, name, rows);
+        drop(indexes);
         // The bump's fetch_add pins this insert's exact (pre, post)
         // version pair — no separate load can interleave with another
         // mutation. The delta only applies when the cached entry was
@@ -605,10 +599,34 @@ impl Database {
         let mut stats = self.stats.write();
         if let Some(entry) = stats.get_mut(name) {
             if entry.version == pre_insert {
-                *entry = Arc::new(entry.apply_insert(&new.rows()[old_len..], post_insert));
+                *entry = Arc::new(entry.apply_insert(&table.rows()[old_len..], post_insert));
             }
         }
         Ok(())
+    }
+
+    /// Append rows that [`check_append`] accepted to `table` and to the
+    /// indexes on it, in place. `Arc::make_mut` copies a table or index
+    /// only while something else still holds it; such inserts are
+    /// counted in `pip_engine_insert_copies_total`.
+    fn append_in_place(
+        &self,
+        table: &mut Arc<CTable>,
+        indexes: &mut HashMap<String, IndexEntry>,
+        name: &str,
+        rows: Vec<CRow>,
+    ) {
+        let old_len = table.len();
+        let mut copied = Arc::get_mut(table).is_none();
+        Arc::make_mut(table).rows_mut().extend(rows);
+        let appended = &table.rows()[old_len..];
+        for e in indexes.values_mut().filter(|e| e.table == name) {
+            copied |= Arc::get_mut(&mut e.index).is_none();
+            Arc::make_mut(&mut e.index).append(appended);
+        }
+        if copied {
+            self.metrics.insert_copies_total.inc();
+        }
     }
 
     /// Append deterministic tuples to a table.
@@ -718,7 +736,7 @@ impl Database {
         let mut staged_index: Option<(String, IndexEntry)> = None;
         let mut dropped_index: Option<String> = None;
         let mut retire_indexes_of: Option<String> = None;
-        let mut index_updates: Vec<(String, Arc<OrderedIndex>)> = Vec::new();
+        let mut appended: Option<(&String, &Vec<CRow>)> = None;
         match &entry.record {
             CatalogRecord::CreateVariable { id, .. } => {
                 VarId::reserve_through(*id);
@@ -744,21 +762,13 @@ impl Database {
                         "replication feed inserts into unknown table '{name}'"
                     ))
                 })?;
-                let old_len = table.len();
-                let mut new = (**table).clone();
+                check_append(table, &self.indexes.read(), name, rows)?;
                 for r in rows {
                     for v in r.variables() {
                         VarId::reserve_through(v.key.id.0);
                     }
-                    new.push(r.clone())?;
                 }
-                for (iname, e) in self.indexes.read().iter().filter(|(_, e)| &e.table == name) {
-                    index_updates.push((
-                        iname.clone(),
-                        Arc::new(e.index.with_appended(&new, old_len)?),
-                    ));
-                }
-                staged = Some((name.clone(), Arc::new(new)));
+                appended = Some((name, rows));
             }
             CatalogRecord::Drop { name } => {
                 if !tables.contains_key(name) {
@@ -798,18 +808,18 @@ impl Database {
                 dropped_index = Some(name.clone());
             }
         }
-        self.log(entry.version, entry.record.clone())?;
+        self.log_entry(entry)?;
         if let Some((name, table)) = staged {
             tables.insert(name, table);
+        }
+        if let Some((name, rows)) = appended {
+            let table = tables.get_mut(name).expect("checked above");
+            self.append_in_place(table, &mut self.indexes.write(), name, rows.clone());
         }
         if let Some(name) = dropped {
             tables.remove(&name);
         }
-        if staged_index.is_some()
-            || dropped_index.is_some()
-            || retire_indexes_of.is_some()
-            || !index_updates.is_empty()
-        {
+        if staged_index.is_some() || dropped_index.is_some() || retire_indexes_of.is_some() {
             let mut indexes = self.indexes.write();
             if let Some(table) = retire_indexes_of {
                 indexes.retain(|_, e| e.table != table);
@@ -819,11 +829,6 @@ impl Database {
             }
             if let Some(name) = dropped_index {
                 indexes.remove(&name);
-            }
-            for (iname, idx) in index_updates {
-                if let Some(e) = indexes.get_mut(&iname) {
-                    e.index = idx;
-                }
             }
         }
         // Adopt the primary's stamp verbatim — version-keyed caches on
@@ -1034,6 +1039,35 @@ impl CheckpointCapture {
             indexes: self.indexes,
         }
     }
+}
+
+/// Refuse an append that could not apply: a row whose arity differs
+/// from the table's, or an index on the table that does not cover
+/// exactly its rows. Checked before the WAL append — a logged record
+/// must never fail to apply.
+fn check_append(
+    table: &CTable,
+    indexes: &HashMap<String, IndexEntry>,
+    name: &str,
+    rows: &[CRow],
+) -> Result<()> {
+    let arity = table.schema().len();
+    if let Some(r) = rows.iter().find(|r| r.cells.len() != arity) {
+        return Err(PipError::Schema(format!(
+            "row has {} cells, schema has {arity} columns",
+            r.cells.len()
+        )));
+    }
+    for (iname, e) in indexes.iter().filter(|(_, e)| e.table == name) {
+        if e.index.covered_rows() as usize != table.len() {
+            return Err(PipError::Schema(format!(
+                "index '{iname}' covers {} rows but table '{name}' has {}",
+                e.index.covered_rows(),
+                table.len()
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Validate an index definition against its table and build the
@@ -1271,6 +1305,27 @@ mod tests {
         assert!(db.insert_tuples("zzz", &[tuple![1i64]]).is_err());
     }
 
+    #[test]
+    fn insert_copies_only_a_held_snapshot() {
+        let db = Database::new();
+        db.create_table("t", Schema::of(&[("a", DataType::Int)]))
+            .unwrap();
+        let copies = || db.metrics().insert_copies_total.get();
+        db.insert_tuples("t", &[tuple![1i64]]).unwrap();
+        assert_eq!(copies(), 0, "nothing held: appended in place");
+        let held = db.table("t").unwrap();
+        db.insert_tuples("t", &[tuple![2i64]]).unwrap();
+        assert_eq!(copies(), 1, "a held snapshot is copied first");
+        assert_eq!(
+            *held,
+            CTable::from_tuples(held.schema().clone(), &[tuple![1i64]]).unwrap()
+        );
+        drop(held);
+        db.insert_tuples("t", &[tuple![3i64]]).unwrap();
+        assert_eq!(copies(), 1);
+        assert_eq!(db.table("t").unwrap().len(), 3);
+    }
+
     mod durable {
         use super::*;
         use pip_expr::{atoms, Conjunction, Equation};
@@ -1281,6 +1336,125 @@ mod tests {
                 .join(format!("pip-engine-catalog-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             dir
+        }
+
+        fn keys(ks: &[i64]) -> Vec<CRow> {
+            ks.iter().map(|k| CRow::from_tuple(&tuple![*k])).collect()
+        }
+
+        #[test]
+        fn held_snapshots_survive_in_place_inserts_and_recovery() {
+            let dir = tmp_dir("in-place");
+            let db = Database::open(&dir).unwrap();
+            db.create_table("t", Schema::of(&[("k", DataType::Int)]))
+                .unwrap();
+            db.insert_rows("t", keys(&[5, 1, 3])).unwrap();
+            db.create_index("idx_k", "t", "k").unwrap();
+            let (t0, i0) = (db.table("t").unwrap(), db.index("idx_k").unwrap().index);
+            let copies = db.metrics().insert_copies_total.get();
+            db.insert_rows("t", keys(&[2, 5, 0])).unwrap();
+            db.insert_rows("t", keys(&[4])).unwrap();
+            assert_eq!(db.metrics().insert_copies_total.get(), copies + 1);
+            // The old handles still see the catalog they were taken from.
+            assert_eq!(t0.len(), 3);
+            assert_eq!(i0.covered_rows(), 3);
+            assert_eq!(*i0, OrderedIndex::build(&t0, 0).unwrap());
+            // The new ones see every row.
+            let (t1, i1) = (db.table("t").unwrap(), db.index("idx_k").unwrap().index);
+            assert_eq!(t1.len(), 7);
+            assert_eq!(*i1, OrderedIndex::build(&t1, 0).unwrap());
+            assert_eq!(i1.equal_candidates(&pip_core::Value::Int(5)), vec![0, 4]);
+            drop(db);
+            let (db, _) = Database::recover(&dir).unwrap();
+            assert_eq!(*db.table("t").unwrap(), *t1);
+            assert_eq!(db.index("idx_k").unwrap().index, i1);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        #[test]
+        fn refused_insert_changes_nothing() {
+            let dir = tmp_dir("refused");
+            let db = Database::open(&dir).unwrap();
+            db.create_table("t", Schema::of(&[("k", DataType::Int)]))
+                .unwrap();
+            db.create_index("idx_k", "t", "k").unwrap();
+            db.insert_rows("t", keys(&[1, 2])).unwrap();
+            let (version, wal_bytes) = (db.version(), db.wal_bytes());
+            let (table, index) = (
+                (*db.table("t").unwrap()).clone(),
+                db.index("idx_k").unwrap(),
+            );
+            let mut rows = keys(&[3]);
+            rows.push(CRow::from_tuple(&tuple![4i64, 4i64]));
+            assert!(db.insert_rows("t", rows).is_err());
+            assert_eq!(db.version(), version);
+            assert_eq!(db.wal_bytes(), wal_bytes, "nothing logged");
+            assert_eq!(*db.table("t").unwrap(), table);
+            assert_eq!(db.index("idx_k").unwrap().index, index.index);
+            // An index that does not cover exactly the table's rows (a
+            // broken invariant) refuses the insert before the log too.
+            let stale = OrderedIndex::build(&CTable::empty(table.schema().clone()), 0).unwrap();
+            db.indexes.write().get_mut("idx_k").unwrap().index = Arc::new(stale);
+            assert!(db.insert_rows("t", keys(&[3])).is_err());
+            assert_eq!((db.version(), db.wal_bytes()), (version, wal_bytes));
+            assert_eq!(*db.table("t").unwrap(), table);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        #[test]
+        fn apply_replicated_appends_beside_a_held_snapshot() {
+            let dir = tmp_dir("repl-held");
+            let follower = Database::open(&dir).unwrap();
+            follower.set_read_only(true);
+            let records = [
+                CatalogRecord::CreateTable {
+                    name: "t".into(),
+                    schema: Schema::of(&[("k", DataType::Int)]),
+                },
+                CatalogRecord::CreateIndex {
+                    name: "idx_k".into(),
+                    table: "t".into(),
+                    column: "k".into(),
+                },
+                CatalogRecord::Insert {
+                    name: "t".into(),
+                    rows: keys(&[3, 1]),
+                },
+            ];
+            for (v, record) in (1..).zip(records) {
+                follower
+                    .apply_replicated(&WalEntry { version: v, record })
+                    .unwrap();
+            }
+            let (t0, i0) = (
+                follower.table("t").unwrap(),
+                follower.index("idx_k").unwrap().index,
+            );
+            let copies = follower.metrics().insert_copies_total.get();
+            let insert = |version, rows| {
+                follower.apply_replicated(&WalEntry {
+                    version,
+                    record: CatalogRecord::Insert {
+                        name: "t".into(),
+                        rows,
+                    },
+                })
+            };
+            insert(4, keys(&[2, 0])).unwrap();
+            assert_eq!(follower.metrics().insert_copies_total.get(), copies + 1);
+            assert_eq!((t0.len(), i0.covered_rows()), (2, 2));
+            let t1 = follower.table("t").unwrap();
+            assert_eq!(t1.len(), 4);
+            assert_eq!(
+                *follower.index("idx_k").unwrap().index,
+                OrderedIndex::build(&t1, 0).unwrap()
+            );
+            // A shipped row of the wrong arity is refused before the log.
+            let wal_bytes = follower.wal_bytes();
+            assert!(insert(5, vec![CRow::from_tuple(&tuple![1i64, 1i64])]).is_err());
+            assert_eq!((follower.version(), follower.wal_bytes()), (4, wal_bytes));
+            assert_eq!(*follower.table("t").unwrap(), *t1);
+            std::fs::remove_dir_all(&dir).unwrap();
         }
 
         #[test]

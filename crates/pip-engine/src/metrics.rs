@@ -15,6 +15,9 @@ pub struct EngineMetrics {
     pub queries_total: Arc<Counter>,
     /// Logical catalog mutations (DDL + DML) applied.
     pub mutations_total: Arc<Counter>,
+    /// Inserts that had to copy their table or an index on it first,
+    /// because a reader still held that snapshot.
+    pub insert_copies_total: Arc<Counter>,
     /// SQL text parse latency (recorded by front-ends that parse).
     pub parse_seconds: Arc<Histogram>,
     /// Optimizer latency (full pipeline: pushdown, reorder, access paths).
@@ -39,6 +42,10 @@ impl EngineMetrics {
             mutations_total: r.counter(
                 "pip_engine_mutations_total",
                 "Logical catalog mutations (DDL and DML) applied.",
+            ),
+            insert_copies_total: r.counter(
+                "pip_engine_insert_copies_total",
+                "Inserts that copied their table or an index first, because a reader held it.",
             ),
             parse_seconds: r.histogram("pip_engine_parse_seconds", "SQL parse latency."),
             optimize_seconds: r.histogram(

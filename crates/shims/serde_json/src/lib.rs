@@ -153,14 +153,14 @@ impl serde::Serialize for Value {
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
 pub fn from_str(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
         depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(Error::parse(format!(
             "trailing characters at byte {}",
             p.pos
@@ -170,7 +170,9 @@ pub fn from_str(input: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The whole document; `pos` is a byte offset that always sits on a
+    /// char boundary (it only steps over ASCII bytes or whole chars).
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
@@ -180,7 +182,7 @@ const MAX_DEPTH: usize = 128;
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -190,7 +192,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), Error> {
@@ -206,7 +208,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_lit(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text[self.pos..].starts_with(lit) {
             self.pos += lit.len();
             true
         } else {
@@ -329,8 +331,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::parse("non-utf8 number"))?;
+        let text = &self.text[start..self.pos];
         // Validate it is a real number now so accessors can't surprise.
         text.parse::<f64>()
             .map_err(|_| Error::parse(format!("malformed number '{text}'")))?;
@@ -387,11 +388,9 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is &str, so
-                    // boundaries are valid; find the char at this byte).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::parse("non-utf8 string content"))?;
-                    let c = rest.chars().next().unwrap();
+                    // Decode only the char at `pos`, so a parse stays
+                    // linear in the document's length.
+                    let c = self.text[self.pos..].chars().next().expect("peeked a byte");
                     if (c as u32) < 0x20 {
                         return Err(Error::parse("unescaped control character"));
                     }
@@ -405,11 +404,10 @@ impl<'a> Parser<'a> {
     /// Four hex digits of a `\u` escape (cursor past them on return).
     fn hex4(&mut self) -> Result<u32, Error> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(Error::parse("truncated \\u escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| Error::parse("non-utf8 \\u escape"))?;
+        let s = self
+            .text
+            .get(self.pos..end)
+            .ok_or_else(|| Error::parse("truncated or non-hex \\u escape"))?;
         let code = u32::from_str_radix(s, 16).map_err(|_| Error::parse("bad \\u escape"))?;
         self.pos = end;
         Ok(code)
@@ -465,6 +463,41 @@ mod tests {
         assert_eq!(from_str("\"\\u00e9\"").unwrap().as_str(), Some("é"));
         assert_eq!(from_str("\"\\ud83d\\ude00\"").unwrap().as_str(), Some("😀"));
         assert!(from_str("\"\\ud83d\"").is_err());
+    }
+
+    #[test]
+    fn raw_multibyte_characters() {
+        assert_eq!(from_str("\"é\"").unwrap().as_str(), Some("é"));
+        assert_eq!(from_str("\"a😀b\"").unwrap().as_str(), Some("a😀b"));
+        // A multibyte char as the document's very last string byte.
+        let v = from_str("[\"x\", \"ü😀\"]").unwrap();
+        assert_eq!(v.as_array().unwrap()[1].as_str(), Some("ü😀"));
+        assert!(from_str("\"\\u00é\"").is_err());
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_document_length() {
+        fn doc(rows: usize) -> String {
+            let rows: Vec<String> = (0..rows)
+                .map(|i| format!(r#"{{"name":"row-{i}-é","v":{i}.5}}"#))
+                .collect();
+            format!("[{}]", rows.join(","))
+        }
+        fn best_of_3(text: &str) -> std::time::Duration {
+            (0..3)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    from_str(text).unwrap();
+                    t.elapsed()
+                })
+                .min()
+                .unwrap()
+        }
+        let (small, large) = (doc(2_000), doc(16_000));
+        let ratio = best_of_3(&large).as_secs_f64() / best_of_3(&small).as_secs_f64();
+        // Linear is about 8x; re-scanning the rest of the document per
+        // char (quadratic) is about 60x.
+        assert!(ratio < 24.0, "8x the document took {ratio:.1}x as long");
     }
 
     #[test]
