@@ -5,7 +5,6 @@
 //! reused by the CDF-bounded sampler (Section IV-A(b)) to restrict the
 //! uniform input range of inverse-CDF generation.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use pip_expr::VarKey;
@@ -70,10 +69,12 @@ impl fmt::Display for Interval {
     }
 }
 
-/// The bounds map `S` of Algorithm 3.2.
+/// The bounds map `S` of Algorithm 3.2: entries sorted by variable,
+/// looked up by binary search. No hashing, and iteration runs in key
+/// order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BoundsMap {
-    map: HashMap<VarKey, Interval>,
+    entries: Vec<(VarKey, Interval)>,
 }
 
 impl BoundsMap {
@@ -81,38 +82,58 @@ impl BoundsMap {
         Self::default()
     }
 
+    /// The map of `entries`, given in any order, each key once.
+    pub(crate) fn from_entries(mut entries: Vec<(VarKey, Interval)>) -> Self {
+        entries.sort_unstable_by_key(|e| e.0);
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "a key listed twice"
+        );
+        BoundsMap { entries }
+    }
+
+    fn find(&self, key: VarKey) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&key, |e| e.0)
+    }
+
     /// Bounds for `key` (unconstrained if absent).
     pub fn get(&self, key: VarKey) -> Interval {
-        self.map.get(&key).copied().unwrap_or_else(Interval::all)
+        match self.find(key) {
+            Ok(i) => self.entries[i].1,
+            Err(_) => Interval::all(),
+        }
     }
 
     pub fn set(&mut self, key: VarKey, iv: Interval) {
-        self.map.insert(key, iv);
+        match self.find(key) {
+            Ok(i) => self.entries[i].1 = iv,
+            Err(i) => self.entries.insert(i, (key, iv)),
+        }
     }
 
     /// Intersect the stored interval with `iv`; returns the result.
     pub fn tighten(&mut self, key: VarKey, iv: Interval) -> Interval {
-        let cur = self.get(key);
-        let next = cur.intersect(&iv);
-        self.map.insert(key, next);
+        let next = self.get(key).intersect(&iv);
+        self.set(key, next);
         next
     }
 
     /// True if any variable's interval became empty.
     pub fn any_empty(&self) -> bool {
-        self.map.values().any(Interval::is_empty)
+        self.entries.iter().any(|e| e.1.is_empty())
     }
 
+    /// Entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&VarKey, &Interval)> {
-        self.map.iter()
+        self.entries.iter().map(|(k, iv)| (k, iv))
     }
 
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 }
 
@@ -162,5 +183,21 @@ mod tests {
         m.tighten(k(1), Interval::new(6.0, 7.0));
         assert!(m.any_empty());
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn entries_stay_sorted() {
+        let mut m = BoundsMap::new();
+        for n in [5, 1, 3] {
+            m.tighten(k(n), Interval::new(0.0, n as f64));
+        }
+        let keys: Vec<u64> = m.iter().map(|(key, _)| key.id.0).collect();
+        assert_eq!(keys, [1, 3, 5]);
+        let built = BoundsMap::from_entries(vec![
+            (k(5), Interval::new(0.0, 5.0)),
+            (k(3), Interval::new(0.0, 3.0)),
+            (k(1), Interval::new(0.0, 1.0)),
+        ]);
+        assert_eq!(built, m);
     }
 }

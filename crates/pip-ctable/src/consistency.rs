@@ -13,8 +13,15 @@
 //! 3. an empty interval proves inconsistency (**strong** result); if any
 //!    atom had to be skipped (degree ≥ 2 or non-polynomial) a consistent
 //!    verdict is only **weak**.
+//!
+//! [`consistency_check`] partitions the condition itself;
+//! [`consistency_of_groups`] is steps 2–3 over a partition the caller
+//! already holds — the expectation operator's, which also carries the
+//! expression's variables — so a row is partitioned once. Each atom is
+//! linearised once ([`pip_expr::Atom::linear_form`]) and the bounds map is
+//! a sorted list: nothing is hashed, and every sum runs in a fixed order.
 
-use pip_expr::{independent_groups, CmpOp, Conjunction, Truth, VarGroup};
+use pip_expr::{independent_groups, Atom, CmpOp, Conjunction, Truth, VarGroup, VarKey};
 
 use crate::bounds::{BoundsMap, Interval};
 
@@ -52,7 +59,7 @@ const MAX_SWEEPS: usize = 64;
 /// Run Algorithm 3.2 on a (pre-simplified or raw) conjunction.
 pub fn consistency_check(condition: &Conjunction) -> Consistency {
     // Lines 1–3: constant-level simplification + discrete contradictions.
-    let (cond, truth) = condition.simplify();
+    let (cond, truth) = condition.simplified();
     match truth {
         Truth::False => return Consistency::Inconsistent,
         Truth::True => {
@@ -63,17 +70,31 @@ pub fn consistency_check(condition: &Conjunction) -> Consistency {
         }
         Truth::Unknown => {}
     }
+    consistency_of_groups(&independent_groups(&cond, &[]))
+}
 
-    // Lines 4–13: per-group interval propagation.
-    let mut bounds = BoundsMap::new();
+/// Lines 4–13 of Algorithm 3.2 over a simplified condition that is
+/// already partitioned: interval propagation per group that carries
+/// atoms, in order. Groups without atoms (a caller's extra variables)
+/// add nothing, and a group's bounds start from the supports of the
+/// variables its atoms mention, so `groups` may be
+/// `independent_groups(&condition, extra)` for any `extra` and the
+/// verdict, `strong` and every bound equal `consistency_check(&condition)`.
+/// The groups must share no variable, as `independent_groups` returns
+/// them.
+pub fn consistency_of_groups(groups: &[VarGroup]) -> Consistency {
+    let mut entries = Vec::new();
     let mut strong = true;
-    for group in independent_groups(&cond, &[]) {
-        match propagate_group(&group, &mut bounds) {
+    for group in groups.iter().filter(|g| !g.atoms.is_empty()) {
+        match propagate_group(group, &mut entries) {
             GroupVerdict::Empty => return Consistency::Inconsistent,
             GroupVerdict::Done { skipped } => strong &= !skipped,
         }
     }
-    Consistency::Consistent { strong, bounds }
+    Consistency::Consistent {
+        strong,
+        bounds: BoundsMap::from_entries(entries),
+    }
 }
 
 enum GroupVerdict {
@@ -81,57 +102,80 @@ enum GroupVerdict {
     Done { skipped: bool },
 }
 
-fn propagate_group(group: &VarGroup, bounds: &mut BoundsMap) -> GroupVerdict {
+/// One group's bounds, appended to `entries` sorted by key (the group's
+/// own segment; no other group's variable is read or written).
+fn propagate_group(group: &VarGroup, entries: &mut Vec<(VarKey, Interval)>) -> GroupVerdict {
     // Initialize with distribution support (a strict improvement over the
     // paper's [−∞,∞] start that costs nothing).
-    for v in &group.vars {
-        let (lo, hi) = v.class.support(&v.params);
-        bounds.tighten(v.key, Interval::new(lo, hi));
+    let start = entries.len();
+    for atom in &group.atoms {
+        atom.for_each_var(&mut |v| {
+            let (lo, hi) = v.class.support(&v.params);
+            entries.push((v.key, Interval::new(lo, hi)));
+        });
     }
-    if bounds.any_empty() {
+    entries[start..].sort_unstable_by_key(|e| e.0);
+    dedup_tail(entries, start);
+    let bounds = &mut entries[start..];
+    if bounds.iter().any(|e| e.1.is_empty()) {
         return GroupVerdict::Empty;
     }
+    let slot = |bounds: &[(VarKey, Interval)], key: VarKey| {
+        bounds
+            .binary_search_by_key(&key, |e| e.0)
+            .expect("every atom variable has bounds")
+    };
 
-    // Normalize each atom once: expr (op) 0 with affine expr.
-    let mut lin = Vec::new();
+    // Linearize each atom once: expr (op) 0 with affine expr.
     let mut skipped = false;
-    for atom in &group.atoms {
-        let (expr, op) = atom.normalized();
-        match (expr.linear_coeffs(), op) {
-            // Ne carries no interval information; Eq over continuous vars
-            // was already handled by simplify, and over discrete vars we
-            // treat it like Le ∧ Ge via two passes below.
-            (Some((coeffs, c)), CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge | CmpOp::Eq)
-                if !coeffs.is_empty() =>
-            {
-                lin.push((coeffs, c, op));
-            }
-            (_, CmpOp::Ne) => {}
-            _ => skipped = true,
+    let mut linear = |atom: &Atom| match (atom.linear_form(), atom.op) {
+        // Ne carries no interval information; Eq over continuous vars
+        // was already handled by simplify, and over discrete vars we
+        // treat it like Le ∧ Ge via two passes below.
+        (Some(form), CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge | CmpOp::Eq)
+            if !form.is_empty() =>
+        {
+            Some((form, atom.op))
         }
-    }
+        (_, CmpOp::Ne) => None,
+        _ => {
+            skipped = true;
+            None
+        }
+    };
+    // A one-atom group (a typical row's) needs no list.
+    let one;
+    let many: Vec<_>;
+    let lin = match group.atoms.as_slice() {
+        [atom] => {
+            one = linear(atom);
+            one.as_slice()
+        }
+        atoms => {
+            many = atoms.iter().filter_map(linear).collect();
+            many.as_slice()
+        }
+    };
 
     // Fixpoint sweeps (Algorithm 3.2 lines 6–12).
     for _ in 0..MAX_SWEEPS {
         let mut changed = false;
-        for (coeffs, c, op) in &lin {
+        for (form, op) in lin {
+            let (coeffs, c) = (form.terms(), form.constant);
             // tighten1: for each variable X with coefficient a, the atom
             //   a·X + Σ_j b_j·Y_j + c (op) 0
             // implies, using current bounds on the Y_j:
             //   X ≥ (−c − max Σ b_j·Y_j)/a  (a > 0, op ∈ {>, ≥, =})
             // and symmetrically for upper bounds.
-            for (&xk, &a) in coeffs.iter() {
-                if a == 0.0 {
-                    continue;
-                }
+            for &(xk, a) in coeffs {
                 // Extremes of the rest = c + Σ_{j≠X} b_j·Y_j.
-                let mut rest_min = *c;
-                let mut rest_max = *c;
-                for (&yk, &b) in coeffs.iter() {
-                    if yk == xk || b == 0.0 {
+                let mut rest_min = c;
+                let mut rest_max = c;
+                for &(yk, b) in coeffs {
+                    if yk == xk {
                         continue;
                     }
-                    let iv = bounds.get(yk);
+                    let iv = bounds[slot(bounds, yk)].1;
                     let (lo, hi) = if b > 0.0 {
                         (b * iv.lo, b * iv.hi)
                     } else {
@@ -163,11 +207,12 @@ fn propagate_group(group: &VarGroup, bounds: &mut BoundsMap) -> GroupVerdict {
                 if scaled.lo.is_nan() || scaled.hi.is_nan() {
                     continue;
                 }
-                let before = bounds.get(xk);
-                let after = bounds.tighten(xk, scaled);
-                if after != before {
+                let x = &mut bounds[slot(bounds, xk)].1;
+                let after = x.intersect(&scaled);
+                if after != *x {
                     changed = true;
                 }
+                *x = after;
                 if after.is_empty() {
                     return GroupVerdict::Empty;
                 }
@@ -178,6 +223,20 @@ fn propagate_group(group: &VarGroup, bounds: &mut BoundsMap) -> GroupVerdict {
         }
     }
     GroupVerdict::Done { skipped }
+}
+
+/// Collapse repeated keys in the sorted `entries[start..]` (a variable
+/// met in several atoms, each time with the same support).
+fn dedup_tail(entries: &mut Vec<(VarKey, Interval)>, start: usize) {
+    let mut kept = start;
+    for i in start..entries.len() {
+        if kept > start && entries[kept - 1].0 == entries[i].0 {
+            continue;
+        }
+        entries[kept] = entries[i];
+        kept += 1;
+    }
+    entries.truncate(kept);
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ pub use algebra::{
     union, SelectOutcome,
 };
 pub use bounds::{BoundsMap, Interval};
-pub use consistency::{consistency_check, Consistency};
+pub use consistency::{consistency_check, consistency_of_groups, Consistency};
 pub use ctable::{CRow, CTable};
 pub use explode::{discrete_domain, explode_discrete};
 pub use index::OrderedIndex;
@@ -43,7 +43,7 @@ pub mod prelude {
         select, union, SelectOutcome,
     };
     pub use crate::bounds::{BoundsMap, Interval};
-    pub use crate::consistency::{consistency_check, Consistency};
+    pub use crate::consistency::{consistency_check, consistency_of_groups, Consistency};
     pub use crate::ctable::{CRow, CTable};
     pub use crate::explode::{discrete_domain, explode_discrete};
     pub use crate::index::OrderedIndex;

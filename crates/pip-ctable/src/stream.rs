@@ -18,24 +18,23 @@ use crate::ctable::CRow;
 /// `Keep` passes the row through, `Drop` discards it, and `Conditional`
 /// conjoins the hoisted atoms to the row's condition and re-simplifies —
 /// rows whose condition collapses to `false` vanish, exactly as in
-/// [`crate::algebra::select`].
+/// [`crate::algebra::select`]. The atoms move into the condition; an
+/// already simplified result is not copied again.
 pub fn filter_row(row: CRow, outcome: SelectOutcome) -> Option<CRow> {
     match outcome {
         SelectOutcome::Keep => Some(row),
         SelectOutcome::Drop => None,
         SelectOutcome::Conditional(atoms) => {
-            let mut cond = row.condition;
-            for a in atoms {
-                cond = cond.and_atom(a);
-            }
+            let cond = row.condition.and_atoms(atoms);
             simplify_row_condition(cond).map(|cond| CRow::new(row.cells, cond))
         }
     }
 }
 
-/// π (generalized) on one row: replace the cells, keep the condition.
-pub fn map_row(row: &CRow, cells: Vec<Equation>) -> CRow {
-    CRow::new(cells, row.condition.clone())
+/// π (generalized) on one row: replace the cells, keep (move) the
+/// condition.
+pub fn map_row(row: CRow, cells: Vec<Equation>) -> CRow {
+    CRow::new(cells, row.condition)
 }
 
 /// × on one row pair: concatenate cells, conjoin conditions.
@@ -45,7 +44,8 @@ pub fn map_row(row: &CRow, cells: Vec<Equation>) -> CRow {
 pub fn join_rows(left: &CRow, right: &CRow) -> Option<CRow> {
     let cond = left.condition.and(&right.condition);
     simplify_row_condition(cond).map(|cond| {
-        let mut cells = left.cells.clone();
+        let mut cells = Vec::with_capacity(left.cells.len() + right.cells.len());
+        cells.extend(left.cells.iter().cloned());
         cells.extend(right.cells.iter().cloned());
         CRow::new(cells, cond)
     })
@@ -127,7 +127,7 @@ mod tests {
             vec![Equation::val(3.0)],
             Conjunction::single(atoms::gt(Equation::from(y), 0.0)),
         );
-        let mapped = map_row(&row, vec![Equation::val(6.0)]);
+        let mapped = map_row(row.clone(), vec![Equation::val(6.0)]);
         assert_eq!(mapped.condition, row.condition);
         assert_eq!(mapped.cells, vec![Equation::val(6.0)]);
     }

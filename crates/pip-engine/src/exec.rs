@@ -26,13 +26,14 @@ use pip_expr::Equation;
 use pip_ctable::{algebra, CRow, CTable};
 use pip_sampling::parallel::run_indexed;
 use pip_sampling::{
-    aconf, conf, expected_avg, expected_count, expected_max_const, expected_sum, SamplerConfig,
+    aconf, conf, expected_avg, expected_count, expected_max_const, expected_max_sampled,
+    expected_sum, SamplerConfig,
 };
 
 use crate::catalog::Database;
 use crate::physical::{self, OpProfile};
 use crate::plan::{AggFunc, Plan, ScalarExpr};
-use crate::rewrite::{compile_predicate, compile_scalar};
+use crate::rewrite::{compile_predicate, compile_scalar, compile_simplified};
 
 /// Wall-clock breakdown of one query execution.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -247,19 +248,19 @@ fn run(
 
 /// Compute one projection cell. A bare column reference is an identity
 /// projection — the cell is copied verbatim (no re-simplification);
-/// computed expressions compile and simplify. Both executors share this.
+/// computed expressions compile and simplify in one pass. Both executors
+/// share this.
 pub(crate) fn project_cell(
     expr: &ScalarExpr,
     schema: &Schema,
     cells: &[Equation],
     db: &Database,
 ) -> Result<Equation> {
-    let eq = compile_scalar(expr, schema, cells, db)?;
-    Ok(if matches!(expr, ScalarExpr::Column(_)) {
-        eq
+    if matches!(expr, ScalarExpr::Column(_)) {
+        compile_scalar(expr, schema, cells, db)
     } else {
-        eq.simplify()
-    })
+        compile_simplified(expr, schema, cells, db)
+    }
 }
 
 /// Static output type inference for projection expressions.
@@ -350,7 +351,20 @@ pub(crate) fn group_head_rows(
                 AggFunc::ExpectedCount => expected_count(part, cfg)?.value,
                 AggFunc::ExpectedAvg(col) => expected_avg(part, col, cfg)?.value,
                 AggFunc::ExpectedMax { column, precision } => {
-                    expected_max_const(part, column, cfg, *precision)?.value
+                    // Constant cells: the sorted scan of Example 4.4.
+                    // Symbolic ones: the per-world fallback of §IV-C, over
+                    // as many worlds as a fixed-budget probe draws.
+                    let idx = part.schema().index_of(column)?;
+                    if part
+                        .rows()
+                        .iter()
+                        .all(|r| r.cells[idx].as_const().is_some())
+                    {
+                        expected_max_const(part, column, cfg, *precision)?.value
+                    } else {
+                        let worlds = cfg.probe_budget() as usize;
+                        expected_max_sampled(part, column, cfg, worlds)?.value
+                    }
                 }
                 AggFunc::Conf => {
                     // Probability the group (the whole result, without

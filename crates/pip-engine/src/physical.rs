@@ -469,6 +469,7 @@ fn build_op<'a>(
                     l_key,
                     r_key,
                     build: None,
+                    key: Vec::new(),
                     probe: None,
                     candidates: Candidates::List(Vec::new()),
                     cand_pos: 0,
@@ -801,7 +802,7 @@ impl<'a> Operator<'a> for StageOp<'a> {
                             .iter()
                             .map(|(_, e)| project_cell(e, in_schema, &row.cells, self.db))
                             .collect::<Result<Vec<Equation>>>()?;
-                        row = map_row(&row, cells);
+                        row = map_row(row, cells);
                     }
                 }
             }
@@ -871,7 +872,7 @@ impl<'a> Operator<'a> for ProductOp<'a> {
 /// be probed pairwise (their equality becomes a condition atom).
 struct JoinBuild {
     rows: Vec<CRow>,
-    buckets: HashMap<Vec<Value>, Vec<usize>>,
+    buckets: HashMap<Vec<Value>, Arc<[usize]>>,
     symbolic: Vec<usize>,
 }
 
@@ -887,6 +888,8 @@ struct HashJoinOp<'a> {
     l_key: Vec<usize>,
     r_key: Vec<usize>,
     build: Option<JoinBuild>,
+    /// The probe row's key cells, reused from row to row.
+    key: Vec<Value>,
     probe: Option<CRow>,
     candidates: Candidates,
     cand_pos: usize,
@@ -899,6 +902,8 @@ enum Candidates {
     /// An explicit ascending index list (bucket merged with the
     /// symbolic-key rows).
     List(Vec<usize>),
+    /// A hash bucket as it stands (the build side has no symbolic key).
+    Bucket(Arc<[usize]>),
 }
 
 impl Candidates {
@@ -906,6 +911,7 @@ impl Candidates {
         match self {
             Candidates::All(n) => (pos < *n).then_some(pos),
             Candidates::List(v) => v.get(pos).copied(),
+            Candidates::Bucket(v) => v.get(pos).copied(),
         }
     }
 }
@@ -934,24 +940,26 @@ impl<'a> HashJoinOp<'a> {
         }
         self.build = Some(JoinBuild {
             rows,
-            buckets,
+            buckets: buckets.into_iter().map(|(k, v)| (k, v.into())).collect(),
             symbolic,
         });
         Ok(())
     }
 
     /// Candidate build-row indices for `probe`, ascending.
-    fn candidates_for(&self, probe: &CRow) -> Candidates {
+    fn candidates_for(&mut self, probe: &CRow) -> Candidates {
         let build = self.build.as_ref().expect("built");
-        let key: Option<Vec<Value>> = self
-            .l_key
-            .iter()
-            .map(|&k| probe.cells[k].as_const().cloned())
-            .collect();
-        match key {
-            None => Candidates::All(build.rows.len()),
-            Some(k) => {
-                let bucket = build.buckets.get(&k).map(Vec::as_slice).unwrap_or(&[]);
+        self.key.clear();
+        for &k in &self.l_key {
+            match probe.cells[k].as_const() {
+                Some(v) => self.key.push(v.clone()),
+                None => return Candidates::All(build.rows.len()),
+            }
+        }
+        match build.buckets.get(self.key.as_slice()) {
+            Some(bucket) if build.symbolic.is_empty() => Candidates::Bucket(Arc::clone(bucket)),
+            bucket => {
+                let bucket = bucket.map(|b| &b[..]).unwrap_or(&[]);
                 Candidates::List(merge_sorted(bucket, &build.symbolic))
             }
         }
@@ -981,14 +989,12 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
         self.build_side()?;
         loop {
             if self.probe.is_none() {
-                self.probe = self.left.next_row()?;
-                match &self.probe {
-                    None => return Ok(None),
-                    Some(p) => {
-                        self.candidates = self.candidates_for(p);
-                        self.cand_pos = 0;
-                    }
-                }
+                let Some(p) = self.left.next_row()? else {
+                    return Ok(None);
+                };
+                self.candidates = self.candidates_for(&p);
+                self.cand_pos = 0;
+                self.probe = Some(p);
             }
             let probe = self.probe.as_ref().expect("checked");
             let build = self.build.as_ref().expect("built");

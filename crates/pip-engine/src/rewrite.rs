@@ -48,6 +48,29 @@ pub fn compile_scalar(
     })
 }
 
+/// `compile_scalar(expr, …)?.simplify()` in one pass: each node is
+/// simplified as it is built from simplified operands, so a node that a
+/// rule removes is never allocated, and nothing already simplified (a
+/// stored cell) is copied deeper than its root.
+pub fn compile_simplified(
+    expr: &ScalarExpr,
+    schema: &Schema,
+    cells: &[Equation],
+    db: &Database,
+) -> Result<Equation> {
+    Ok(match expr {
+        ScalarExpr::Column(name) => cells[schema.index_of(name)?].simplify(),
+        ScalarExpr::Binary { op, left, right } => Equation::simplified_binary(
+            *op,
+            compile_simplified(left, schema, cells, db)?,
+            compile_simplified(right, schema, cells, db)?,
+        ),
+        ScalarExpr::Neg(e) => Equation::simplified_neg(compile_simplified(e, schema, cells, db)?),
+        // Leaves are their own simplified form.
+        other => compile_scalar(other, schema, cells, db)?,
+    })
+}
+
 /// Compile a predicate against a row: the CTYPE hoisting step.
 ///
 /// Deterministic comparisons are decided immediately (`Keep`/`Drop`);
@@ -87,8 +110,8 @@ fn collect_atoms(
             Ok(true)
         }
         ScalarExpr::Cmp { op, left, right } => {
-            let l = compile_scalar(left, schema, cells, db)?.simplify();
-            let r = compile_scalar(right, schema, cells, db)?.simplify();
+            let l = compile_simplified(left, schema, cells, db)?;
+            let r = compile_simplified(right, schema, cells, db)?;
             let atom = Atom::new(l, *op, r);
             match atom.const_truth() {
                 Some(true) => Ok(true),
@@ -169,6 +192,26 @@ mod tests {
         assert_eq!(eq.variables().len(), 1);
         let bad = ScalarExpr::col("nope");
         assert!(compile_scalar(&bad, &schema, &cells, &db).is_err());
+        assert!(compile_simplified(&bad, &schema, &cells, &db).is_err());
+        // One pass gives what compiling and then simplifying gives.
+        for e in [
+            e,
+            ScalarExpr::col("price").mul(ScalarExpr::lit(1.0)),
+            ScalarExpr::lit(2.0)
+                .mul(ScalarExpr::lit(3.0))
+                .add(ScalarExpr::col("price")),
+            ScalarExpr::Neg(Box::new(ScalarExpr::Neg(Box::new(ScalarExpr::col(
+                "price",
+            ))))),
+            ScalarExpr::col("price")
+                .sub(ScalarExpr::col("price"))
+                .mul(ScalarExpr::lit(0.0)),
+        ] {
+            assert_eq!(
+                compile_simplified(&e, &schema, &cells, &db).unwrap(),
+                compile_scalar(&e, &schema, &cells, &db).unwrap().simplify()
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::fmt;
 
 use pip_core::{Result, Value};
 
-use crate::equation::Equation;
+use crate::equation::{Equation, LinearForm};
 use crate::vars::{Assignment, RandomVar};
 
 /// Comparison operator of an atom.
@@ -145,10 +145,33 @@ impl Atom {
         out
     }
 
+    /// Call `f` on every variable occurrence, left side first.
+    pub fn for_each_var<'a>(&'a self, f: &mut impl FnMut(&'a RandomVar)) {
+        self.left.for_each_var(f);
+        self.right.for_each_var(f);
+    }
+
     /// Rewrite as `expr θ 0` (left minus right), simplified. The
     /// normalized form feeds the linear bounds propagation.
     pub fn normalized(&self) -> (Equation, CmpOp) {
         ((self.left.clone() - self.right.clone()).simplify(), self.op)
+    }
+
+    /// The affine form of `left − right`, as
+    /// `self.normalized().0.linear_coeffs()` returns it, bit for bit —
+    /// but without building the difference: over simplified sides,
+    /// simplifying `left − right` only drops a zero right side, so the
+    /// walk takes `left` at scale +1 and `right` at −1 directly. Any other
+    /// atom goes through the tree.
+    pub fn linear_form(&self) -> Option<LinearForm> {
+        let (l, r) = (&self.left, &self.right);
+        let both_const = l.as_const().is_some() && r.as_const().is_some();
+        if both_const || !l.is_simplified() || !r.is_simplified() {
+            return self.normalized().0.linear_coeffs();
+        }
+        let right_is_zero = r.as_const().and_then(|v| v.as_f64().ok()) == Some(0.0);
+        let mut form = LinearForm::default();
+        (form.add(l, 1.0) && (right_is_zero || form.add(r, -1.0))).then(|| form.finish())
     }
 
     /// Equality atom over continuous variables carries zero probability
@@ -159,7 +182,13 @@ impl Atom {
         self.op == CmpOp::Eq
             && !self.is_deterministic()
             && self.left != self.right
-            && self.variables().iter().any(|v| !v.is_discrete())
+            && self.has_continuous_var()
+    }
+
+    fn has_continuous_var(&self) -> bool {
+        let mut continuous = false;
+        self.for_each_var(&mut |v| continuous |= !v.is_discrete());
+        continuous
     }
 
     /// Dual of [`Atom::is_zero_measure_eq`]: `Y ≠ (·)` is almost surely
@@ -168,7 +197,7 @@ impl Atom {
         self.op == CmpOp::Ne
             && !self.is_deterministic()
             && self.left != self.right
-            && self.variables().iter().any(|v| !v.is_discrete())
+            && self.has_continuous_var()
     }
 }
 
@@ -288,9 +317,10 @@ mod tests {
         let atom = gt(Equation::from(v.clone()) * 2.0, 6.0);
         let (expr, op) = atom.normalized();
         assert_eq!(op, CmpOp::Gt);
-        let (coeffs, c) = expr.linear_coeffs().unwrap();
-        assert_eq!(coeffs[&v.key], 2.0);
-        assert_eq!(c, -6.0);
+        let form = expr.linear_coeffs().unwrap();
+        assert_eq!(form.coeff(v.key), Some(2.0));
+        assert_eq!(form.constant, -6.0);
+        assert_eq!(atom.linear_form(), Some(form));
     }
 
     #[test]

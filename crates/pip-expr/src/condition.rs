@@ -7,6 +7,7 @@
 //! of trivially-true/false atoms, and DNF manipulation (negation of a
 //! DNF back into DNF) for the difference operator.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use pip_core::Result;
@@ -65,9 +66,20 @@ impl Conjunction {
 
     /// Conjoin two conditions (cross product of rows).
     pub fn and(&self, other: &Conjunction) -> Conjunction {
-        let mut atoms = self.atoms.clone();
+        let mut atoms = Vec::with_capacity(self.atoms.len() + other.atoms.len());
+        atoms.extend_from_slice(&self.atoms);
         atoms.extend_from_slice(&other.atoms);
         Conjunction { atoms }
+    }
+
+    /// Conjoin `atoms`, moving them in (no copy of either side's atoms
+    /// when `self` is empty).
+    pub fn and_atoms(mut self, atoms: Vec<Atom>) -> Conjunction {
+        if self.atoms.is_empty() {
+            return Conjunction { atoms };
+        }
+        self.atoms.extend(atoms);
+        self
     }
 
     /// Constant-level simplification (paper Section III-C, cases 1–3):
@@ -81,6 +93,33 @@ impl Conjunction {
     /// Returns the simplified condition and its truth status. A `False`
     /// status means the caller should drop the row.
     pub fn simplify(&self) -> (Conjunction, Truth) {
+        let (c, truth) = self.simplified();
+        (c.into_owned(), truth)
+    }
+
+    /// [`Conjunction::simplify`] without copying a condition that is
+    /// already simplified — every atom kept as it is, as in a row the
+    /// query phase produced: then `Borrowed(self)`. Equal to
+    /// `simplify()` either way.
+    pub fn simplified(&self) -> (Cow<'_, Conjunction>, Truth) {
+        let unchanged = |a: &Atom| {
+            a.left.is_simplified()
+                && a.right.is_simplified()
+                && a.const_truth().is_none()
+                && !a.is_almost_surely_true_ne()
+                && !a.is_zero_measure_eq()
+        };
+        if !self.atoms.iter().all(unchanged) {
+            return self.simplify_atoms();
+        }
+        if discrete_contradiction(&self.atoms) {
+            return (Cow::Owned(Conjunction::top()), Truth::False);
+        }
+        (Cow::Borrowed(self), truth_of(&self.atoms))
+    }
+
+    fn simplify_atoms(&self) -> (Cow<'_, Conjunction>, Truth) {
+        let dead = (Cow::Owned(Conjunction::top()), Truth::False);
         let mut kept: Vec<Atom> = Vec::with_capacity(self.atoms.len());
         for atom in &self.atoms {
             let atom = Atom {
@@ -92,40 +131,21 @@ impl Conjunction {
                 if t {
                     continue; // true atom contributes nothing
                 }
-                return (Conjunction::top(), Truth::False);
+                return dead;
             }
             if atom.is_almost_surely_true_ne() {
                 continue;
             }
             if atom.is_zero_measure_eq() {
-                return (Conjunction::top(), Truth::False);
+                return dead;
             }
             kept.push(atom);
         }
-        // Discrete contradiction: X = c1 AND X = c2, c1 != c2.
-        for (i, a) in kept.iter().enumerate() {
-            if a.op != CmpOp::Eq {
-                continue;
-            }
-            if let (Equation::Var(v), Some(c1)) = (&a.left, a.right.as_const()) {
-                for b in &kept[i + 1..] {
-                    if b.op != CmpOp::Eq {
-                        continue;
-                    }
-                    if let (Equation::Var(w), Some(c2)) = (&b.left, b.right.as_const()) {
-                        if v.key == w.key && !c1.sql_eq(c2) {
-                            return (Conjunction::top(), Truth::False);
-                        }
-                    }
-                }
-            }
+        if discrete_contradiction(&kept) {
+            return dead;
         }
-        let truth = if kept.is_empty() {
-            Truth::True
-        } else {
-            Truth::Unknown
-        };
-        (Conjunction { atoms: kept }, truth)
+        let truth = truth_of(&kept);
+        (Cow::Owned(Conjunction { atoms: kept }), truth)
     }
 
     /// Evaluate the condition under a full assignment.
@@ -172,6 +192,37 @@ impl From<Atom> for Conjunction {
     fn from(atom: Atom) -> Self {
         Conjunction::single(atom)
     }
+}
+
+/// `True` for no atoms, `Unknown` otherwise.
+fn truth_of(atoms: &[Atom]) -> Truth {
+    if atoms.is_empty() {
+        Truth::True
+    } else {
+        Truth::Unknown
+    }
+}
+
+/// Discrete contradiction: `X = c1 AND X = c2` with `c1 != c2`.
+fn discrete_contradiction(atoms: &[Atom]) -> bool {
+    for (i, a) in atoms.iter().enumerate() {
+        if a.op != CmpOp::Eq {
+            continue;
+        }
+        if let (Equation::Var(v), Some(c1)) = (&a.left, a.right.as_const()) {
+            for b in &atoms[i + 1..] {
+                if b.op != CmpOp::Eq {
+                    continue;
+                }
+                if let (Equation::Var(w), Some(c2)) = (&b.left, b.right.as_const()) {
+                    if v.key == w.key && !c1.sql_eq(c2) {
+                        return true;
+                    }
+                }
+            }
+        }
+    }
+    false
 }
 
 /// Disjunctive normal form: an OR of conjunctions.
@@ -288,10 +339,13 @@ impl fmt::Display for Dnf {
 /// Helper for code that conditionally drops rows: fold a freshly built
 /// condition, returning `None` when the row is statically dead.
 pub fn simplify_row_condition(cond: Conjunction) -> Option<Conjunction> {
-    let (c, t) = cond.simplify();
-    match t {
-        Truth::False => None,
-        _ => Some(c),
+    let (c, t) = cond.simplified();
+    if t == Truth::False {
+        return None;
+    }
+    match c {
+        Cow::Owned(c) => Some(c),
+        Cow::Borrowed(_) => Some(cond),
     }
 }
 

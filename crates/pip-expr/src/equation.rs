@@ -4,6 +4,7 @@
 //! so the paper — and this crate — uses "equation" and "random variable"
 //! interchangeably.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops;
 use std::sync::Arc;
@@ -128,19 +129,11 @@ impl Equation {
 
     /// Append every distinct variable occurring in the tree to `out`.
     pub fn collect_vars(&self, out: &mut Vec<RandomVar>) {
-        match self {
-            Equation::Const(_) => {}
-            Equation::Var(v) => {
-                if !out.iter().any(|o| o.key == v.key) {
-                    out.push(v.clone());
-                }
+        self.for_each_var(&mut |v| {
+            if !out.iter().any(|o| o.key == v.key) {
+                out.push(v.clone());
             }
-            Equation::Binary { left, right, .. } => {
-                left.collect_vars(out);
-                right.collect_vars(out);
-            }
-            Equation::Unary { expr, .. } => expr.collect_vars(out),
-        }
+        });
     }
 
     /// All distinct variables in the tree.
@@ -182,114 +175,115 @@ impl Equation {
     /// Bottom-up constant folding plus neutral-element elimination
     /// (`x+0`, `x*1`, `x*0 → 0`, `--x → x`).
     pub fn simplify(&self) -> Equation {
+        self.simplified().into_owned()
+    }
+
+    /// [`Equation::simplify`] without copying what is already simplified:
+    /// `Borrowed(self)` when no rule applies anywhere in the tree (see
+    /// [`Equation::is_simplified`]), and an owned tree that reuses every
+    /// unchanged subtree otherwise. The result equals `simplify()`.
+    pub fn simplified(&self) -> Cow<'_, Equation> {
         match self {
-            Equation::Const(_) | Equation::Var(_) => self.clone(),
+            Equation::Const(_) | Equation::Var(_) => Cow::Borrowed(self),
             Equation::Unary {
                 op: UnOp::Neg,
                 expr,
             } => {
-                let e = expr.simplify();
-                match e {
-                    Equation::Const(v) => match v.as_f64() {
-                        Ok(x) => Equation::val(-x),
-                        Err(_) => Equation::Const(v).neg(),
+                let e = expr.simplified();
+                match neg_rewrite(&e) {
+                    Rewrite::Value(x) => Cow::Owned(Equation::val(x)),
+                    Rewrite::Keep if unchanged(&e, expr) => Cow::Borrowed(self),
+                    Rewrite::Keep => Cow::Owned(e.into_owned().neg()),
+                    // `--x → x`: `e` is a negation.
+                    _ => match e {
+                        Cow::Borrowed(Equation::Unary { expr: inner, .. }) => Cow::Borrowed(inner),
+                        Cow::Owned(Equation::Unary { expr: inner, .. }) => {
+                            Cow::Owned(Arc::unwrap_or_clone(inner))
+                        }
+                        _ => unreachable!("neg_rewrite unwraps only a negation"),
                     },
-                    Equation::Unary {
-                        op: UnOp::Neg,
-                        expr,
-                    } => (*expr).clone(),
-                    other => other.neg(),
                 }
             }
             Equation::Binary { op, left, right } => {
-                let l = left.simplify();
-                let r = right.simplify();
-                // Constant folding when both sides folded to numerics.
-                if let (Some(lv), Some(rv)) = (l.as_const(), r.as_const()) {
-                    if let (Ok(lf), Ok(rf)) = (lv.as_f64(), rv.as_f64()) {
-                        if let Ok(folded) = op.apply(lf, rf) {
-                            return Equation::val(folded);
-                        }
+                let (l, r) = (left.simplified(), right.simplified());
+                match binary_rewrite(*op, &l, &r) {
+                    Rewrite::Value(x) => Cow::Owned(Equation::val(x)),
+                    Rewrite::Left => l,
+                    Rewrite::Right => r,
+                    Rewrite::Keep if unchanged(&l, left) && unchanged(&r, right) => {
+                        Cow::Borrowed(self)
                     }
-                }
-                let is_zero = |e: &Equation| matches!(e.as_const().and_then(|v| v.as_f64().ok()), Some(x) if x == 0.0);
-                let is_one = |e: &Equation| matches!(e.as_const().and_then(|v| v.as_f64().ok()), Some(x) if x == 1.0);
-                match op {
-                    BinOp::Add if is_zero(&l) => r,
-                    BinOp::Add | BinOp::Sub if is_zero(&r) => l,
-                    BinOp::Mul if is_one(&l) => r,
-                    BinOp::Mul | BinOp::Div if is_one(&r) => l,
-                    BinOp::Mul if is_zero(&l) || is_zero(&r) => Equation::val(0.0),
-                    _ => Equation::binary(*op, l, r),
+                    Rewrite::Keep => {
+                        Cow::Owned(Equation::binary(*op, l.into_owned(), r.into_owned()))
+                    }
                 }
             }
         }
     }
 
+    /// True when [`Equation::simplify`] would return this tree unchanged
+    /// (it is idempotent, so every simplified tree is). Allocates nothing.
+    pub fn is_simplified(&self) -> bool {
+        match self {
+            Equation::Const(_) | Equation::Var(_) => true,
+            Equation::Unary { expr, .. } => {
+                expr.is_simplified() && matches!(neg_rewrite(expr), Rewrite::Keep)
+            }
+            Equation::Binary { op, left, right } => {
+                left.is_simplified()
+                    && right.is_simplified()
+                    && matches!(binary_rewrite(*op, left, right), Rewrite::Keep)
+            }
+        }
+    }
+
+    /// `Equation::binary(op, l, r).simplify()` for operands that are
+    /// already simplified, without building the node when a rule removes
+    /// it: compiling and simplifying an expression in one pass.
+    pub fn simplified_binary(op: BinOp, l: Equation, r: Equation) -> Equation {
+        match binary_rewrite(op, &l, &r) {
+            Rewrite::Value(x) => Equation::val(x),
+            Rewrite::Left => l,
+            Rewrite::Right => r,
+            Rewrite::Keep => Equation::binary(op, l, r),
+        }
+    }
+
+    /// `e.neg().simplify()` for an already simplified `e`.
+    pub fn simplified_neg(e: Equation) -> Equation {
+        match (neg_rewrite(&e), e) {
+            (Rewrite::Value(x), _) => Equation::val(x),
+            (Rewrite::Keep, e) => e.neg(),
+            (_, Equation::Unary { expr, .. }) => Arc::unwrap_or_clone(expr),
+            _ => unreachable!("neg_rewrite unwraps only a negation"),
+        }
+    }
+
     /// If the equation is an *affine* (degree-1) polynomial
-    /// `c + Σ aᵢ·Xᵢ`, return `(coefficients, constant)`; otherwise `None`.
+    /// `c + Σ aᵢ·Xᵢ`, return its [`LinearForm`]; otherwise `None`.
     ///
     /// This is what `tighten1` in Algorithm 3.2 consumes. Products of two
     /// variable-bearing subtrees, or division *by* a variable, make the
-    /// expression non-affine.
-    pub fn linear_coeffs(&self) -> Option<(std::collections::HashMap<VarKey, f64>, f64)> {
-        use std::collections::HashMap;
-        fn go(eq: &Equation, scale: f64, coeffs: &mut HashMap<VarKey, f64>, c: &mut f64) -> bool {
-            match eq {
-                Equation::Const(v) => match v.as_f64() {
-                    Ok(x) => {
-                        *c += scale * x;
-                        true
-                    }
-                    Err(_) => false,
-                },
-                Equation::Var(v) => {
-                    *coeffs.entry(v.key).or_insert(0.0) += scale;
-                    true
-                }
-                Equation::Unary {
-                    op: UnOp::Neg,
-                    expr,
-                } => go(expr, -scale, coeffs, c),
-                Equation::Binary { op, left, right } => match op {
-                    BinOp::Add => go(left, scale, coeffs, c) && go(right, scale, coeffs, c),
-                    BinOp::Sub => go(left, scale, coeffs, c) && go(right, -scale, coeffs, c),
-                    BinOp::Mul => {
-                        // One side must be deterministic.
-                        if left.is_deterministic() {
-                            match left.simplify().as_const().and_then(|v| v.as_f64().ok()) {
-                                Some(k) => go(right, scale * k, coeffs, c),
-                                None => false,
-                            }
-                        } else if right.is_deterministic() {
-                            match right.simplify().as_const().and_then(|v| v.as_f64().ok()) {
-                                Some(k) => go(left, scale * k, coeffs, c),
-                                None => false,
-                            }
-                        } else {
-                            false
-                        }
-                    }
-                    BinOp::Div => {
-                        if right.is_deterministic() {
-                            match right.simplify().as_const().and_then(|v| v.as_f64().ok()) {
-                                Some(k) if k != 0.0 => go(left, scale / k, coeffs, c),
-                                _ => false,
-                            }
-                        } else {
-                            false
-                        }
-                    }
-                },
+    /// expression non-affine. The coefficients come in the order their
+    /// variables first appear in the tree (left to right), accumulated
+    /// per occurrence in that order; nothing is hashed, so the form — and
+    /// every sum over it — is the same bits on every run.
+    pub fn linear_coeffs(&self) -> Option<LinearForm> {
+        let mut form = LinearForm::default();
+        form.add(self, 1.0).then(|| form.finish())
+    }
+
+    /// Call `f` on every variable occurrence, left to right (repeats
+    /// included).
+    pub fn for_each_var<'a>(&'a self, f: &mut impl FnMut(&'a RandomVar)) {
+        match self {
+            Equation::Const(_) => {}
+            Equation::Var(v) => f(v),
+            Equation::Binary { left, right, .. } => {
+                left.for_each_var(f);
+                right.for_each_var(f);
             }
-        }
-        let mut coeffs = HashMap::new();
-        let mut c = 0.0;
-        if go(self, 1.0, &mut coeffs, &mut c) {
-            coeffs.retain(|_, v| *v != 0.0);
-            Some((coeffs, c))
-        } else {
-            None
+            Equation::Unary { expr, .. } => expr.for_each_var(f),
         }
     }
 
@@ -317,6 +311,233 @@ impl Equation {
                 }
             }
         }
+    }
+}
+
+/// What [`Equation::simplify`] does at one node whose children are
+/// already simplified.
+enum Rewrite {
+    /// No rule applies: the node stays.
+    Keep,
+    /// The node folds to this constant.
+    Value(f64),
+    /// The node is its (simplified) left operand — for a negation, the
+    /// operand of the inner negation.
+    Left,
+    /// The node is its (simplified) right operand.
+    Right,
+}
+
+/// True when simplifying `child` gave `child` itself — not a copy, and
+/// not a subtree of it that a rule below borrowed.
+fn unchanged(simplified: &Equation, child: &Equation) -> bool {
+    std::ptr::eq(simplified, child)
+}
+
+fn numeric(e: &Equation) -> Option<f64> {
+    e.as_const().and_then(|v| v.as_f64().ok())
+}
+
+/// Constant folding when both sides are numeric, then the neutral
+/// elements `0 + x`, `x ± 0`, `1 · x`, `x · 1`, `x / 1` and `x · 0 → 0`.
+fn binary_rewrite(op: BinOp, l: &Equation, r: &Equation) -> Rewrite {
+    if let (Some(lf), Some(rf)) = (numeric(l), numeric(r)) {
+        if let Ok(folded) = op.apply(lf, rf) {
+            return Rewrite::Value(folded);
+        }
+    }
+    let is_zero = |e: &Equation| numeric(e) == Some(0.0);
+    let is_one = |e: &Equation| numeric(e) == Some(1.0);
+    match op {
+        BinOp::Add if is_zero(l) => Rewrite::Right,
+        BinOp::Add | BinOp::Sub if is_zero(r) => Rewrite::Left,
+        BinOp::Mul if is_one(l) => Rewrite::Right,
+        BinOp::Mul | BinOp::Div if is_one(r) => Rewrite::Left,
+        BinOp::Mul if is_zero(l) || is_zero(r) => Rewrite::Value(0.0),
+        _ => Rewrite::Keep,
+    }
+}
+
+/// `-c` folds, `--x → x`.
+fn neg_rewrite(e: &Equation) -> Rewrite {
+    match e {
+        Equation::Const(_) => match numeric(e) {
+            Some(x) => Rewrite::Value(-x),
+            None => Rewrite::Keep,
+        },
+        Equation::Unary { op: UnOp::Neg, .. } => Rewrite::Left,
+        _ => Rewrite::Keep,
+    }
+}
+
+/// An affine form `c + Σ aᵢ·Xᵢ` ([`Equation::linear_coeffs`],
+/// [`crate::Atom::linear_form`]): the non-zero coefficients in
+/// first-appearance order, and the constant. A form of up to four terms
+/// is held in place, so linearising a row's atom allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LinearForm {
+    terms: Terms,
+    /// The constant term `c`.
+    pub constant: f64,
+}
+
+/// Terms held in place.
+const INLINE_TERMS: usize = 4;
+
+/// The terms of a [`LinearForm`]: in place while they fit, on the heap
+/// past that.
+#[derive(Debug, Clone)]
+enum Terms {
+    Inline(usize, [(VarKey, f64); INLINE_TERMS]),
+    Heap(Vec<(VarKey, f64)>),
+}
+
+impl Default for Terms {
+    fn default() -> Self {
+        let unused = VarKey {
+            id: crate::vars::VarId(0),
+            subscript: 0,
+        };
+        Terms::Inline(0, [(unused, 0.0); INLINE_TERMS])
+    }
+}
+
+impl PartialEq for Terms {
+    fn eq(&self, other: &Terms) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Terms {
+    fn as_slice(&self) -> &[(VarKey, f64)] {
+        match self {
+            Terms::Inline(n, items) => &items[..*n],
+            Terms::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(VarKey, f64)] {
+        match self {
+            Terms::Inline(n, items) => &mut items[..*n],
+            Terms::Heap(v) => v,
+        }
+    }
+
+    fn push(&mut self, term: (VarKey, f64)) {
+        match self {
+            Terms::Inline(n, items) if *n < INLINE_TERMS => {
+                items[*n] = term;
+                *n += 1;
+            }
+            Terms::Inline(_, items) => {
+                let mut v = items.to_vec();
+                v.push(term);
+                *self = Terms::Heap(v);
+            }
+            Terms::Heap(v) => v.push(term),
+        }
+    }
+
+    /// Keep the terms `keep` accepts, in order.
+    fn retain(&mut self, keep: impl Fn(&(VarKey, f64)) -> bool) {
+        match self {
+            Terms::Inline(n, items) => {
+                let mut kept = 0;
+                for i in 0..*n {
+                    if keep(&items[i]) {
+                        items[kept] = items[i];
+                        kept += 1;
+                    }
+                }
+                *n = kept;
+            }
+            Terms::Heap(v) => v.retain(keep),
+        }
+    }
+}
+
+impl LinearForm {
+    /// `(variable, coefficient)` pairs, non-zero, in first-appearance
+    /// order.
+    pub fn terms(&self) -> &[(VarKey, f64)] {
+        self.terms.as_slice()
+    }
+
+    /// The coefficient of `key`, if it has a non-zero one.
+    pub fn coeff(&self, key: VarKey) -> Option<f64> {
+        self.terms()
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, a)| a)
+    }
+
+    pub fn len(&self) -> usize {
+        self.terms().len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.terms().is_empty()
+    }
+
+    /// Add `scale · eq`; false when `eq` is not affine.
+    pub(crate) fn add(&mut self, eq: &Equation, scale: f64) -> bool {
+        match eq {
+            Equation::Const(v) => match v.as_f64() {
+                Ok(x) => {
+                    self.constant += scale * x;
+                    true
+                }
+                Err(_) => false,
+            },
+            Equation::Var(v) => {
+                match self
+                    .terms
+                    .as_mut_slice()
+                    .iter_mut()
+                    .find(|(k, _)| *k == v.key)
+                {
+                    Some((_, a)) => *a += scale,
+                    None => self.terms.push((v.key, 0.0 + scale)),
+                }
+                true
+            }
+            Equation::Unary {
+                op: UnOp::Neg,
+                expr,
+            } => self.add(expr, -scale),
+            Equation::Binary { op, left, right } => match op {
+                BinOp::Add => self.add(left, scale) && self.add(right, scale),
+                BinOp::Sub => self.add(left, scale) && self.add(right, -scale),
+                // One side must be deterministic.
+                BinOp::Mul if left.is_deterministic() => match folded(left) {
+                    Some(k) => self.add(right, scale * k),
+                    None => false,
+                },
+                BinOp::Mul if right.is_deterministic() => match folded(right) {
+                    Some(k) => self.add(left, scale * k),
+                    None => false,
+                },
+                BinOp::Div if right.is_deterministic() => match folded(right) {
+                    Some(k) if k != 0.0 => self.add(left, scale / k),
+                    _ => false,
+                },
+                BinOp::Mul | BinOp::Div => false,
+            },
+        }
+    }
+
+    /// Drop the coefficients that cancelled to zero.
+    pub(crate) fn finish(mut self) -> LinearForm {
+        self.terms.retain(|&(_, a)| a != 0.0);
+        self
+    }
+}
+
+/// The numeric value a deterministic subtree simplifies to, if any.
+fn folded(e: &Equation) -> Option<f64> {
+    match e {
+        Equation::Const(_) => numeric(e),
+        other => numeric(&other.simplify()),
     }
 }
 
@@ -463,7 +684,28 @@ mod tests {
         let e = Equation::val(1.0) * Equation::from(v.clone());
         assert_eq!(e.simplify(), Equation::from(v.clone()));
         let e = -(-Equation::from(v.clone()));
-        assert_eq!(e.simplify(), Equation::from(v));
+        assert_eq!(e.simplify(), Equation::from(v.clone()));
+        // Rules below the root rebuild the nodes above them.
+        let w = Equation::from(x());
+        for (e, want) in [
+            (
+                -(-Equation::from(v.clone())) + w.clone(),
+                Equation::from(v.clone()) + w.clone(),
+            ),
+            (
+                (Equation::from(v.clone()) * 1.0) * w.clone(),
+                Equation::from(v.clone()) * w.clone(),
+            ),
+            (
+                -(Equation::from(v.clone()) + 0.0),
+                -Equation::from(v.clone()),
+            ),
+        ] {
+            assert!(!e.is_simplified());
+            assert_eq!(e.simplify(), want);
+            assert!(want.is_simplified());
+            assert!(matches!(want.simplified(), Cow::Borrowed(s) if std::ptr::eq(s, &want)));
+        }
     }
 
     #[test]
@@ -481,10 +723,13 @@ mod tests {
         let w = x();
         // 3v - 2w/4 + 7
         let eq = Equation::from(v.clone()) * 3.0 - Equation::from(w.clone()) * 2.0 / 4.0 + 7.0;
-        let (coeffs, c) = eq.linear_coeffs().unwrap();
-        assert_eq!(coeffs[&v.key], 3.0);
-        assert_eq!(coeffs[&w.key], -0.5);
-        assert_eq!(c, 7.0);
+        let form = eq.linear_coeffs().unwrap();
+        assert_eq!(form.terms(), &[(v.key, 3.0), (w.key, -0.5)]);
+        assert_eq!(form.coeff(w.key), Some(-0.5));
+        assert_eq!(form.constant, 7.0);
+        // A coefficient that cancels leaves the form.
+        let gone = Equation::from(v.clone()) + Equation::from(w.clone()) - Equation::from(v);
+        assert_eq!(gone.linear_coeffs().unwrap().terms(), &[(w.key, 1.0)]);
     }
 
     #[test]

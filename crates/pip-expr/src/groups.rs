@@ -34,6 +34,7 @@ impl VarGroup {
 }
 
 /// Union-find over a dense index space.
+#[derive(Default)]
 struct Dsu {
     parent: Vec<usize>,
 }
@@ -64,15 +65,69 @@ impl Dsu {
     /// numbered by their first member, so the numbering is a pure
     /// function of the element order.
     fn classes(&mut self) -> (Vec<usize>, usize) {
-        let mut root_to_class: HashMap<usize, usize> = HashMap::new();
-        let class_of = (0..self.parent.len())
-            .map(|x| {
-                let root = self.find(x);
-                let next = root_to_class.len();
-                *root_to_class.entry(root).or_insert(next)
-            })
-            .collect();
-        (class_of, root_to_class.len())
+        // Indexed by element: a root's slot holds its class number, and
+        // every other slot its element's class once it is visited.
+        let mut class = vec![usize::MAX; self.parent.len()];
+        let mut n = 0;
+        for x in 0..self.parent.len() {
+            let root = self.find(x);
+            if class[root] == usize::MAX {
+                class[root] = n;
+                n += 1;
+            }
+            class[x] = class[root];
+        }
+        (class, n)
+    }
+}
+
+/// The variables of one partition. Each distinct [`VarId`] gets a dense
+/// index in order of appearance, found by a scan while there are few (a
+/// row condition has one to a handful) and through a hash index past
+/// that, so long conjunctions stay linear; the union-find runs over those
+/// indices.
+#[derive(Default)]
+struct Interned<'a> {
+    /// Per id index: the key the id first appeared with.
+    ids: Vec<&'a RandomVar>,
+    /// Further keys (other subscripts) of known ids, in order of
+    /// appearance — empty unless a multivariate variable shows up.
+    others: Vec<&'a RandomVar>,
+    hashed: HashMap<VarId, usize>,
+    dsu: Dsu,
+}
+
+impl<'a> Interned<'a> {
+    const SCAN: usize = 16;
+
+    fn find(&mut self, id: VarId) -> Option<usize> {
+        if self.ids.len() <= Self::SCAN {
+            return self.ids.iter().position(|o| o.key.id == id);
+        }
+        if self.hashed.is_empty() {
+            self.hashed = (self.ids.iter().enumerate())
+                .map(|(i, o)| (o.key.id, i))
+                .collect();
+        }
+        self.hashed.get(&id).copied()
+    }
+
+    /// The id index of `v`.
+    fn intern(&mut self, v: &'a RandomVar) -> usize {
+        if let Some(i) = self.find(v.key.id) {
+            let known = self.ids[i].key == v.key || self.others.iter().any(|o| o.key == v.key);
+            if !known {
+                self.others.push(v);
+            }
+            return i;
+        }
+        let i = self.ids.len();
+        self.ids.push(v);
+        self.dsu.parent.push(i);
+        if !self.hashed.is_empty() {
+            self.hashed.insert(v.key.id, i);
+        }
+        i
     }
 }
 
@@ -81,62 +136,55 @@ impl Dsu {
 /// Extra variables that the caller needs grouped but that appear in no
 /// atom (e.g. variables in the target expression of an expectation) can be
 /// passed in `extra_vars`; each lands in its own singleton group unless an
-/// atom connects it.
+/// atom connects it. The atoms' variables are numbered before the extras,
+/// so the groups that carry atoms come first, in the same order and with
+/// the same atoms as `independent_groups(condition, &[])` gives.
+///
+/// Groups are numbered by their first variable in order of appearance;
+/// a group's variables are listed by id in that order (the keys of one
+/// id in order of appearance), its atoms in condition order.
 pub fn independent_groups(condition: &Conjunction, extra_vars: &[RandomVar]) -> Vec<VarGroup> {
-    // Map each distinct VarId to a dense index.
-    let mut id_index: HashMap<VarId, usize> = HashMap::new();
-    let mut id_vars: Vec<Vec<RandomVar>> = Vec::new(); // all keys per id
-    let intern =
-        |v: &RandomVar, id_index: &mut HashMap<VarId, usize>, id_vars: &mut Vec<Vec<RandomVar>>| {
-            let idx = *id_index.entry(v.key.id).or_insert_with(|| {
-                id_vars.push(Vec::new());
-                id_vars.len() - 1
-            });
-            if !id_vars[idx].iter().any(|o| o.key == v.key) {
-                id_vars[idx].push(v.clone());
+    let atoms = condition.atoms();
+    let mut vars = Interned::default();
+    for atom in atoms {
+        let mut first = None;
+        atom.for_each_var(&mut |v| {
+            let i = vars.intern(v);
+            match first {
+                None => first = Some(i),
+                Some(f) => vars.dsu.union(f, i),
             }
-            idx
-        };
-
-    let atom_vars: Vec<Vec<usize>> = condition
-        .atoms()
-        .iter()
-        .map(|a| {
-            a.variables()
-                .iter()
-                .map(|v| intern(v, &mut id_index, &mut id_vars))
-                .collect()
-        })
-        .collect();
+        });
+    }
     for v in extra_vars {
-        intern(v, &mut id_index, &mut id_vars);
+        vars.intern(v);
     }
+    let (group_of, n_groups) = vars.dsu.classes();
 
-    let n = id_vars.len();
-    let mut dsu = Dsu::new(n);
-    for vars in &atom_vars {
-        for w in vars.windows(2) {
-            dsu.union(w[0], w[1]);
-        }
-    }
-
-    let (group_of, n_groups) = dsu.classes();
     let mut groups: Vec<VarGroup> = (0..n_groups)
         .map(|_| VarGroup {
             atoms: Vec::new(),
             vars: Vec::new(),
         })
         .collect();
-    for (vars, &g) in id_vars.iter().zip(&group_of) {
-        groups[g].vars.extend(vars.iter().cloned());
+    for (v, &g) in vars.ids.iter().zip(&group_of) {
+        let vs = &mut groups[g].vars;
+        vs.push((*v).clone());
+        let same_id = |o: &&&RandomVar| o.key.id == v.key.id;
+        vs.extend(vars.others.iter().filter(same_id).map(|o| (*o).clone()));
     }
-    for (atom, vars) in condition.atoms().iter().zip(&atom_vars) {
-        if let Some(&first) = vars.first() {
-            groups[group_of[first]].atoms.push(atom.clone());
-        }
+    for atom in atoms {
+        let mut first = None;
+        atom.for_each_var(&mut |v| {
+            first = first.or(Some(v.key.id));
+        });
         // Atoms with no variables were simplified away upstream; if one
         // survives (caller skipped simplify) it holds in every world and
         // can be ignored for grouping purposes.
+        if let Some(id) = first {
+            let i = vars.find(id).expect("interned above");
+            groups[group_of[i]].atoms.push(atom.clone());
+        }
     }
     groups
 }

@@ -33,7 +33,7 @@ pub mod vars;
 
 pub use atom::{atoms, Atom, CmpOp};
 pub use condition::{simplify_row_condition, Conjunction, Dnf, Truth};
-pub use equation::{BinOp, Equation, UnOp};
+pub use equation::{BinOp, Equation, LinearForm, UnOp};
 pub use groups::{independent_components, independent_groups, VarGroup};
 pub use slots::SlotMap;
 pub use vars::{Assignment, RandomVar, VarId, VarKey};
@@ -42,7 +42,7 @@ pub use vars::{Assignment, RandomVar, VarId, VarKey};
 pub mod prelude {
     pub use crate::atom::{atoms, Atom, CmpOp};
     pub use crate::condition::{simplify_row_condition, Conjunction, Dnf, Truth};
-    pub use crate::equation::{BinOp, Equation, UnOp};
+    pub use crate::equation::{BinOp, Equation, LinearForm, UnOp};
     pub use crate::groups::{independent_components, independent_groups, VarGroup};
     pub use crate::slots::SlotMap;
     pub use crate::vars::{Assignment, RandomVar, VarId, VarKey};

@@ -135,7 +135,7 @@ impl SamplerConfig {
 
     /// Candidate draws of a fixed-budget acceptance probe (`P[group]`
     /// without a closed form).
-    pub(crate) fn probe_budget(&self) -> u64 {
+    pub fn probe_budget(&self) -> u64 {
         self.max_samples.max(self.min_samples).max(1) as u64
     }
 

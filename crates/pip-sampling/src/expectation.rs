@@ -3,16 +3,19 @@
 //! Given an expression `E` and a context condition `C`, compute
 //! `E[E | C]` (and optionally `P[C]`) with ε–δ precision:
 //!
-//! 1. run the consistency check; an inconsistent context yields
-//!    `(NAN, 0)` immediately;
-//! 2. partition `C` into minimal independent variable groups; only groups
-//!    sharing variables with `E` need to be sampled inside the averaging
-//!    loop. If none of them carries an atom, `E` is independent of `C`,
-//!    and an affine `E` over classes with a mean is answered in closed
-//!    form — `E[E | C] = E[E]` by linearity, `P[C]` as in step 5 — with
-//!    no loop, no expression tape and no kernel for its groups (the
-//!    paper's Example 3.1: a price independent of the shipping-duration
-//!    condition). Nothing below is built until a row needs it;
+//! 1–2. in one pass over the row (`group`): simplify `C` once (not at
+//!    all when the query phase already did), partition it once into
+//!    minimal independent variable groups together with `E`'s variables,
+//!    and run the consistency check over that partition's atom groups
+//!    (each atom linearised once, no hashing); an inconsistent context
+//!    yields `(NAN, 0)` immediately. Only groups sharing variables with
+//!    `E` need to be sampled inside the averaging loop. If none of them
+//!    carries an atom, `E` is independent of `C`, and an affine `E` over
+//!    classes with a mean is answered in closed form — `E[E | C] = E[E]`
+//!    by linearity, `P[C]` as in step 5 — with no loop, no expression
+//!    tape and no kernel for its groups (the paper's Example 3.1: a price
+//!    independent of the shipping-duration condition). Nothing below is
+//!    built until a row needs it;
 //! 3. per group pick a strategy: CDF-bounded inverse transform when
 //!    bounds + capabilities allow, else rejection, escalating to
 //!    Metropolis past the rejection threshold;
@@ -25,9 +28,9 @@
 
 use pip_core::Result;
 use pip_dist::{mix64, rng_from_seed, PipRng};
-use pip_expr::{independent_groups, Conjunction, Equation, SlotMap, VarGroup};
+use pip_expr::{independent_groups, Conjunction, Equation, RandomVar, SlotMap, VarGroup};
 
-use pip_ctable::{consistency_check, BoundsMap, Consistency};
+use pip_ctable::{consistency_check, consistency_of_groups, BoundsMap, Consistency};
 
 use crate::blocks::{compile_expr, serial_blocked, serial_per_sample, serial_samples};
 use crate::config::SamplerConfig;
@@ -77,13 +80,12 @@ impl ExpectationResult {
 }
 
 /// Consistency + grouping (lines 1–10) before anything is built: the
-/// simplified condition's independent variable groups and which of them
-/// share a variable with the expression.
+/// simplified condition's independent variable groups, the bounds, and
+/// the expression's variables (which say what each group is relevant to).
 pub(crate) struct Grouping {
     groups: Vec<VarGroup>,
-    /// Indices of the groups relevant to the expression.
-    relevant: Vec<usize>,
     bounds: BoundsMap,
+    expr_vars: Vec<RandomVar>,
 }
 
 /// A prepared operator: one sampler per independent group (a
@@ -98,29 +100,42 @@ pub(crate) struct Prepared<S = GroupKernel> {
     pub(crate) slots: SlotMap,
 }
 
-/// Consistency + grouping (lines 1–10); `None` when the condition holds
-/// in no world.
+/// Consistency + grouping (lines 1–10) in one pass over the row: the
+/// condition is simplified once and partitioned once, together with the
+/// expression's variables, and Algorithm 3.2 propagates bounds over the
+/// partition's atom groups (the same groups, atoms and bounds
+/// `consistency_check` derives on its own). `None` when the condition
+/// holds in no world.
 pub(crate) fn group(
     expr: &Equation,
     condition: &Conjunction,
     cfg: &SamplerConfig,
 ) -> Option<Grouping> {
-    let (condition, truth) = condition.simplify();
+    let (condition, truth) = condition.simplified();
     if truth == pip_expr::Truth::False {
         return None;
     }
-    let bounds = if cfg.use_consistency {
-        match consistency_check(&condition) {
-            Consistency::Inconsistent => return None,
-            Consistency::Consistent { bounds, .. } => bounds,
-        }
-    } else {
-        BoundsMap::new()
-    };
     let expr_vars = expr.variables();
-    let groups = if cfg.use_independence {
-        independent_groups(&condition, &expr_vars)
+    let (groups, bounds) = if cfg.use_independence {
+        let groups = independent_groups(&condition, &expr_vars);
+        let bounds = if cfg.use_consistency {
+            match consistency_of_groups(&groups) {
+                Consistency::Inconsistent => return None,
+                Consistency::Consistent { bounds, .. } => bounds,
+            }
+        } else {
+            BoundsMap::new()
+        };
+        (groups, bounds)
     } else {
+        let bounds = if cfg.use_consistency {
+            match consistency_check(&condition) {
+                Consistency::Inconsistent => return None,
+                Consistency::Consistent { bounds, .. } => bounds,
+            }
+        } else {
+            BoundsMap::new()
+        };
         // Ablation: one monolithic group holding everything.
         let mut vars = condition.variables();
         for v in &expr_vars {
@@ -128,38 +143,41 @@ pub(crate) fn group(
                 vars.push(v.clone());
             }
         }
-        if vars.is_empty() && condition.atoms().is_empty() {
+        let groups = if vars.is_empty() && condition.atoms().is_empty() {
             Vec::new()
         } else {
             vec![VarGroup {
                 atoms: condition.atoms().to_vec(),
                 vars,
             }]
-        }
+        };
+        (groups, bounds)
     };
-    let expr_ids: Vec<_> = expr_vars.iter().map(|v| v.key.id).collect();
-    let relevant = (0..groups.len())
-        .filter(|&i| groups[i].touches(&expr_ids))
-        .collect();
     Some(Grouping {
         groups,
-        relevant,
         bounds,
+        expr_vars,
     })
 }
 
 impl Grouping {
+    /// True if group `g` shares a variable with the expression.
+    fn relevant(&self, g: &VarGroup) -> bool {
+        g.vars
+            .iter()
+            .any(|v| self.expr_vars.iter().any(|e| e.key.id == v.key.id))
+    }
+
     /// `build` turns each group into its sampler, interning the groups'
     /// variables into one slot layout in group order.
     pub(crate) fn build<S>(
         self,
         mut build: impl FnMut(VarGroup, &BoundsMap, &mut SlotMap) -> S,
     ) -> Prepared<S> {
-        let Grouping {
-            groups,
-            relevant,
-            bounds,
-        } = self;
+        let relevant = (0..self.groups.len())
+            .filter(|&i| self.relevant(&self.groups[i]))
+            .collect();
+        let Grouping { groups, bounds, .. } = self;
         let mut slots = SlotMap::new();
         let samplers = groups
             .into_iter()
@@ -190,13 +208,13 @@ impl Grouping {
         mut probe: impl FnMut(&VarGroup, &BoundsMap, &mut PipRng, u64) -> Result<f64>,
     ) -> Result<Option<ExpectationResult>> {
         if self
-            .relevant
+            .groups
             .iter()
-            .any(|&i| !self.groups[i].atoms.is_empty())
+            .any(|g| !g.atoms.is_empty() && self.relevant(g))
         {
             return Ok(None);
         }
-        let Some(expectation) = linear_exact(expr, cfg)? else {
+        let Some(expectation) = linear_exact(expr, &self.expr_vars, cfg)? else {
             return Ok(None);
         };
         let mut probability = f64::NAN;
@@ -235,26 +253,33 @@ pub(crate) fn rng_for_site(cfg: &SamplerConfig, site: u64) -> PipRng {
 
 /// Closed-form mean by linearity of expectation: an affine expression
 /// `c + Σ aᵢXᵢ` has mean `c + Σ aᵢ·E[Xᵢ]` whenever every class exposes
-/// its mean, summed in the order the variables first appear in `expr` (so
-/// the bits do not depend on hashing). A constant is its own mean (a
-/// non-numeric one is the type error); any other expression takes the
-/// shortcut only under `use_exact_cdf`, the switch of every closed form.
-/// `None`: not affine, or a class without a mean.
-pub(crate) fn linear_exact(expr: &Equation, cfg: &SamplerConfig) -> Result<Option<f64>> {
+/// its mean, summed in the order the variables first appear in `expr` (the
+/// order of its [`pip_expr::LinearForm`], so the bits do not depend on
+/// hashing). `vars` are `expr`'s variables, which carry the classes. A
+/// constant is its own mean (a non-numeric one is the type error); any
+/// other expression takes the shortcut only under `use_exact_cdf`, the
+/// switch of every closed form. `None`: not affine, or a class without a
+/// mean.
+pub(crate) fn linear_exact(
+    expr: &Equation,
+    vars: &[RandomVar],
+    cfg: &SamplerConfig,
+) -> Result<Option<f64>> {
     if let Some(v) = expr.as_const() {
         return v.as_f64().map(Some);
     }
     if !cfg.use_exact_cdf {
         return Ok(None);
     }
-    let Some((coeffs, c)) = expr.linear_coeffs() else {
+    let Some(form) = expr.linear_coeffs() else {
         return Ok(None);
     };
-    let mut mean = c;
-    for v in expr.variables() {
-        let Some(a) = coeffs.get(&v.key) else {
-            continue; // the coefficient cancelled to 0
-        };
+    let mut mean = form.constant;
+    for &(key, a) in form.terms() {
+        let v = vars
+            .iter()
+            .find(|v| v.key == key)
+            .expect("a variable of expr");
         match v.class.mean(&v.params) {
             Some(m) => mean += a * m,
             None => return Ok(None),
@@ -273,7 +298,7 @@ pub fn expectation(
     cfg: &SamplerConfig,
     site: u64,
 ) -> Result<ExpectationResult> {
-    let expr = expr.simplify();
+    let expr = expr.simplified();
     let Some(grouping) = group(&expr, condition, cfg) else {
         return Ok(ExpectationResult::nan(want_probability));
     };

@@ -16,10 +16,10 @@
 //!   the configured threshold (Algorithm 4.3 lines 19–24): the kernel
 //!   hands its group to [`crate::metropolis`] in place.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use pip_expr::{CmpOp, RandomVar, VarGroup, VarKey};
+use pip_expr::{CmpOp, LinearForm, RandomVar, VarGroup, VarKey};
 
 use pip_ctable::{BoundsMap, Interval};
 
@@ -131,19 +131,23 @@ fn cdf_below(v: &RandomVar, lo: f64) -> Option<f64> {
     }
 }
 
+/// The `(Xᵢ, dᵢ)` of a scalar `Σ dᵢ·Xᵢ`.
+type Direction = Vec<(VarKey, f64)>;
+
 /// The scalar `S = Σ dᵢ·Xᵢ` an exact group's atoms all constrain, as
-/// `(S, d)` with `d` in `group.vars` order:
+/// `(S, d)` with `d` in `group.vars` order — `d = None` when `S` is the
+/// group's single variable itself (`d = 1`, nothing derived):
 ///
-/// * a single-variable group is its variable, `d = 1`;
+/// * a single-variable group is its variable;
 /// * several *independent* `Normal`s reduce along the first atom's
 ///   affine coefficients to the derived `Normal(Σdᵢμᵢ, √Σdᵢ²σᵢ²)` — a
 ///   linear combination of independent Normals is Normal.
 ///
 /// The derived variable exists only to carry `(class, params)` into the
 /// CDF helpers: it is never sampled and its key never looked up.
-fn exact_scalar(group: &VarGroup) -> Option<(RandomVar, Vec<(VarKey, f64)>)> {
+fn exact_scalar(group: &VarGroup) -> Option<(Cow<'_, RandomVar>, Option<Direction>)> {
     if let [v] = group.vars.as_slice() {
-        return Some((v.clone(), vec![(v.key, 1.0)]));
+        return Some((Cow::Borrowed(v), None));
     }
     // Components of one joint variable (equal id) are dependent.
     let independent_normals = group.vars.iter().enumerate().all(|(i, v)| {
@@ -152,11 +156,12 @@ fn exact_scalar(group: &VarGroup) -> Option<(RandomVar, Vec<(VarKey, f64)>)> {
     if !independent_normals {
         return None;
     }
-    let (coeffs, _) = group.atoms.first()?.normalized().0.linear_coeffs()?;
-    // Summed in `group.vars` order (never map order): bit-reproducible.
+    let form = group.atoms.first()?.linear_form()?;
+    // Summed in `group.vars` order (never the form's order): the same
+    // bits whatever order the atom names its variables in.
     let (mut dir, mut mean, mut variance) = (Vec::new(), 0.0, 0.0);
     for v in &group.vars {
-        if let Some(&d) = coeffs.get(&v.key) {
+        if let Some(d) = form.coeff(v.key) {
             dir.push((v.key, d));
             mean += d * v.class.mean(&v.params)?;
             variance += d * d * v.class.variance(&v.params)?;
@@ -168,39 +173,40 @@ fn exact_scalar(group: &VarGroup) -> Option<(RandomVar, Vec<(VarKey, f64)>)> {
         class: Arc::clone(&first.class),
         params: Arc::from([mean, variance.sqrt()]),
     };
-    (!dir.is_empty()).then_some((derived, dir))
+    (!dir.is_empty()).then_some((Cow::Owned(derived), Some(dir)))
 }
 
 /// The `a` with `coeffs = a·dir` exactly (same variables, one common
 /// ratio — non-zero, as both sides hold non-zero coefficients only);
 /// `None` when the atom is not parallel to `dir`.
-fn parallel_scale(coeffs: &HashMap<VarKey, f64>, dir: &[(VarKey, f64)]) -> Option<f64> {
+fn parallel_scale(coeffs: &LinearForm, dir: &[(VarKey, f64)]) -> Option<f64> {
     let &(k0, d0) = dir.first()?;
-    let a = *coeffs.get(&k0)? / d0;
+    let a = coeffs.coeff(k0)? / d0;
     let parallel = coeffs.len() == dir.len()
         && dir
             .iter()
-            .all(|(key, d)| coeffs.get(key).is_some_and(|&c| c == a * d));
+            .all(|&(key, d)| coeffs.coeff(key).is_some_and(|c| c == a * d));
     parallel.then_some(a)
 }
 
 /// Exact interval of an affine constraint set over one scalar (see
 /// [`exact_scalar`]), honouring strictness on the integer grid for
 /// discrete variables.
-fn exact_interval(group: &VarGroup) -> Option<(RandomVar, Interval)> {
-    let (v, dir) = exact_scalar(group)?;
+fn exact_interval(group: &VarGroup) -> Option<(Cow<'_, RandomVar>, Interval)> {
+    let (v, combo) = exact_scalar(group)?;
+    let single = [(v.key, 1.0)];
+    let dir = combo.as_deref().unwrap_or(&single);
     let discrete = v.is_discrete();
     let mut iv = {
         let (lo, hi) = v.class.support(&v.params);
         Interval::new(lo, hi)
     };
     for atom in &group.atoms {
-        let (expr, op) = atom.normalized();
-        let (coeffs, c) = expr.linear_coeffs()?;
-        let a = parallel_scale(&coeffs, &dir)?;
+        let form = atom.linear_form()?;
+        let a = parallel_scale(&form, dir)?;
         // a·s + c (op) 0  →  s (op') t
-        let t = -c / a;
-        let op = if a < 0.0 { op.flip() } else { op };
+        let t = -form.constant / a;
+        let op = if a < 0.0 { atom.op.flip() } else { atom.op };
         let bound = match op {
             CmpOp::Gt => {
                 let lo = if discrete { grid_above(t) } else { t };

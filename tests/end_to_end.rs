@@ -259,3 +259,37 @@ fn expected_max_via_sql() {
     let r = sql::run(&db, "SELECT expected_max(v) FROM t", &cfg).unwrap();
     assert_eq!(scalar_result(&r).unwrap(), 5.0);
 }
+
+#[test]
+fn expected_max_over_symbolic_cells_is_clarks_closed_form() {
+    // E[max(X₁, X₂)] for independent Normals (Clark 1961):
+    // μ₁Φ(α) + μ₂Φ(−α) + θφ(α), θ = √(σ₁² + σ₂²), α = (μ₁ − μ₂)/θ.
+    let (db, cfg) = setup();
+    let (m1, s1, m2, s2): (f64, f64, f64, f64) = (1.0, 2.0, 0.5, 1.0);
+    sql::run(&db, "CREATE TABLE n (x SYMBOLIC)", &cfg).unwrap();
+    sql::run(
+        &db,
+        &format!(
+            "INSERT INTO n VALUES (create_variable('Normal', {m1:?}, {s1:?})), \
+             (create_variable('Normal', {m2:?}, {s2:?}))"
+        ),
+        &cfg,
+    )
+    .unwrap();
+    let theta = (s1 * s1 + s2 * s2).sqrt();
+    let alpha = (m1 - m2) / theta;
+    let truth = m1 * special::normal_cdf(alpha)
+        + m2 * special::normal_cdf(-alpha)
+        + theta * special::normal_pdf(alpha);
+    let r = sql::run(&db, "SELECT expected_max(x) FROM n", &cfg).unwrap();
+    let got = scalar_result(&r).unwrap();
+    // The mean of `worlds` per-world maxima; max is 1-Lipschitz in each
+    // argument, so Var[max] ≤ σ₁² + σ₂² (Efron–Stein): five standard
+    // errors.
+    let worlds = cfg.probe_budget() as f64;
+    let tolerance = 5.0 * ((s1 * s1 + s2 * s2) / worlds).sqrt();
+    assert!(
+        (got - truth).abs() < tolerance,
+        "{got} vs {truth} (± {tolerance})"
+    );
+}

@@ -92,7 +92,12 @@ fn unknown_aggregate_and_function() {
         "unknown function",
     );
     expect_err(&db, &cfg, "SELECT expected_sum() FROM t", "unexpected");
-    expect_err(&db, &cfg, "SELECT expected_max(x) FROM t", "expected_max");
+    expect_err(
+        &db,
+        &cfg,
+        "SELECT expected_max(x, 'p') FROM t",
+        "expected_max",
+    );
 }
 
 #[test]
