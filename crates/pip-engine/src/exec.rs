@@ -33,7 +33,7 @@ use pip_sampling::{
 use crate::catalog::Database;
 use crate::physical::{self, OpProfile};
 use crate::plan::{AggFunc, Plan, ScalarExpr};
-use crate::rewrite::{compile_predicate, compile_scalar, compile_simplified};
+use crate::rewrite::{compile_predicate, compile_scalar};
 
 /// Wall-clock breakdown of one query execution.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -135,7 +135,7 @@ fn run(
             let out = algebra::map(&t, out_schema, |cells| {
                 exprs
                     .iter()
-                    .map(|(_, e)| project_cell(e, &in_schema, cells, db))
+                    .map(|(_, e)| compile_scalar(e, &in_schema, cells, db))
                     .collect()
             })?;
             stats.query_secs += start.elapsed().as_secs_f64();
@@ -246,23 +246,6 @@ fn run(
     }
 }
 
-/// Compute one projection cell. A bare column reference is an identity
-/// projection — the cell is copied verbatim (no re-simplification);
-/// computed expressions compile and simplify in one pass. Both executors
-/// share this.
-pub(crate) fn project_cell(
-    expr: &ScalarExpr,
-    schema: &Schema,
-    cells: &[Equation],
-    db: &Database,
-) -> Result<Equation> {
-    if matches!(expr, ScalarExpr::Column(_)) {
-        compile_scalar(expr, schema, cells, db)
-    } else {
-        compile_simplified(expr, schema, cells, db)
-    }
-}
-
 /// Static output type inference for projection expressions.
 pub(crate) fn output_type(expr: &ScalarExpr, schema: &Schema) -> DataType {
     match expr {
@@ -351,9 +334,12 @@ pub(crate) fn group_head_rows(
                 AggFunc::ExpectedCount => expected_count(part, cfg)?.value,
                 AggFunc::ExpectedAvg(col) => expected_avg(part, col, cfg)?.value,
                 AggFunc::ExpectedMax { column, precision } => {
-                    // Constant cells: the sorted scan of Example 4.4.
-                    // Symbolic ones: the per-world fallback of §IV-C, over
-                    // as many worlds as a fixed-budget probe draws.
+                    // Constant cells: the sorted scan of Example 4.4,
+                    // which stops once a row can add no more than
+                    // `precision`. Symbolic ones: the per-world fallback
+                    // of §IV-C, over as many worlds as a fixed-budget
+                    // probe draws; it has no such stop, so a precision
+                    // there is refused rather than ignored.
                     let idx = part.schema().index_of(column)?;
                     if part
                         .rows()
@@ -361,6 +347,11 @@ pub(crate) fn group_head_rows(
                         .all(|r| r.cells[idx].as_const().is_some())
                     {
                         expected_max_const(part, column, cfg, *precision)?.value
+                    } else if *precision != 0.0 {
+                        return Err(PipError::Unsupported(format!(
+                            "expected_max precision applies to constant cells only; \
+                             '{column}' has symbolic cells, so omit it"
+                        )));
                     } else {
                         let worlds = cfg.probe_budget() as usize;
                         expected_max_sampled(part, column, cfg, worlds)?.value

@@ -37,9 +37,9 @@ use pip_ctable::{algebra, filter_row, join_rows, map_row, CRow, CTable, OrderedI
 use pip_sampling::{ConfStream, SamplerConfig, StreamingGroups};
 
 use crate::catalog::Database;
-use crate::exec::{aggregate_schema, group_head_rows, output_type, project_cell};
+use crate::exec::{aggregate_schema, group_head_rows, output_type};
 use crate::plan::{AggFunc, Plan, ScalarExpr};
-use crate::rewrite::compile_predicate;
+use crate::rewrite::{compile_predicate, compile_scalar};
 
 /// Execution profile of one physical operator (inclusive timings).
 #[derive(Debug, Clone, PartialEq)]
@@ -471,8 +471,7 @@ fn build_op<'a>(
                     build: None,
                     key: Vec::new(),
                     probe: None,
-                    candidates: Candidates::List(Vec::new()),
-                    cand_pos: 0,
+                    candidates: JoinCandidates::All(0),
                 },
                 schema,
                 format!("HashJoin: {} (build=right)", pairs.join(" AND ")),
@@ -800,7 +799,7 @@ impl<'a> Operator<'a> for StageOp<'a> {
                     Transform::Map { exprs, in_schema } => {
                         let cells = exprs
                             .iter()
-                            .map(|(_, e)| project_cell(e, in_schema, &row.cells, self.db))
+                            .map(|(_, e)| compile_scalar(e, in_schema, &row.cells, self.db))
                             .collect::<Result<Vec<Equation>>>()?;
                         row = map_row(row, cells);
                     }
@@ -872,8 +871,58 @@ impl<'a> Operator<'a> for ProductOp<'a> {
 /// be probed pairwise (their equality becomes a condition atom).
 struct JoinBuild {
     rows: Vec<CRow>,
-    buckets: HashMap<Vec<Value>, Arc<[usize]>>,
+    /// Ascending build-row indices per distinct constant key.
+    buckets: Vec<Vec<usize>>,
+    /// Which bucket holds a key.
+    bucket_of: HashMap<Vec<Value>, usize>,
     symbolic: Vec<usize>,
+}
+
+impl JoinBuild {
+    /// The next candidate for one probe row, in build order: every build
+    /// row, or a bucket merged with the symbolic-key rows by two cursors.
+    fn next_candidate(&self, cands: &mut JoinCandidates) -> Option<usize> {
+        match cands {
+            JoinCandidates::All(pos) => {
+                let idx = *pos;
+                (idx < self.rows.len()).then(|| {
+                    *pos += 1;
+                    idx
+                })
+            }
+            JoinCandidates::Merge { bucket, i, j } => {
+                let a = bucket.map_or(&[][..], |b| &self.buckets[b][..]);
+                match (a.get(*i), self.symbolic.get(*j)) {
+                    (Some(&x), Some(&y)) if y < x => {
+                        *j += 1;
+                        Some(y)
+                    }
+                    (Some(&x), _) => {
+                        *i += 1;
+                        Some(x)
+                    }
+                    (None, Some(&y)) => {
+                        *j += 1;
+                        Some(y)
+                    }
+                    (None, None) => None,
+                }
+            }
+        }
+    }
+}
+
+/// Where [`JoinBuild::next_candidate`] stands for one probe row.
+enum JoinCandidates {
+    /// The probe key has a symbolic cell: every build row, from this one.
+    All(usize),
+    /// The probe key's bucket (`None`: no build row has that key) at
+    /// cursor `i`, merged with the symbolic-key rows at cursor `j`.
+    Merge {
+        bucket: Option<usize>,
+        i: usize,
+        j: usize,
+    },
 }
 
 /// Equi-join as build (right) / probe (left) hash join.
@@ -891,19 +940,15 @@ struct HashJoinOp<'a> {
     /// The probe row's key cells, reused from row to row.
     key: Vec<Value>,
     probe: Option<CRow>,
-    candidates: Candidates,
-    cand_pos: usize,
+    candidates: JoinCandidates,
 }
 
-/// Candidate build rows for one probe row, in build order.
+/// Candidate rows for one probe row of the index join, in base order.
 enum Candidates {
-    /// Every build row (the probe key has a symbolic cell).
+    /// Every base row (the probe key has a symbolic cell).
     All(usize),
-    /// An explicit ascending index list (bucket merged with the
-    /// symbolic-key rows).
+    /// An explicit ascending index list.
     List(Vec<usize>),
-    /// A hash bucket as it stands (the build side has no symbolic key).
-    Bucket(Arc<[usize]>),
 }
 
 impl Candidates {
@@ -911,7 +956,6 @@ impl Candidates {
         match self {
             Candidates::All(n) => (pos < *n).then_some(pos),
             Candidates::List(v) => v.get(pos).copied(),
-            Candidates::Bucket(v) => v.get(pos).copied(),
         }
     }
 }
@@ -925,7 +969,8 @@ impl<'a> HashJoinOp<'a> {
         while let Some(r) = self.right.next_row()? {
             rows.push(r);
         }
-        let mut buckets: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        let mut buckets: Vec<Vec<usize>> = Vec::new();
+        let mut bucket_of: HashMap<Vec<Value>, usize> = HashMap::new();
         let mut symbolic = Vec::new();
         for (i, row) in rows.iter().enumerate() {
             let key: Option<Vec<Value>> = self
@@ -934,54 +979,41 @@ impl<'a> HashJoinOp<'a> {
                 .map(|&k| row.cells[k].as_const().cloned())
                 .collect();
             match key {
-                Some(k) => buckets.entry(k).or_default().push(i),
+                Some(k) => {
+                    let b = *bucket_of.entry(k).or_insert_with(|| {
+                        buckets.push(Vec::new());
+                        buckets.len() - 1
+                    });
+                    buckets[b].push(i);
+                }
                 None => symbolic.push(i),
             }
         }
         self.build = Some(JoinBuild {
             rows,
-            buckets: buckets.into_iter().map(|(k, v)| (k, v.into())).collect(),
+            buckets,
+            bucket_of,
             symbolic,
         });
         Ok(())
     }
 
-    /// Candidate build-row indices for `probe`, ascending.
-    fn candidates_for(&mut self, probe: &CRow) -> Candidates {
+    /// Candidate build rows for `probe`, ascending.
+    fn candidates_for(&mut self, probe: &CRow) -> JoinCandidates {
         let build = self.build.as_ref().expect("built");
         self.key.clear();
         for &k in &self.l_key {
             match probe.cells[k].as_const() {
                 Some(v) => self.key.push(v.clone()),
-                None => return Candidates::All(build.rows.len()),
+                None => return JoinCandidates::All(0),
             }
         }
-        match build.buckets.get(self.key.as_slice()) {
-            Some(bucket) if build.symbolic.is_empty() => Candidates::Bucket(Arc::clone(bucket)),
-            bucket => {
-                let bucket = bucket.map(|b| &b[..]).unwrap_or(&[]);
-                Candidates::List(merge_sorted(bucket, &build.symbolic))
-            }
+        JoinCandidates::Merge {
+            bucket: build.bucket_of.get(self.key.as_slice()).copied(),
+            i: 0,
+            j: 0,
         }
     }
-}
-
-/// Merge two ascending index lists into one ascending list.
-fn merge_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] < b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 impl<'a> Operator<'a> for HashJoinOp<'a> {
@@ -993,14 +1025,12 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
                     return Ok(None);
                 };
                 self.candidates = self.candidates_for(&p);
-                self.cand_pos = 0;
                 self.probe = Some(p);
             }
             let probe = self.probe.as_ref().expect("checked");
             let build = self.build.as_ref().expect("built");
-            'cands: while let Some(idx) = self.candidates.get(self.cand_pos) {
+            'cands: while let Some(idx) = build.next_candidate(&mut self.candidates) {
                 let r = &build.rows[idx];
-                self.cand_pos += 1;
                 // Conjoin conditions first (product), then decide keys
                 // (select) — the exact order of the algebraic definition.
                 let Some(joined) = join_rows(probe, r) else {
@@ -1428,9 +1458,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_sorted_interleaves() {
-        assert_eq!(merge_sorted(&[0, 3, 5], &[1, 2, 4]), vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(merge_sorted(&[], &[1]), vec![1]);
-        assert_eq!(merge_sorted(&[7], &[]), vec![7]);
+    fn join_candidates_merge_bucket_and_symbolic_rows() {
+        let build = JoinBuild {
+            rows: Vec::new(),
+            buckets: vec![vec![0, 3, 5], vec![7]],
+            bucket_of: HashMap::new(),
+            symbolic: vec![1, 2, 4],
+        };
+        let walk = |bucket| {
+            let mut c = JoinCandidates::Merge { bucket, i: 0, j: 0 };
+            std::iter::from_fn(|| build.next_candidate(&mut c)).collect::<Vec<_>>()
+        };
+        assert_eq!(walk(Some(0)), vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(walk(Some(1)), vec![1, 2, 4, 7]);
+        assert_eq!(walk(None), vec![1, 2, 4]);
     }
 }

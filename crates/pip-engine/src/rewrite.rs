@@ -18,41 +18,26 @@ use crate::plan::ScalarExpr;
 
 /// Compile a scalar (value) expression into an [`Equation`] over a row's
 /// cells. `CREATE_VARIABLE` allocates a fresh variable per invocation.
+///
+/// A bare column reference is an identity projection: its cell is copied
+/// verbatim. Anything else is compiled and simplified in one pass, each
+/// node built from simplified operands, so the result equals compiling
+/// the tree and then calling [`Equation::simplify`], and a node a rule
+/// removes is never allocated.
 pub fn compile_scalar(
     expr: &ScalarExpr,
     schema: &Schema,
     cells: &[Equation],
     db: &Database,
 ) -> Result<Equation> {
-    Ok(match expr {
-        ScalarExpr::Column(name) => {
-            let i = schema.index_of(name)?;
-            cells[i].clone()
-        }
-        ScalarExpr::Literal(v) => Equation::Const(v.clone()),
-        ScalarExpr::Var(v) => Equation::Var(v.clone()),
-        ScalarExpr::CreateVariable { class, params } => {
-            Equation::Var(db.create_variable(class, params)?)
-        }
-        ScalarExpr::Binary { op, left, right } => Equation::binary(
-            *op,
-            compile_scalar(left, schema, cells, db)?,
-            compile_scalar(right, schema, cells, db)?,
-        ),
-        ScalarExpr::Neg(e) => compile_scalar(e, schema, cells, db)?.neg(),
-        ScalarExpr::Cmp { .. } | ScalarExpr::And(_) => {
-            return Err(PipError::Sql(
-                "boolean expression used where a value is required".into(),
-            ))
-        }
-    })
+    match expr {
+        ScalarExpr::Column(name) => Ok(cells[schema.index_of(name)?].clone()),
+        other => compile_node(other, schema, cells, db),
+    }
 }
 
-/// `compile_scalar(expr, …)?.simplify()` in one pass: each node is
-/// simplified as it is built from simplified operands, so a node that a
-/// rule removes is never allocated, and nothing already simplified (a
-/// stored cell) is copied deeper than its root.
-pub fn compile_simplified(
+/// One simplified node of [`compile_scalar`].
+fn compile_node(
     expr: &ScalarExpr,
     schema: &Schema,
     cells: &[Equation],
@@ -60,14 +45,22 @@ pub fn compile_simplified(
 ) -> Result<Equation> {
     Ok(match expr {
         ScalarExpr::Column(name) => cells[schema.index_of(name)?].simplify(),
+        ScalarExpr::Literal(v) => Equation::Const(v.clone()),
+        ScalarExpr::Var(v) => Equation::Var(v.clone()),
+        ScalarExpr::CreateVariable { class, params } => {
+            Equation::Var(db.create_variable(class, params)?)
+        }
         ScalarExpr::Binary { op, left, right } => Equation::simplified_binary(
             *op,
-            compile_simplified(left, schema, cells, db)?,
-            compile_simplified(right, schema, cells, db)?,
+            compile_node(left, schema, cells, db)?,
+            compile_node(right, schema, cells, db)?,
         ),
-        ScalarExpr::Neg(e) => Equation::simplified_neg(compile_simplified(e, schema, cells, db)?),
-        // Leaves are their own simplified form.
-        other => compile_scalar(other, schema, cells, db)?,
+        ScalarExpr::Neg(e) => Equation::simplified_neg(compile_node(e, schema, cells, db)?),
+        ScalarExpr::Cmp { .. } | ScalarExpr::And(_) => {
+            return Err(PipError::Sql(
+                "boolean expression used where a value is required".into(),
+            ))
+        }
     })
 }
 
@@ -110,8 +103,9 @@ fn collect_atoms(
             Ok(true)
         }
         ScalarExpr::Cmp { op, left, right } => {
-            let l = compile_simplified(left, schema, cells, db)?;
-            let r = compile_simplified(right, schema, cells, db)?;
+            // Simplified sides; only a bare column needs the call.
+            let l = compile_scalar(left, schema, cells, db)?.simplify();
+            let r = compile_scalar(right, schema, cells, db)?.simplify();
             let atom = Atom::new(l, *op, r);
             match atom.const_truth() {
                 Some(true) => Ok(true),
@@ -192,8 +186,12 @@ mod tests {
         assert_eq!(eq.variables().len(), 1);
         let bad = ScalarExpr::col("nope");
         assert!(compile_scalar(&bad, &schema, &cells, &db).is_err());
-        assert!(compile_simplified(&bad, &schema, &cells, &db).is_err());
-        // One pass gives what compiling and then simplifying gives.
+        // One pass gives what compiling and then simplifying gives; a
+        // bare column is its cell verbatim.
+        assert_eq!(
+            compile_scalar(&ScalarExpr::col("price"), &schema, &cells, &db).unwrap(),
+            cells[1]
+        );
         for e in [
             e,
             ScalarExpr::col("price").mul(ScalarExpr::lit(1.0)),
@@ -208,9 +206,26 @@ mod tests {
                 .mul(ScalarExpr::lit(0.0)),
         ] {
             assert_eq!(
-                compile_simplified(&e, &schema, &cells, &db).unwrap(),
-                compile_scalar(&e, &schema, &cells, &db).unwrap().simplify()
+                compile_scalar(&e, &schema, &cells, &db).unwrap(),
+                compile_unsimplified(&e, &schema, &cells).simplify()
             );
+        }
+    }
+
+    /// The tree `compile_scalar` simplifies as it builds, unsimplified
+    /// (no `CREATE_VARIABLE`).
+    fn compile_unsimplified(expr: &ScalarExpr, schema: &Schema, cells: &[Equation]) -> Equation {
+        match expr {
+            ScalarExpr::Column(name) => cells[schema.index_of(name).unwrap()].clone(),
+            ScalarExpr::Literal(v) => Equation::Const(v.clone()),
+            ScalarExpr::Var(v) => Equation::Var(v.clone()),
+            ScalarExpr::Binary { op, left, right } => Equation::binary(
+                *op,
+                compile_unsimplified(left, schema, cells),
+                compile_unsimplified(right, schema, cells),
+            ),
+            ScalarExpr::Neg(e) => compile_unsimplified(e, schema, cells).neg(),
+            other => panic!("not a value expression: {other:?}"),
         }
     }
 

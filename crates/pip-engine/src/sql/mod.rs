@@ -29,7 +29,7 @@ use pip_ctable::{CRow, CTable};
 
 use crate::catalog::Database;
 use crate::exec::execute;
-use crate::rewrite::compile_simplified;
+use crate::rewrite::compile_scalar;
 
 pub use parser::{parse, ExplainFormat, Statement};
 
@@ -77,7 +77,7 @@ pub fn run_statement(db: &Database, stmt: Statement, cfg: &SamplerConfig) -> Res
                     .iter()
                     .map(|e| {
                         // INSERT expressions see no input columns.
-                        compile_simplified(e, &Schema::empty(), &empty_cells, db)
+                        compile_scalar(e, &Schema::empty(), &empty_cells, db)
                     })
                     .collect::<Result<Vec<_>>>()?;
                 if cells.len() != schema.len() {

@@ -372,95 +372,19 @@ fn neg_rewrite(e: &Equation) -> Rewrite {
 
 /// An affine form `c + Σ aᵢ·Xᵢ` ([`Equation::linear_coeffs`],
 /// [`crate::Atom::linear_form`]): the non-zero coefficients in
-/// first-appearance order, and the constant. A form of up to four terms
-/// is held in place, so linearising a row's atom allocates nothing.
+/// first-appearance order, and the constant.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinearForm {
-    terms: Terms,
+    terms: Vec<(VarKey, f64)>,
     /// The constant term `c`.
     pub constant: f64,
-}
-
-/// Terms held in place.
-const INLINE_TERMS: usize = 4;
-
-/// The terms of a [`LinearForm`]: in place while they fit, on the heap
-/// past that.
-#[derive(Debug, Clone)]
-enum Terms {
-    Inline(usize, [(VarKey, f64); INLINE_TERMS]),
-    Heap(Vec<(VarKey, f64)>),
-}
-
-impl Default for Terms {
-    fn default() -> Self {
-        let unused = VarKey {
-            id: crate::vars::VarId(0),
-            subscript: 0,
-        };
-        Terms::Inline(0, [(unused, 0.0); INLINE_TERMS])
-    }
-}
-
-impl PartialEq for Terms {
-    fn eq(&self, other: &Terms) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Terms {
-    fn as_slice(&self) -> &[(VarKey, f64)] {
-        match self {
-            Terms::Inline(n, items) => &items[..*n],
-            Terms::Heap(v) => v,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [(VarKey, f64)] {
-        match self {
-            Terms::Inline(n, items) => &mut items[..*n],
-            Terms::Heap(v) => v,
-        }
-    }
-
-    fn push(&mut self, term: (VarKey, f64)) {
-        match self {
-            Terms::Inline(n, items) if *n < INLINE_TERMS => {
-                items[*n] = term;
-                *n += 1;
-            }
-            Terms::Inline(_, items) => {
-                let mut v = items.to_vec();
-                v.push(term);
-                *self = Terms::Heap(v);
-            }
-            Terms::Heap(v) => v.push(term),
-        }
-    }
-
-    /// Keep the terms `keep` accepts, in order.
-    fn retain(&mut self, keep: impl Fn(&(VarKey, f64)) -> bool) {
-        match self {
-            Terms::Inline(n, items) => {
-                let mut kept = 0;
-                for i in 0..*n {
-                    if keep(&items[i]) {
-                        items[kept] = items[i];
-                        kept += 1;
-                    }
-                }
-                *n = kept;
-            }
-            Terms::Heap(v) => v.retain(keep),
-        }
-    }
 }
 
 impl LinearForm {
     /// `(variable, coefficient)` pairs, non-zero, in first-appearance
     /// order.
     pub fn terms(&self) -> &[(VarKey, f64)] {
-        self.terms.as_slice()
+        &self.terms
     }
 
     /// The coefficient of `key`, if it has a non-zero one.
@@ -490,12 +414,7 @@ impl LinearForm {
                 Err(_) => false,
             },
             Equation::Var(v) => {
-                match self
-                    .terms
-                    .as_mut_slice()
-                    .iter_mut()
-                    .find(|(k, _)| *k == v.key)
-                {
+                match self.terms.iter_mut().find(|(k, _)| *k == v.key) {
                     Some((_, a)) => *a += scale,
                     None => self.terms.push((v.key, 0.0 + scale)),
                 }

@@ -82,39 +82,53 @@ impl Dsu {
 }
 
 /// The variables of one partition. Each distinct [`VarId`] gets a dense
-/// index in order of appearance, found by a scan while there are few (a
-/// row condition has one to a handful) and through a hash index past
-/// that, so long conjunctions stay linear; the union-find runs over those
-/// indices.
-#[derive(Default)]
+/// index in order of appearance; the union-find runs over those indices.
+/// The ids are collected and sorted once up front, so finding one is a
+/// binary search and a long conjunction costs `n log n`, with no hashing.
 struct Interned<'a> {
+    /// Every id that will be interned, sorted, with its dense index once
+    /// interned (`usize::MAX` before).
+    slots: Vec<(VarId, usize)>,
     /// Per id index: the key the id first appeared with.
     ids: Vec<&'a RandomVar>,
     /// Further keys (other subscripts) of known ids, in order of
     /// appearance — empty unless a multivariate variable shows up.
     others: Vec<&'a RandomVar>,
-    hashed: HashMap<VarId, usize>,
     dsu: Dsu,
 }
 
 impl<'a> Interned<'a> {
-    const SCAN: usize = 16;
+    /// Ready to intern the variables of `atoms`, then `extra_vars`.
+    fn new(atoms: &[Atom], extra_vars: &[RandomVar]) -> Self {
+        let mut slots = Vec::new();
+        for atom in atoms {
+            atom.for_each_var(&mut |v| slots.push((v.key.id, usize::MAX)));
+        }
+        slots.extend(extra_vars.iter().map(|v| (v.key.id, usize::MAX)));
+        slots.sort_unstable();
+        slots.dedup();
+        Interned {
+            slots,
+            ids: Vec::new(),
+            others: Vec::new(),
+            dsu: Dsu::default(),
+        }
+    }
 
-    fn find(&mut self, id: VarId) -> Option<usize> {
-        if self.ids.len() <= Self::SCAN {
-            return self.ids.iter().position(|o| o.key.id == id);
-        }
-        if self.hashed.is_empty() {
-            self.hashed = (self.ids.iter().enumerate())
-                .map(|(i, o)| (o.key.id, i))
-                .collect();
-        }
-        self.hashed.get(&id).copied()
+    fn slot(&self, id: VarId) -> usize {
+        (self.slots.binary_search_by_key(&id, |&(s, _)| s)).expect("collected up front")
+    }
+
+    /// The id index of an interned id.
+    fn find(&self, id: VarId) -> usize {
+        self.slots[self.slot(id)].1
     }
 
     /// The id index of `v`.
     fn intern(&mut self, v: &'a RandomVar) -> usize {
-        if let Some(i) = self.find(v.key.id) {
+        let slot = self.slot(v.key.id);
+        let i = self.slots[slot].1;
+        if i != usize::MAX {
             let known = self.ids[i].key == v.key || self.others.iter().any(|o| o.key == v.key);
             if !known {
                 self.others.push(v);
@@ -122,11 +136,9 @@ impl<'a> Interned<'a> {
             return i;
         }
         let i = self.ids.len();
+        self.slots[slot].1 = i;
         self.ids.push(v);
         self.dsu.parent.push(i);
-        if !self.hashed.is_empty() {
-            self.hashed.insert(v.key.id, i);
-        }
         i
     }
 }
@@ -145,7 +157,7 @@ impl<'a> Interned<'a> {
 /// id in order of appearance), its atoms in condition order.
 pub fn independent_groups(condition: &Conjunction, extra_vars: &[RandomVar]) -> Vec<VarGroup> {
     let atoms = condition.atoms();
-    let mut vars = Interned::default();
+    let mut vars = Interned::new(atoms, extra_vars);
     for atom in atoms {
         let mut first = None;
         atom.for_each_var(&mut |v| {
@@ -182,7 +194,7 @@ pub fn independent_groups(condition: &Conjunction, extra_vars: &[RandomVar]) -> 
         // survives (caller skipped simplify) it holds in every world and
         // can be ignored for grouping purposes.
         if let Some(id) = first {
-            let i = vars.find(id).expect("interned above");
+            let i = vars.find(id);
             groups[group_of[i]].atoms.push(atom.clone());
         }
     }

@@ -292,4 +292,11 @@ fn expected_max_over_symbolic_cells_is_clarks_closed_form() {
         (got - truth).abs() < tolerance,
         "{got} vs {truth} (± {tolerance})"
     );
+    // The per-world fallback has no early stop: a precision over
+    // symbolic cells is refused, not ignored.
+    let err = sql::run(&db, "SELECT expected_max(x, 0.1) FROM n", &cfg).unwrap_err();
+    assert!(
+        matches!(&err, PipError::Unsupported(m) if m.contains("precision")),
+        "{err:?}"
+    );
 }
