@@ -9,8 +9,9 @@ use crate::rng::{open01, PipRng};
 
 /// `Exponential(λ)` with rate λ > 0 (mean 1/λ), supported on `[0, ∞)`.
 ///
-/// Generation uses the inverse-CDF transform `x = −ln(u)/λ` so that, like
-/// [`crate::normal::Normal`], samples are monotone in the uniform input.
+/// Generation uses the inverse-CDF transform `x = −ln(u)/λ`. Only
+/// `CDF⁻¹` must be monotone in its uniform (the constrained sampler draws
+/// through it); `Generate` is free to use any exact method.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Exponential;
 

@@ -5,12 +5,14 @@ use pip_core::{PipError, Result};
 use crate::distribution::DistributionClass;
 use crate::rng::{open01, PipRng};
 use crate::special;
+use crate::ziggurat::standard_normal;
 
 /// `Gamma(k, θ)` with shape k > 0 and scale θ > 0, supported on `(0, ∞)`.
 ///
-/// `Generate` uses the Marsaglia–Tsang (2000) squeeze method, boosted to
-/// shapes < 1 via the `U^{1/k}` trick. `CDF` is the regularized lower
-/// incomplete gamma; `CDF⁻¹` falls back to the generic monotone inverter.
+/// `Generate` uses the Marsaglia–Tsang (2000) squeeze method over
+/// ziggurat normals, boosted to shapes < 1 via the `U^{1/k}` trick. `CDF`
+/// is the regularized lower incomplete gamma; `CDF⁻¹` falls back to the
+/// generic monotone inverter.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gamma;
 
@@ -27,8 +29,7 @@ impl Gamma {
         let d = shape - 1.0 / 3.0;
         let c = 1.0 / (9.0 * d).sqrt();
         loop {
-            // Standard normal draw via inverse CDF (keeps determinism simple).
-            let x = special::inverse_normal_cdf(open01(rng));
+            let x = standard_normal(rng);
             let v = 1.0 + c * x;
             if v <= 0.0 {
                 continue;

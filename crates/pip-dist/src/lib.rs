@@ -28,12 +28,14 @@ pub mod registry;
 pub mod rng;
 pub mod special;
 pub mod uniform;
+pub mod ziggurat;
 
 pub use distribution::{
     capabilities, Capabilities, DistRef, DistributionClass, PreparedGen, PreparedInverseCdf,
 };
 pub use registry::DistributionRegistry;
 pub use rng::{mix64, rng_for, rng_from_seed, var_seed, PipRng};
+pub use ziggurat::standard_normal;
 
 /// Glob-import surface for downstream crates and examples.
 pub mod prelude {

@@ -5,15 +5,16 @@ use std::sync::Arc;
 use pip_core::{PipError, Result};
 
 use crate::distribution::{DistributionClass, PreparedGen, PreparedInverseCdf};
-use crate::rng::{open01, PipRng};
+use crate::rng::PipRng;
 use crate::special;
+use crate::ziggurat::standard_normal;
 
 /// `Normal(μ, σ)` with standard deviation σ > 0.
 ///
-/// `Generate` uses the inverse-CDF transform: one uniform draw mapped
-/// through `Φ⁻¹`. This costs slightly more than Box–Muller but makes the
-/// sample a *monotone* function of the uniform input, which is exactly
-/// what the constrained (CDF-bounded) sampler in `pip-sampling` relies on.
+/// `Generate` is `μ + σ·z` with `z` from the ziggurat
+/// ([`crate::ziggurat::standard_normal`]). `CDF⁻¹` is `μ + σ·Φ⁻¹(p)`,
+/// monotone in `p`: the constrained (CDF-bounded) sampler in
+/// `pip-sampling` draws through it, never through `Generate`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Normal;
 
@@ -102,10 +103,10 @@ impl DistributionClass for Normal {
     }
 }
 
-/// The affine inverse-CDF transform with `(μ, σ)` bound — shared by the
-/// plain and prepared paths so both are one expression (the compiled
-/// kernels' `PreparedGen` contract demands bit-identical draws, and
-/// structural sharing makes that true by construction).
+/// The affine maps of a standard draw and of `Φ⁻¹` with `(μ, σ)` bound —
+/// shared by the plain and prepared paths so each is one expression (the
+/// compiled kernels' `PreparedGen` contract demands bit-identical draws,
+/// and structural sharing makes that true by construction).
 #[derive(Debug, Clone, Copy)]
 struct NormalDraw {
     mu: f64,
@@ -115,8 +116,7 @@ struct NormalDraw {
 impl PreparedGen for NormalDraw {
     #[inline]
     fn generate(&self, rng: &mut PipRng) -> f64 {
-        let u = open01(rng);
-        self.mu + self.sigma * special::inverse_normal_cdf(u)
+        self.mu + self.sigma * standard_normal(rng)
     }
 }
 

@@ -8,7 +8,7 @@
 //! `W = n / (1 − P[reject])`.
 
 use pip_core::{PipError, Result};
-use pip_dist::{special, PipRng};
+use pip_dist::{standard_normal, PipRng};
 use pip_expr::{Assignment, VarGroup};
 use rand::Rng;
 
@@ -20,6 +20,8 @@ pub struct MetropolisState {
     /// Current point, one slot per group variable (same order as
     /// `group.vars`).
     current: Vec<f64>,
+    /// Scratch for the next proposal, swapped with `current` on accept.
+    proposal: Vec<f64>,
     /// Per-variable proposal step widths.
     step: Vec<f64>,
     /// Cached log-density of `current`.
@@ -139,6 +141,7 @@ impl MetropolisState {
 
         let log_density = log_pdf(group, &point)?;
         let mut state = MetropolisState {
+            proposal: point.clone(),
             current: point,
             step,
             log_density,
@@ -159,15 +162,13 @@ impl MetropolisState {
         scratch: &mut Assignment,
     ) -> Result<()> {
         self.steps += 1;
-        let mut proposal = self.current.clone();
-        for (slot, s) in proposal.iter_mut().zip(&self.step) {
-            let u: f64 = rng.gen();
-            *slot += s * special::inverse_normal_cdf(u.clamp(1e-12, 1.0 - 1e-12));
+        for ((slot, &x), s) in self.proposal.iter_mut().zip(&self.current).zip(&self.step) {
+            *slot = x + s * standard_normal(rng);
         }
-        if !satisfies(group, &proposal, scratch)? {
+        if !satisfies(group, &self.proposal, scratch)? {
             return Ok(());
         }
-        let ld = log_pdf(group, &proposal)?;
+        let ld = log_pdf(group, &self.proposal)?;
         let accept = if ld >= self.log_density {
             true
         } else {
@@ -175,7 +176,7 @@ impl MetropolisState {
             u.ln() < ld - self.log_density
         };
         if accept {
-            self.current = proposal;
+            std::mem::swap(&mut self.current, &mut self.proposal);
             self.log_density = ld;
             self.accepted += 1;
         }

@@ -11,13 +11,13 @@
 //! suites compare the two; no production path calls into this module.
 
 use pip_core::{PipError, Result};
-use pip_ctable::BoundsMap;
+use pip_ctable::{consistency_check, BoundsMap, Consistency};
 use pip_dist::PipRng;
-use pip_expr::{Assignment, Conjunction, Equation, VarGroup};
+use pip_expr::{Assignment, Conjunction, Equation, Truth, VarGroup};
 use rand::Rng;
 
 use crate::blocks::{partial_or_fail, LoopStats};
-use crate::confidence::{check, conf_groups, conf_rng, Checked};
+use crate::confidence::{conf_groups, conf_rng};
 use crate::config::SamplerConfig;
 use crate::expectation::{group, rng_for_site, ExpectationResult, Prepared};
 use crate::metropolis::MetropolisState;
@@ -288,12 +288,23 @@ pub fn expectation_samples(
     Ok(out)
 }
 
-/// The tree-walking [`crate::conf`].
+/// The tree-walking [`crate::conf`], analysing the condition the plain
+/// way: simplify, run the whole-condition consistency check, then
+/// partition (production partitions once and checks the partition).
 pub fn conf(condition: &Conjunction, cfg: &SamplerConfig, site: u64) -> Result<f64> {
-    let (condition, bounds) = match check(condition, cfg) {
-        Checked::Dead => return Ok(0.0),
-        Checked::Certain => return Ok(1.0),
-        Checked::Open(condition, bounds) => (condition, bounds),
+    let (condition, truth) = condition.simplify();
+    match truth {
+        Truth::False => return Ok(0.0),
+        Truth::True => return Ok(1.0),
+        Truth::Unknown => {}
+    }
+    let bounds = if cfg.use_consistency {
+        match consistency_check(&condition) {
+            Consistency::Inconsistent => return Ok(0.0),
+            Consistency::Consistent { bounds, .. } => bounds,
+        }
+    } else {
+        BoundsMap::new()
     };
     let mut rng = conf_rng(cfg, site);
     let mut prob = 1.0;

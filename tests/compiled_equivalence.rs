@@ -502,13 +502,15 @@ fn near_threshold() -> (Equation, Conjunction, SamplerConfig) {
 }
 
 /// A blocked fill draws 256 samples where the adaptive loop may stop
-/// after 32. At site 2 the oracle stops before the rejection rate
+/// after 32. At site 0 the oracle stops before the rejection rate
 /// crosses the threshold, while 256 samples cross it: the block must
-/// not switch the group in a tail the loop never reads.
+/// not switch the group in a tail the loop never reads. Whether a site
+/// has that shape depends on the exact draw stream; site 0 is the first
+/// in a scan from 0 on which both preconditions below hold.
 #[test]
 fn overdrawn_block_never_switches_past_the_stop() {
     let (x, cond, base) = near_threshold();
-    let site = 2;
+    let site = 0;
     let adaptive = SamplerConfig {
         min_samples: 32,
         delta: 0.5,
@@ -530,16 +532,24 @@ fn overdrawn_block_never_switches_past_the_stop() {
     assert_results_identical(&stopped, &prod, "adaptive stop before the trigger");
 }
 
-/// At site 30 the group switches after its first 256-sample block: the
+/// At site 669 the group switches after its first 256-sample block: the
 /// first block is published to the cache, the switching one is not, and
 /// a rerun at the same site — first block served warm — still equals
 /// the oracle. (A cache hit restores counters and the generator but not
-/// a held switch or a chain; at site 30 the draw after the held trigger
+/// a held switch or a chain; at site 669 the draw after the held trigger
 /// is accepted, so serving the switching block would show.)
+///
+/// Sites where the two preconditions below hold are common (51 in
+/// 0..1000 on the current draw stream); sites where the draw after the
+/// held trigger is also accepted are rare, and nothing outside the cache
+/// shows which they are. Site 669 is the only one in 0..1000, found by
+/// running this test on every site meeting the preconditions with the
+/// switching block published to the cache: there alone the warm rerun
+/// differs from the oracle.
 #[test]
 fn escalating_expectation_is_cache_neutral() {
     let (x, cond, base) = near_threshold();
-    let site = 30;
+    let site = 669;
     let fixed = |n| SamplerConfig {
         min_samples: n,
         max_samples: n,
