@@ -344,13 +344,31 @@ fn fill_block_cached(
         return block;
     }
     let block = Arc::new(fill_block(prep, rng, cfg, cur, requested));
-    if all_plain(prep) {
+    if all_plain(prep) || publishes_every_fill() {
         cache()
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(key, CacheEntry::Block(Arc::clone(&block)));
     }
     block
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Unit tests only: publish every fill on this thread, also one that
+    /// ended at a held switch — the fault the plain-kernels rule above
+    /// keeps out, planted so a test can show that it would be seen.
+    static PUBLISH_EVERY_FILL: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+#[cfg(test)]
+fn publishes_every_fill() -> bool {
+    PUBLISH_EVERY_FILL.with(|p| p.get())
+}
+
+#[cfg(not(test))]
+fn publishes_every_fill() -> bool {
+    false
 }
 
 /// Fixed-budget acceptance probe through the cache — the memoized form
@@ -709,5 +727,60 @@ mod tests {
         let second = published(&p, &rng);
         assert_eq!(fill(&mut p, &mut rng, &cfg, 64, true).filled, 1);
         assert!(!second(), "a fill in Metropolis mode was published");
+    }
+
+    /// `tests/compiled_equivalence.rs` checks, in
+    /// `escalating_expectation_is_cache_neutral`, that a warm rerun at
+    /// site 669 equals the oracle. That check can only fail at a site
+    /// where a served switching block changes the answer, and which sites
+    /// do depends on the draw stream. Here the switching block is planted
+    /// at the pinned site and the rerun must then differ; when the stream
+    /// changes and it no longer does, the failure names the sites in
+    /// 0..1000 that do, to pin instead.
+    #[test]
+    fn a_served_switching_block_would_show_at_the_pinned_site() {
+        use crate::expectation::{expectation, ExpectationResult};
+        const PINNED: u64 = 669;
+        // The shape of that test: `E[x | x > 1.2816]` at rejection rate
+        // ≈ 0.9 = the switch threshold, 1024 samples in 256-sample blocks.
+        let x = RandomVar::create(builtin::normal(), &[0.0, 1.0]).unwrap();
+        let cond = Conjunction::single(atoms::gt(Equation::from(x.clone()), 1.2816));
+        let x = Equation::from(x);
+        let fixed = |n| SamplerConfig {
+            use_cdf_sampling: false,
+            metropolis_threshold: 0.9,
+            ..SamplerConfig::fixed_samples(n)
+        };
+        let oracle = |n, site| crate::oracle::expectation(&x, &cond, false, &fixed(n), site);
+        let same = |a: &ExpectationResult, b: &ExpectationResult| {
+            (a.expectation.to_bits(), a.n_samples, a.used_metropolis)
+                == (b.expectation.to_bits(), b.n_samples, b.used_metropolis)
+        };
+        // Its preconditions: no switch in the first block, a switch by 1024.
+        let qualifies = |site| {
+            !oracle(256, site).unwrap().used_metropolis
+                && oracle(1024, site).unwrap().used_metropolis
+        };
+        // Cold run, then warm rerun. Other tests clear the shared cache,
+        // which can drop the planted block between the two and hide the
+        // difference (never fake one), so a site gets a few tries.
+        let shows = |site| {
+            let truth = oracle(1024, site).unwrap();
+            let run = || expectation(&x, &cond, false, &fixed(1024), site).unwrap();
+            PUBLISH_EVERY_FILL.with(|p| p.set(true));
+            let shown = (0..5).any(|_| {
+                run();
+                !same(&run(), &truth)
+            });
+            PUBLISH_EVERY_FILL.with(|p| p.set(false));
+            shown
+        };
+        assert!(qualifies(PINNED), "site {PINNED} lost its preconditions");
+        if !shows(PINNED) {
+            let sites: Vec<u64> = (0..1000).filter(|&s| qualifies(s) && shows(s)).collect();
+            panic!(
+                "a served switching block no longer shows at site {PINNED}; it does at {sites:?}"
+            );
+        }
     }
 }

@@ -447,19 +447,30 @@ mod tests {
             Conjunction::single(atoms::gt(Equation::from(y.clone()), z)),
             Conjunction::single(atoms::gt(Equation::from(y), z + 1.0)),
         ]);
-        // The estimate is sequential, so its error has no fixed per-seed
-        // bound: across seeds it misses the relative-δ band around 0.97
-        // in about an ε share of them.
+        // Over seeds 0..4000 the answers spread with σ ≈ 0.0052, the
+        // largest error is 0.027, 6 % miss the relative-δ band and the
+        // mean sits 0.00085 ± 0.00008 above 0.97: the sequential rule
+        // stops sooner after a run of hits. The same under the inverse-CDF
+        // and the ziggurat Normal generators. Each seed must stay within
+        // 0.04 (a gross error, such as a stop at min_samples, shows
+        // here), the misses must not exceed what an ε share allows, and
+        // the mean must lie within a quarter of the δ band.
         let seeds = 200;
         let cfg = SamplerConfig::default();
-        let mut misses = 0;
+        let (mut misses, mut mean) = (0, 0.0);
         for seed in 0..seeds {
             let p = aconf(&d, &cfg.clone().with_seed(seed), 0).unwrap();
             assert!(p < 1.0, "seed {seed} stopped on an all-hit prefix");
+            assert!((p - 0.97).abs() < 0.04, "seed {seed}: {p}");
             misses += usize::from((p - 0.97).abs() > cfg.delta * 0.97);
+            mean += p / seeds as f64;
         }
         // 21: the 99.9th percentile of Binomial(200, ε = 0.05).
         assert!(misses <= 21, "{misses} of {seeds} seeds off by > δ");
+        assert!(
+            (mean - 0.97).abs() < 0.25 * cfg.delta * 0.97,
+            "mean of {seeds} seeds: {mean}"
+        );
     }
 
     /// A random conjunction over a pool of five variables: bounds,

@@ -542,10 +542,12 @@ fn overdrawn_block_never_switches_past_the_stop() {
 /// Sites where the two preconditions below hold are common (51 in
 /// 0..1000 on the current draw stream); sites where the draw after the
 /// held trigger is also accepted are rare, and nothing outside the cache
-/// shows which they are. Site 669 is the only one in 0..1000, found by
-/// running this test on every site meeting the preconditions with the
-/// switching block published to the cache: there alone the warm rerun
-/// differs from the oracle.
+/// shows which they are. The pip-sampling unit test
+/// `blocks::tests::a_served_switching_block_would_show_at_the_pinned_site`
+/// plants the switching block in the cache and checks that the warm
+/// rerun at site 669 then differs from the oracle; when a change to the
+/// draw stream moves such sites, it fails and names the ones in 0..1000
+/// (today 669 alone), and this site must move with it.
 #[test]
 fn escalating_expectation_is_cache_neutral() {
     let (x, cond, base) = near_threshold();

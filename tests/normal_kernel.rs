@@ -83,27 +83,6 @@ fn normal_generate_is_the_kernel_scaled() {
     assert_eq!(a.state(), b.state());
 }
 
-/// The most seeds of `n` that may miss a band each misses with
-/// probability `eps`: the 99.9th percentile of Binomial(n, eps).
-fn misses_allowed(n: usize, eps: f64) -> usize {
-    let mut pmf = (1.0 - eps).powi(n as i32);
-    let mut cdf = pmf;
-    let mut k = 0;
-    while cdf < 0.999 && k < n {
-        pmf *= (n - k) as f64 / (k + 1) as f64 * eps / (1.0 - eps);
-        k += 1;
-        cdf += pmf;
-    }
-    k
-}
-
-#[test]
-fn binomial_percentile() {
-    assert_eq!(misses_allowed(200, 0.05), 21);
-    assert_eq!(misses_allowed(10, 0.5), 9); // P[X = 10] = 1/1024 < 0.001
-    assert_eq!(misses_allowed(100, 0.0), 0);
-}
-
 /// `E[x | x + y > c]` over Normals: one group with no box, so
 /// CDF-bounded sampling has nothing to bound and the loop rejects over
 /// `Generate` draws. With `s = x + y ~ Normal(μs, σs)` and
@@ -131,12 +110,11 @@ fn rejection_path_is_calibrated_against_the_closed_form() {
         misses += usize::from((r.expectation - truth).abs() > cfg.delta * truth);
         mean += r.expectation / seeds as f64;
     }
-    let allowed = misses_allowed(seeds as usize, cfg.epsilon);
+    // 21: the 99.9th percentile of Binomial(200, ε = 0.05).
     assert!(
-        misses <= allowed,
-        "{misses} of {seeds} seeds outside {truth}·(1 ± {}), at most {allowed} for ε = {}",
-        cfg.delta,
-        cfg.epsilon
+        misses <= 21,
+        "{misses} of {seeds} seeds outside {truth}·(1 ± {})",
+        cfg.delta
     );
     // Where a biased draw would show: each estimate's standard error is
     // at most δ·truth/z, so the mean of 200 sits within 4 of theirs.
