@@ -1,7 +1,7 @@
 //! Row-at-a-time views of the Figure 1 algebra.
 //!
 //! The operators in [`crate::algebra`] consume and produce whole
-//! [`CTable`]s; a pipelined executor instead wants the same condition
+//! [`CTable`](crate::CTable)s; a pipelined executor instead wants the same condition
 //! manipulation one row at a time, so intermediate tables never
 //! materialize. The helpers here are the per-row kernels of σ, π and ×
 //! — each is definitionally identical to the corresponding whole-table

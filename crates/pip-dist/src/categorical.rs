@@ -4,7 +4,7 @@
 //! `0..n−1` with probability `wᵢ / Σw`. This is the distribution behind
 //! PIP's MayBMS-style `repair-key` operator (paper Section V-A footnote:
 //! "For discrete distributions, PIP uses a repair-key operator similar
-//! to that used in [11]"): each key group of a repaired table becomes one
+//! to that used in \[11\]"): each key group of a repaired table becomes one
 //! Categorical variable selecting which alternative row exists.
 
 use pip_core::{PipError, Result};

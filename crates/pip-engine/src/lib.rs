@@ -3,7 +3,7 @@
 //! The query engine PIP runs on — the role PostgreSQL plays for the
 //! paper's plugin (Section V): a catalog of c-tables with optimizer
 //! statistics, logical plans with a fluent builder, a cost-based
-//! optimizer ([`optimize`] — predicate pushdown, cardinality-driven
+//! optimizer ([`optimize`](mod@optimize) — predicate pushdown, cardinality-driven
 //! join reordering, cost-gated projection pushdown over the [`stats`]
 //! layer), a pipelined physical executor ([`physical`]) with a
 //! materializing reference interpreter beside it, the CTYPE-hoisting

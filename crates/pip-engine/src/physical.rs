@@ -6,7 +6,7 @@
 //! `Scan → Filter → Project → Join` pipelines never materialize
 //! intermediate c-tables and base tables are read through shared
 //! [`Arc`] snapshots rather than cloned. Lowering fuses adjacent
-//! `Select`/`Project` nodes into a single [`Fused` stage](StageOp) and
+//! `Select`/`Project` nodes into a single `Fused` stage and
 //! compiles `EquiJoin` to a build/probe hash join.
 //!
 //! Operators that genuinely need their whole input — `distinct`,

@@ -1,6 +1,6 @@
 //! Logical plans and scalar expressions over named columns.
 //!
-//! Scalar expressions compile, per row, into symbolic [`Equation`]s;
+//! Scalar expressions compile, per row, into symbolic [`Equation`](pip_expr::Equation)s;
 //! boolean expressions compile into condition atoms (the CTYPE hoisting
 //! of Section V-A happens in [`crate::rewrite`]). Plans are built either
 //! programmatically via [`PlanBuilder`] or from SQL.

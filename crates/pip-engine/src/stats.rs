@@ -4,7 +4,7 @@
 //! plan quality should not depend on how the user wrote the query
 //! (Section III-C leans on the host DBMS for exactly this). This module
 //! supplies the three ingredients the cost-based passes in
-//! [`crate::optimize`] consume:
+//! [`crate::optimize`](mod@crate::optimize) consume:
 //!
 //! 1. **Statistics** ([`TableStats`] / [`ColumnStats`]): per-table row
 //!    counts and per-column distinct-value estimates, min/max bounds,
@@ -57,7 +57,7 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Build an equi-depth histogram over (up to [`HISTOGRAM_BUCKETS`]
+    /// Build an equi-depth histogram over (up to `HISTOGRAM_BUCKETS`
     /// buckets of) the given values. Returns `None` for no values.
     /// Bucket boundaries never split a run of equal values, so
     /// `fraction_le(v)` is exact at every boundary value.

@@ -219,8 +219,9 @@ impl std::fmt::Debug for Registry {
 ///
 /// Registration is idempotent on `(name, labels)`: re-registering returns
 /// the existing handle, so constructors can run more than once per
-/// registry. One registry typically belongs to one `Database`; process-wide
-/// singletons (the sampling block cache) live in [`Registry::global`].
+/// registry. One registry typically belongs to one `Database`; counters of
+/// code with no database handle (the sampling operators) live in
+/// [`Registry::global`].
 #[derive(Default)]
 pub struct Registry {
     series: Mutex<Vec<Series>>,

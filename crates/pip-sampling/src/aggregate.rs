@@ -16,13 +16,9 @@
 //! (a condition group without a closed form still gets its fixed-budget
 //! probe). Every other row goes through the group kernels: the row's
 //! equation and condition lower once into slot-indexed tapes and
-//! kernels ([`crate::tape`]), samples land in
-//! columnar blocks ([`crate::blocks`]), and identical `(group,
-//! seed-site)` draw sequences — e.g. `expected_count` next to
-//! `expected_avg` in one SELECT list, or a re-executed prepared
-//! statement — are served from the sample-block cache. All of it
-//! bit-identical to the tree-walking [`crate::oracle`], at every thread
-//! count.
+//! kernels ([`crate::tape`]), and samples land in columnar blocks
+//! ([`crate::blocks`]). All of it bit-identical to the tree-walking
+//! [`crate::oracle`], at every thread count.
 
 use pip_core::{PipError, Result};
 
@@ -43,7 +39,7 @@ pub struct AggregateResult {
     pub n_samples: usize,
 }
 
-/// `expected_sum(col)` — Σ rows E[χ_φ · cell] = Σ E[cell | φ]·P[φ]
+/// `expected_sum(col)` — Σ rows E[χ_φ · cell] = Σ E[cell | φ]·P\[φ\]
 /// (linearity of expectation, Section II-C).
 ///
 /// Per-row sample budgets are relaxed by √N (law of large numbers: the
@@ -79,7 +75,7 @@ pub fn expected_sum(table: &CTable, col: &str, cfg: &SamplerConfig) -> Result<Ag
     })
 }
 
-/// `expected_count()` — Σ rows P[φ] (the `h ≡ 1` special case).
+/// `expected_count()` — Σ rows P\[φ\] (the `h ≡ 1` special case).
 pub fn expected_count(table: &CTable, cfg: &SamplerConfig) -> Result<AggregateResult> {
     let rows = table.rows();
     let mut total = 0.0;

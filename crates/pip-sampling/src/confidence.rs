@@ -23,7 +23,7 @@ use pip_expr::{
 
 use pip_ctable::{consistency_check, consistency_of_groups, BoundsMap, Consistency};
 
-use crate::blocks::{probe_estimate_cached, LoopStats};
+use crate::blocks::LoopStats;
 use crate::config::SamplerConfig;
 use crate::strategy::exact_group_probability;
 use crate::tape::GroupKernel;
@@ -129,11 +129,15 @@ fn conf_open(
         }
         let budget = cfg.probe_budget();
         draws += budget;
-        // A fixed-budget candidate probe, skipped entirely when the
-        // sample-block cache already holds this (group, stream) probe.
+        // A fixed-budget candidate probe.
         let mut slots = SlotMap::new();
         let mut kernel = GroupKernel::for_group(g, bounds, cfg, &mut slots);
-        prob *= probe_estimate_cached(&mut kernel, &mut rng, budget, slots.len(), cfg)?;
+        prob *= kernel.estimate_probability(
+            &mut rng,
+            budget,
+            &mut vec![0.0; slots.len()],
+            &mut Vec::new(),
+        )?;
     }
     Ok((prob, draws))
 }
@@ -145,7 +149,7 @@ fn conf_open(
 /// `use_independence` off), and combine the components' probabilities as
 /// independent events. A one-disjunct component is [`conf`] — closed-form
 /// wherever `conf` is; a component whose disjuncts share variables is
-/// [`sampled_union`]. Each component's stream derives from `site` and
+/// `sampled_union`. Each component's stream derives from `site` and
 /// the index of its first disjunct, never from evaluation order (the
 /// component of disjunct 0 runs at `site` itself, so a one-disjunct DNF
 /// is exactly `conf` at the same site).

@@ -43,11 +43,6 @@ pub struct SamplerConfig {
     /// thread count (per-row RNG streams are derived from
     /// `(world_seed, site)` alone).
     pub threads: usize,
-    /// Let compiled execution reuse cached sample blocks
-    /// ([`crate::blocks`]) when the identical `(group, seed-site,
-    /// counters)` draw sequence recurs. Pure memoization: toggling this
-    /// can never change any result, only skip redundant resampling.
-    pub reuse_blocks: bool,
 }
 
 impl Default for SamplerConfig {
@@ -67,7 +62,6 @@ impl Default for SamplerConfig {
             use_exact_cdf: true,
             world_seed: 0x5151_5151,
             threads: 1,
-            reuse_blocks: true,
         }
     }
 }
@@ -97,15 +91,9 @@ impl SamplerConfig {
         self
     }
 
-    /// Toggle sample-block reuse (pure memoization, value-neutral).
-    pub fn with_block_reuse(mut self, reuse: bool) -> Self {
-        self.reuse_blocks = reuse;
-        self
-    }
-
     /// Baseline configuration with every PIP-specific optimization off —
-    /// pure rejection sampling, no Metropolis switch and no sample-block
-    /// reuse: the ablation reference point.
+    /// pure rejection sampling and no Metropolis switch: the ablation
+    /// reference point.
     pub fn naive(n: usize) -> Self {
         SamplerConfig {
             use_cdf_sampling: false,
@@ -113,7 +101,6 @@ impl SamplerConfig {
             use_consistency: false,
             use_metropolis: false,
             use_exact_cdf: false,
-            reuse_blocks: false,
             ..Self::fixed_samples(n)
         }
     }
@@ -172,7 +159,6 @@ mod tests {
         assert!(!c.use_consistency);
         assert!(!c.use_metropolis);
         assert!(!c.use_exact_cdf);
-        assert!(!c.reuse_blocks);
     }
 
     #[test]
@@ -190,13 +176,6 @@ mod tests {
         assert_eq!(c.threads, 1);
         assert_eq!(c.clone().with_threads(0).threads, 1);
         assert_eq!(c.clone().with_threads(8).threads, 8);
-    }
-
-    #[test]
-    fn block_reuse_defaults_on_and_toggles() {
-        let c = SamplerConfig::default();
-        assert!(c.reuse_blocks);
-        assert!(!c.with_block_reuse(false).reuse_blocks);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use pip_expr::{independent_groups, Conjunction, Equation, RandomVar, SlotMap, Va
 
 use pip_ctable::{consistency_check, consistency_of_groups, BoundsMap, Consistency};
 
-use crate::blocks::{compile_expr, serial_blocked, serial_per_sample, serial_samples};
+use crate::blocks::{compile_expr, serial_blocked, serial_per_sample};
 use crate::config::SamplerConfig;
 use crate::strategy::exact_group_probability;
 use crate::tape::GroupKernel;
@@ -235,16 +235,6 @@ impl Grouping {
     }
 }
 
-/// [`group`], then one [`GroupKernel`] per group.
-pub(crate) fn prepare(
-    expr: &Equation,
-    condition: &Conjunction,
-    cfg: &SamplerConfig,
-) -> Option<Prepared> {
-    group(expr, condition, cfg)
-        .map(|g| g.build(|g, bounds, slots| GroupKernel::for_group(g, bounds, cfg, slots)))
-}
-
 /// Deterministic per-call RNG: callers at different sites pass distinct
 /// `site` values so results don't correlate across rows.
 pub(crate) fn rng_for_site(cfg: &SamplerConfig, site: u64) -> PipRng {
@@ -397,26 +387,6 @@ fn condition_probability(
     Ok(prob)
 }
 
-/// Sampling variant that returns the raw conditional samples of `expr`
-/// (the `expected_*_hist` functions of Section V-C build histograms from
-/// this), drawn through the group kernels over cached columnar blocks.
-pub fn expectation_samples(
-    expr: &Equation,
-    condition: &Conjunction,
-    n: usize,
-    cfg: &SamplerConfig,
-    site: u64,
-) -> Result<Vec<f64>> {
-    let expr = expr.simplify();
-    let mut prep = match prepare(&expr, condition, cfg) {
-        None => return Ok(Vec::new()),
-        Some(p) => p,
-    };
-    let mut rng = rng_for_site(cfg, site);
-    let tape = compile_expr(&expr, &prep);
-    serial_samples(&mut prep, &tape, n, cfg, &mut rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,72 +525,6 @@ mod tests {
         assert_eq!(a, b);
         let c = expectation(&Equation::from(y), &cond, true, &cfg, 8).unwrap();
         assert_ne!(a.expectation, c.expectation, "different sites decorrelate");
-    }
-
-    #[test]
-    fn histogram_samples_respect_condition() {
-        let y = normal(0.0, 1.0);
-        let cond = Conjunction::single(atoms::gt(Equation::from(y.clone()), 1.0));
-        let cfg = SamplerConfig::default();
-        let xs = expectation_samples(&Equation::from(y), &cond, 500, &cfg, 9).unwrap();
-        assert_eq!(xs.len(), 500);
-        assert!(xs.iter().all(|&x| x > 1.0));
-        // Unsatisfiable → empty.
-        let z = normal(0.0, 1.0);
-        let dead = Conjunction::of(vec![
-            atoms::gt(Equation::from(z.clone()), 5.0),
-            atoms::lt(Equation::from(z), 3.0),
-        ]);
-        assert!(
-            expectation_samples(&Equation::val(1.0), &dead, 10, &cfg, 10)
-                .unwrap()
-                .is_empty()
-        );
-    }
-
-    #[test]
-    fn expectation_samples_compiled_matches_interpreted_bit_for_bit() {
-        crate::blocks::block_cache_clear();
-        let y = normal(2.0, 3.0);
-        let z = normal(-1.0, 0.5);
-        let expr = Equation::from(y.clone()) * 2.0 - Equation::from(z.clone());
-        let cond = Conjunction::of(vec![
-            atoms::gt(Equation::from(y.clone()), 1.0),
-            atoms::lt(Equation::from(z.clone()), 0.0),
-        ]);
-        let compiled = SamplerConfig::default();
-        for site in [0u64, 17, 991] {
-            let a = expectation_samples(&expr, &cond, 300, &compiled, site).unwrap();
-            let b = crate::oracle::expectation_samples(&expr, &cond, 300, &compiled, site).unwrap();
-            assert_eq!(a.len(), 300);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            // Warm-cache rerun replays the identical sequence.
-            let c = expectation_samples(&expr, &cond, 300, &compiled, site).unwrap();
-            assert_eq!(a, c);
-            // And with block reuse off.
-            let no_reuse = SamplerConfig {
-                reuse_blocks: false,
-                ..SamplerConfig::default()
-            };
-            let d = expectation_samples(&expr, &cond, 300, &no_reuse, site).unwrap();
-            assert_eq!(a, d);
-        }
-    }
-
-    #[test]
-    fn expectation_samples_error_parity_on_division_by_zero() {
-        // x / (y - y) divides by zero on every sample; kernels and the
-        // oracle must agree that this is an error.
-        let y = normal(0.0, 1.0);
-        let expr =
-            Equation::from(y.clone()) / (Equation::from(y.clone()) - Equation::from(y.clone()));
-        let cond = Conjunction::top();
-        let cfg = SamplerConfig::default();
-        let a = expectation_samples(&expr, &cond, 10, &cfg, 5).unwrap_err();
-        let b = crate::oracle::expectation_samples(&expr, &cond, 10, &cfg, 5).unwrap_err();
-        assert_eq!(a.to_string(), b.to_string());
     }
 
     #[test]

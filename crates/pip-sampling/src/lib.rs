@@ -37,7 +37,6 @@ pub mod blocks;
 pub mod confidence;
 pub mod config;
 pub mod expectation;
-pub mod histogram;
 pub mod metropolis;
 pub mod obs;
 #[doc(hidden)]
@@ -52,11 +51,10 @@ pub use aggregate::{
     expected_avg, expected_count, expected_max_const, expected_max_hist, expected_max_sampled,
     expected_sum, expected_sum_hist, AggregateResult,
 };
-pub use blocks::{block_cache_clear, block_cache_stats, BlockCacheStats, SampleBlock};
+pub use blocks::{block_cache_clear, SampleBlock};
 pub use confidence::{aconf, conf};
 pub use config::SamplerConfig;
-pub use expectation::{expectation, expectation_samples, ExpectationResult};
-pub use histogram::{quantile, Histogram};
+pub use expectation::{expectation, ExpectationResult};
 pub use parallel::ParallelSampler;
 pub use strategy::exact_group_probability;
 pub use streaming::{ConfStream, StreamingGroups};
@@ -71,8 +69,7 @@ pub mod prelude {
     };
     pub use crate::confidence::{aconf, conf};
     pub use crate::config::SamplerConfig;
-    pub use crate::expectation::{expectation, expectation_samples, ExpectationResult};
-    pub use crate::histogram::{quantile, Histogram};
+    pub use crate::expectation::{expectation, ExpectationResult};
     pub use crate::parallel::ParallelSampler;
     pub use crate::strategy::exact_group_probability;
     pub use crate::streaming::{ConfStream, StreamingGroups};

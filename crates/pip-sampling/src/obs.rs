@@ -1,9 +1,9 @@
 //! Sampling-layer metric handles.
 //!
-//! The structures instrumented here (the sample-block cache, the kernel
-//! compiler) are process-wide singletons, so their counters live in the
-//! process-global [`pip_obs::Registry::global`] rather than a per-database
-//! registry. The server merges both registries into one scrape body.
+//! The sampling operators are free functions with no database handle,
+//! so their counters live in the process-global
+//! [`pip_obs::Registry::global`] rather than a per-database registry. The
+//! server merges both registries into one scrape body.
 
 use pip_obs::{Counter, Registry};
 use std::sync::{Arc, OnceLock};
@@ -12,10 +12,6 @@ use std::sync::{Arc, OnceLock};
 pub struct SamplingMetrics {
     /// Successful query-kernel compilations (tape + group kernels).
     pub kernel_compiles_total: Arc<Counter>,
-    /// Sample-block cache hits (block or probe entries).
-    pub block_cache_hits_total: Arc<Counter>,
-    /// Sample-block cache misses.
-    pub block_cache_misses_total: Arc<Counter>,
     /// Rejection-sampling groups that escalated to Metropolis-Hastings.
     pub metropolis_escalations_total: Arc<Counter>,
     /// `aconf` components answered without a draw (closed forms only).
@@ -32,28 +28,10 @@ pub fn metrics() -> &'static SamplingMetrics {
     static METRICS: OnceLock<SamplingMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let r = Registry::global();
-        r.gauge_fn(
-            "pip_sampling_block_cache_resident",
-            "Resident payload of the process-wide sample-block cache (f64-equivalents).",
-            || crate::blocks::block_cache_stats().resident as f64,
-        );
-        r.gauge_fn(
-            "pip_sampling_block_cache_entries",
-            "Entries in the process-wide sample-block cache.",
-            || crate::blocks::block_cache_stats().entries as f64,
-        );
         SamplingMetrics {
             kernel_compiles_total: r.counter(
                 "pip_sampling_kernel_compiles_total",
                 "Successful sampling-kernel compilations.",
-            ),
-            block_cache_hits_total: r.counter(
-                "pip_sampling_block_cache_hits_total",
-                "Sample-block cache hits.",
-            ),
-            block_cache_misses_total: r.counter(
-                "pip_sampling_block_cache_misses_total",
-                "Sample-block cache misses.",
             ),
             metropolis_escalations_total: r.counter(
                 "pip_sampling_metropolis_escalations_total",

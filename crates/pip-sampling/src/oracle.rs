@@ -4,10 +4,10 @@
 //! [`Assignment`] and checks candidates with [`pip_expr::Atom::eval`];
 //! the averaging loop evaluates the target with [`Equation::eval_f64`].
 //! It is the semantics the compiled [`crate::tape::GroupKernel`] path
-//! must reproduce bit for bit: [`expectation`], [`expectation_samples`]
-//! and [`conf`] here are the production operators of the same names
-//! without tapes, slot buffers or the sample-block cache — same draws,
-//! same counters, same Metropolis switch, same errors. The equivalence
+//! must reproduce bit for bit: [`expectation`] and [`conf`] here are the
+//! production operators of the same names without tapes, slot buffers or
+//! columnar blocks — same draws, same counters, same Metropolis switch,
+//! same errors. The equivalence
 //! suites compare the two; no production path calls into this module.
 
 use pip_core::{PipError, Result};
@@ -167,7 +167,7 @@ impl GroupSampler {
     }
 }
 
-/// The tree-walking [`crate::expectation`].
+/// The tree-walking [`crate::expectation()`].
 pub fn expectation(
     expr: &Equation,
     condition: &Conjunction,
@@ -260,32 +260,6 @@ fn condition_probability(
         prob *= s.estimate_probability(rng, cfg.probe_budget())?;
     }
     Ok(prob)
-}
-
-/// The tree-walking [`crate::expectation_samples`]: every error,
-/// the rejection cap included, is the result.
-pub fn expectation_samples(
-    expr: &Equation,
-    condition: &Conjunction,
-    n: usize,
-    cfg: &SamplerConfig,
-    site: u64,
-) -> Result<Vec<f64>> {
-    let expr = expr.simplify();
-    let Some(grouping) = group(&expr, condition, cfg) else {
-        return Ok(Vec::new());
-    };
-    let mut prep = grouping.build(|g, bounds, _| GroupSampler::new(g, bounds, cfg));
-    let mut rng = rng_for_site(cfg, site);
-    let mut a = Assignment::new();
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        for &i in &prep.relevant {
-            prep.samplers[i].sample_into(&mut rng, cfg, &prep.bounds, &mut a)?;
-        }
-        out.push(expr.eval_f64(&a)?);
-    }
-    Ok(out)
 }
 
 /// The tree-walking [`crate::conf`], analysing the condition the plain

@@ -11,10 +11,7 @@
 //!   time through [`run_indexed`]. Each row's sampler is seeded by its
 //!   global row index (never by wave or thread), so every wave size and
 //!   thread count produces the table operator's numbers. Each `conf`
-//!   runs through the group kernels of [`crate::tape`] and the probe
-//!   cache of [`crate::blocks`] — join fan-outs that re-evaluate one
-//!   gate group at the same seed-site skip the re-draw entirely,
-//!   bit-identically.
+//!   runs through the group kernels of [`crate::tape`].
 //! * [`StreamingGroups`] — incremental group-by partitioning with the
 //!   exact key semantics of [`pip_ctable::partition_by`]: deterministic
 //!   keys only, groups emitted in first-appearance order. With no group

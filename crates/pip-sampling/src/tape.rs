@@ -359,33 +359,6 @@ impl Tape {
         out.extend_from_slice(&last[..len]);
         first_err
     }
-
-    /// Structural signature folded into sample-block cache keys.
-    pub(crate) fn signature(&self, sig: &mut Vec<u64>) {
-        sig.push(self.ops.len() as u64);
-        for op in &self.ops {
-            match *op {
-                TapeOp::Const(c) => {
-                    sig.push(0);
-                    sig.push(c.to_bits());
-                }
-                TapeOp::Load(s) => {
-                    sig.push(1);
-                    sig.push(s as u64);
-                }
-                TapeOp::Add(a, b) => sig.extend([2, a as u64, b as u64]),
-                TapeOp::Sub(a, b) => sig.extend([3, a as u64, b as u64]),
-                TapeOp::Mul(a, b) => sig.extend([4, a as u64, b as u64]),
-                TapeOp::Div(a, b) => sig.extend([5, a as u64, b as u64]),
-                TapeOp::Neg(a) => sig.extend([6, a as u64]),
-                TapeOp::Fail(e) => {
-                    let text = self.errors[e as usize].to_string();
-                    sig.extend([7, text.len() as u64]);
-                    sig.extend(text.bytes().map(u64::from));
-                }
-            }
-        }
-    }
 }
 
 /// One compiled atom. The common shapes after condition normalization —
@@ -508,26 +481,6 @@ impl CondTape {
     pub fn is_empty(&self) -> bool {
         self.atoms.is_empty()
     }
-
-    pub(crate) fn signature(&self, sig: &mut Vec<u64>) {
-        sig.push(self.atoms.len() as u64);
-        for atom in &self.atoms {
-            match atom {
-                AtomProgram::Const(t) => sig.extend([100, *t as u64]),
-                AtomProgram::SlotCmpConst { slot, op, c } => {
-                    sig.extend([110 + *op as u64, *slot as u64, c.to_bits()])
-                }
-                AtomProgram::SlotCmpSlot { l, op, r } => {
-                    sig.extend([120 + *op as u64, *l as u64, *r as u64])
-                }
-                AtomProgram::Cmp { left, op, right } => {
-                    sig.push(101 + *op as u64);
-                    left.signature(sig);
-                    right.signature(sig);
-                }
-            }
-        }
-    }
 }
 
 /// How one variable of a kernel is generated: its [`VarStrategy`], the
@@ -617,13 +570,6 @@ impl GroupKernel {
     /// True once the kernel has switched to Metropolis.
     pub fn uses_metropolis(&self) -> bool {
         self.metropolis.is_some()
-    }
-
-    /// Plain rejection mode: no chain, no trigger held, no failed init.
-    /// The sample-block cache replays counters and the generator only, so
-    /// it serves and publishes fills of plain kernels alone.
-    pub(crate) fn is_plain(&self) -> bool {
-        self.metropolis.is_none() && self.held_at_switch.is_none() && !self.metropolis_unavailable
     }
 
     /// Generate one candidate into the slots.
@@ -779,28 +725,6 @@ impl GroupKernel {
             self.accepts,
             !self.cond.is_empty(),
         )
-    }
-
-    /// Structural signature of everything that determines a plain
-    /// kernel's draw sequence, folded into sample-block cache keys.
-    /// Distribution class names go into `names` (exact string compare —
-    /// no hash collisions decide cache hits).
-    pub(crate) fn signature(&self, sig: &mut Vec<u64>, names: &mut Vec<&'static str>) {
-        sig.push(self.vars.len() as u64);
-        for vg in &self.vars {
-            names.push(vg.class.name());
-            sig.push(vg.slot as u64);
-            sig.push(vg.params.len() as u64);
-            sig.extend(vg.params.iter().map(|p| p.to_bits()));
-            match vg.strategy {
-                VarStrategy::Natural => sig.push(0),
-                VarStrategy::CdfBounded { p_lo, p_hi } => {
-                    sig.extend([1, p_lo.to_bits(), p_hi.to_bits()])
-                }
-            }
-        }
-        self.cond.signature(sig);
-        sig.extend([self.box_mass.to_bits(), self.attempts, self.accepts]);
     }
 }
 
@@ -1095,7 +1019,7 @@ mod tests {
         assert!(!held
             .sample_into_slots(&mut rng_a, &cfg, &bounds, &mut a, &mut regs, true)
             .unwrap());
-        assert!(!held.uses_metropolis() && !held.is_plain());
+        assert!(!held.uses_metropolis() && held.held_at_switch.is_some());
         for _ in 0..50 {
             assert!(held
                 .sample_into_slots(&mut rng_a, &cfg, &bounds, &mut a, &mut regs, true)

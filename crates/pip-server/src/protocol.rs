@@ -744,8 +744,8 @@ mod tests {
         assert_eq!((s.cfg.min_samples, s.cfg.max_samples), (500, 500));
         assert!(handle_line(&mut s, "SET SAMPLES 0").text.starts_with("ERR"));
         assert!(handle_line(&mut s, "SET EPSILON 2").text.starts_with("ERR"));
-        // The sampling engine and the block cache are value-neutral, so
-        // they are not wire settings.
+        // Retired settings stay unknown: they chose between two sampling
+        // engines and toggled a sample-block cache, both gone.
         for line in ["SET COMPILE OFF", "SET REUSE 0"] {
             let r = handle_line(&mut s, line).text;
             assert!(r.starts_with("ERR unknown setting"), "{line}: {r}");

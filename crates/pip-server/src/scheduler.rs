@@ -1,7 +1,7 @@
 //! The sampling scheduler: a bounded worker fleet shared by every
 //! connection, with per-query admission control.
 //!
-//! The reactor ([`crate::reactor`]) never executes a query itself — it
+//! The reactor (`crate::reactor`) never executes a query itself — it
 //! parses requests and appends them to the owning connection's command
 //! queue, then marks the connection *runnable* here. A fixed pool of
 //! scheduler workers pops runnable connections and executes their

@@ -1,5 +1,5 @@
 //! The TCP front-end: one nonblocking reactor thread owns every socket
-//! ([`crate::reactor`]), a bounded scheduler fleet runs every query
+//! (`crate::reactor`), a bounded scheduler fleet runs every query
 //! ([`crate::scheduler`]), one [`Session`](crate::session::Session) per
 //! connection over the shared catalog. No connection gets an OS thread.
 

@@ -193,8 +193,6 @@ impl Session {
     /// sampling parameters a result depends on, plus the catalog
     /// version. Thread count is excluded — the parallel runtime returns
     /// bit-identical results for any `threads`, so a hit stays valid.
-    /// `reuse_blocks` (no wire setting changes it) is excluded for the
-    /// same reason: the sample-block cache is pure memoization.
     fn cache_suffix(&self) -> String {
         format!(
             "|seed={}|min={}|max={}|eps={}|delta={}|v={}",

@@ -629,7 +629,7 @@ impl Store {
         (wal.gen, crate::wal::HEADER_LEN + wal.record_bytes)
     }
 
-    /// Current tail position of the WAL chain as a [`WalCursor`] — where
+    /// Current tail position of the WAL chain as a [`WalCursor`](crate::WalCursor) — where
     /// a replication feed that is fully caught up would stand.
     pub fn wal_position(&self) -> crate::tail::WalCursor {
         let (gen, offset) = self.acknowledged_end();

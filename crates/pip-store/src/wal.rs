@@ -6,7 +6,7 @@
 //! frame            :=  len(u32 LE) crc32(u32 LE) payload(len bytes)
 //! ```
 //!
-//! `payload` is one [`WalEntry`](crate::codec::WalEntry) JSON document.
+//! `payload` is one [`WalEntry`] JSON document.
 //! Replay distinguishes two failure classes:
 //!
 //! * **frame integrity** (file ends mid-frame, length overruns the file,
@@ -21,8 +21,8 @@
 //!   [`PipError::Corrupt`] instead of being dropped as a torn tail.
 //!
 //! Append enforces the reader's acceptance bounds up front — both the
-//! frame-size cap ([`frame_too_large`]) and the JSON nesting cap
-//! ([`json_too_deep`]) — so a record the reader would refuse can never
+//! frame-size cap (`frame_too_large`) and the JSON nesting cap
+//! (`json_too_deep`) — so a record the reader would refuse can never
 //! be acknowledged as durable in the first place.
 
 use std::fs::{File, OpenOptions};

@@ -33,20 +33,12 @@ pub mod rngs {
         }
 
         /// Snapshot of the full 256-bit generator state. Two generators
-        /// with equal states produce identical streams forever, which is
-        /// what makes the state usable as a memoization key for
-        /// deterministic sampling (PIP's sample-block cache).
+        /// with equal states produce identical streams forever, so tests
+        /// compare states to show that two samplers consumed exactly the
+        /// same draws.
         #[inline]
         pub fn state(&self) -> [u64; 4] {
             self.s
-        }
-
-        /// Restore a state captured by [`StdRng::state`] — used to
-        /// fast-forward a generator past a cached draw sequence without
-        /// re-drawing it.
-        #[inline]
-        pub fn set_state(&mut self, s: [u64; 4]) {
-            self.s = s;
         }
 
         #[inline]

@@ -38,20 +38,5 @@ fn main() -> Result<()> {
         assert!(r.probability > 0.0 && r.probability < 0.2);
     }
 
-    // Histogram of the widget shortfall, for visualization pipelines.
-    let demand = RandomVar::create(builtin::poisson(), &[4.0])?;
-    let supply = RandomVar::create(builtin::exponential(), &[1.0 / 80.0])?;
-    let shortfall = Equation::from(demand.clone()) - Equation::from(supply.clone());
-    let condition = Conjunction::single(atoms::gt(Equation::from(demand), Equation::from(supply)));
-    let samples = expectation_samples(&shortfall, &condition, 2000, &cfg, 99)?;
-    let hist = Histogram::from_samples(&samples, 10);
-    println!("\nwidget shortfall histogram ({} samples):", hist.n);
-    for i in 0..hist.counts.len() {
-        let (lo, hi) = hist.edges(i);
-        println!(
-            "  [{lo:>6.2}, {hi:>6.2})  {}",
-            "#".repeat((60.0 * hist.density(i)) as usize)
-        );
-    }
     Ok(())
 }

@@ -12,19 +12,19 @@
 //!
 //! The workspace layers (re-exported here):
 //!
-//! * [`core`](pip_core) — values, schemas, tuples.
-//! * [`dist`](pip_dist) — distribution classes (`Generate`/`PDF`/`CDF`/
+//! * [`core`] — values, schemas, tuples.
+//! * [`dist`] — distribution classes (`Generate`/`PDF`/`CDF`/
 //!   `CDF⁻¹`) and hand-written special functions.
-//! * [`expr`](pip_expr) — random variables, the equation datatype,
+//! * [`expr`] — random variables, the equation datatype,
 //!   condition atoms and conjunctions.
-//! * [`ctable`](pip_ctable) — c-tables, Figure 1 relational algebra, the
+//! * [`ctable`] — c-tables, Figure 1 relational algebra, the
 //!   Algorithm 3.2 consistency checker.
-//! * [`sampling`](pip_sampling) — the Algorithm 4.3 expectation operator,
-//!   `conf`/`aconf`, aggregate operators, histograms.
-//! * [`engine`](pip_engine) — catalog, logical plans, executor, SQL.
-//! * [`samplefirst`](pip_samplefirst) — the MCDB-style tuple-bundle
+//! * [`sampling`] — the Algorithm 4.3 expectation operator,
+//!   `conf`/`aconf`, aggregate operators and their per-world samples.
+//! * [`engine`] — catalog, logical plans, executor, SQL.
+//! * [`samplefirst`] — the MCDB-style tuple-bundle
 //!   baseline the paper compares against.
-//! * [`workloads`](pip_workloads) — TPC-H-like + iceberg generators and
+//! * [`workloads`] — TPC-H-like + iceberg generators and
 //!   evaluation queries Q1–Q5.
 //!
 //! ## Quickstart

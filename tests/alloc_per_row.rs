@@ -8,57 +8,14 @@
 //! allocations per result row count that work exactly, with no timing
 //! noise, so a change that re-derives facts per row shows here first.
 //!
-//! A counting `#[global_allocator]` (this test binary only) counts the
-//! allocations made on the measuring thread. The file holds a single
-//! `#[test]`, so nothing else runs beside the measurement.
+//! The count comes from the counting allocator of `counting_alloc`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting_alloc;
 
+use counting_alloc::allocations;
 use pip::engine::sql::{self, Statement};
 use pip::engine::{execute, optimize, Database, Plan};
 use pip::sampling::SamplerConfig;
-
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// Allocations made on this thread while `f` runs.
-fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
-}
 
 const CUSTOMERS: usize = 500;
 const DELIVERIES: usize = 125;
