@@ -10,9 +10,10 @@
 //!    `[−∞, ∞]` (here: intersected with each variable's distribution
 //!    support) and tightened to a fixpoint using `tighten1` on every
 //!    degree-1 atom;
-//! 3. an empty interval proves inconsistency (**strong** result); if any
-//!    atom had to be skipped (degree ≥ 2 or non-polynomial) a consistent
-//!    verdict is only **weak**.
+//! 3. an empty interval proves inconsistency; anything else is
+//!    consistent as far as box reasoning can tell. Atoms that are not
+//!    degree 1 are skipped, and propagation stops after `MAX_SWEEPS`, so
+//!    a consistent verdict never proves the condition satisfiable.
 //!
 //! [`consistency_check`] partitions the condition itself;
 //! [`consistency_of_groups`] is steps 2–3 over a partition the caller
@@ -28,12 +29,10 @@ use crate::bounds::{BoundsMap, Interval};
 /// Verdict of the consistency check.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Consistency {
-    /// Proven unsatisfiable (always a strong verdict).
+    /// Proven unsatisfiable.
     Inconsistent,
-    /// No inconsistency found. `strong` is true when every atom
-    /// participated in bounds propagation, so the bounds map is exact for
-    /// box-shaped reasoning; `bounds` is reused by the CDF sampler.
-    Consistent { strong: bool, bounds: BoundsMap },
+    /// No inconsistency found; `bounds` is reused by the CDF sampler.
+    Consistent { bounds: BoundsMap },
 }
 
 impl Consistency {
@@ -52,7 +51,7 @@ impl Consistency {
 
 /// Maximum fixpoint sweeps. Linear constraint graphs converge in a few
 /// passes; pathological chains (x < y < x − 1 style contradictions that
-/// tighten by a constant per round) are cut off and simply yield a weak
+/// tighten by a constant per round) are cut off and yield a consistent
 /// verdict, matching the paper's "rely on the Monte Carlo phase" escape.
 const MAX_SWEEPS: usize = 64;
 
@@ -64,7 +63,6 @@ pub fn consistency_check(condition: &Conjunction) -> Consistency {
         Truth::False => return Consistency::Inconsistent,
         Truth::True => {
             return Consistency::Consistent {
-                strong: true,
                 bounds: BoundsMap::new(),
             }
         }
@@ -79,32 +77,25 @@ pub fn consistency_check(condition: &Conjunction) -> Consistency {
 /// add nothing, and a group's bounds start from the supports of the
 /// variables its atoms mention, so `groups` may be
 /// `independent_groups(&condition, extra)` for any `extra` and the
-/// verdict, `strong` and every bound equal `consistency_check(&condition)`.
+/// verdict and every bound equal `consistency_check(&condition)`.
 /// The groups must share no variable, as `independent_groups` returns
 /// them.
 pub fn consistency_of_groups(groups: &[VarGroup]) -> Consistency {
     let mut entries = Vec::new();
-    let mut strong = true;
     for group in groups.iter().filter(|g| !g.atoms.is_empty()) {
-        match propagate_group(group, &mut entries) {
-            GroupVerdict::Empty => return Consistency::Inconsistent,
-            GroupVerdict::Done { skipped } => strong &= !skipped,
+        if !propagate_group(group, &mut entries) {
+            return Consistency::Inconsistent;
         }
     }
     Consistency::Consistent {
-        strong,
         bounds: BoundsMap::from_entries(entries),
     }
 }
 
-enum GroupVerdict {
-    Empty,
-    Done { skipped: bool },
-}
-
 /// One group's bounds, appended to `entries` sorted by key (the group's
-/// own segment; no other group's variable is read or written).
-fn propagate_group(group: &VarGroup, entries: &mut Vec<(VarKey, Interval)>) -> GroupVerdict {
+/// own segment; no other group's variable is read or written). `false`
+/// when some variable's interval is empty.
+fn propagate_group(group: &VarGroup, entries: &mut Vec<(VarKey, Interval)>) -> bool {
     // Initialize with distribution support (a strict improvement over the
     // paper's [−∞,∞] start that costs nothing).
     let start = entries.len();
@@ -118,7 +109,7 @@ fn propagate_group(group: &VarGroup, entries: &mut Vec<(VarKey, Interval)>) -> G
     dedup_tail(entries, start);
     let bounds = &mut entries[start..];
     if bounds.iter().any(|e| e.1.is_empty()) {
-        return GroupVerdict::Empty;
+        return false;
     }
     let slot = |bounds: &[(VarKey, Interval)], key: VarKey| {
         bounds
@@ -126,9 +117,9 @@ fn propagate_group(group: &VarGroup, entries: &mut Vec<(VarKey, Interval)>) -> G
             .expect("every atom variable has bounds")
     };
 
-    // Linearize each atom once: expr (op) 0 with affine expr.
-    let mut skipped = false;
-    let mut linear = |atom: &Atom| match (atom.linear_form(), atom.op) {
+    // Linearize each atom once: expr (op) 0 with affine expr. Atoms of
+    // degree ≥ 2 or non-polynomial ones are skipped.
+    let linear = |atom: &Atom| match (atom.linear_form(), atom.op) {
         // Ne carries no interval information; Eq over continuous vars
         // was already handled by simplify, and over discrete vars we
         // treat it like Le ∧ Ge via two passes below.
@@ -137,11 +128,7 @@ fn propagate_group(group: &VarGroup, entries: &mut Vec<(VarKey, Interval)>) -> G
         {
             Some((form, atom.op))
         }
-        (_, CmpOp::Ne) => None,
-        _ => {
-            skipped = true;
-            None
-        }
+        _ => None,
     };
     // A one-atom group (a typical row's) needs no list.
     let one;
@@ -214,7 +201,7 @@ fn propagate_group(group: &VarGroup, entries: &mut Vec<(VarKey, Interval)>) -> G
                 }
                 *x = after;
                 if after.is_empty() {
-                    return GroupVerdict::Empty;
+                    return false;
                 }
             }
         }
@@ -222,7 +209,7 @@ fn propagate_group(group: &VarGroup, entries: &mut Vec<(VarKey, Interval)>) -> G
             break;
         }
     }
-    GroupVerdict::Done { skipped }
+    true
 }
 
 /// Collapse repeated keys in the sorted `entries[start..]` (a variable
@@ -257,7 +244,7 @@ mod tests {
     #[test]
     fn trivially_true_and_false() {
         let c = consistency_check(&Conjunction::top());
-        assert!(matches!(c, Consistency::Consistent { strong: true, .. }));
+        assert!(matches!(c, Consistency::Consistent { .. }));
         let c = consistency_check(&Conjunction::single(atoms::gt(1.0, 2.0)));
         assert!(c.is_inconsistent());
     }
@@ -281,8 +268,7 @@ mod tests {
             atoms::lt(Equation::from(v.clone()), 2.0),
         ]);
         match consistency_check(&cond) {
-            Consistency::Consistent { strong, bounds } => {
-                assert!(strong);
+            Consistency::Consistent { bounds } => {
                 let iv = bounds.get(v.key);
                 assert_eq!(iv.lo, -3.0);
                 assert_eq!(iv.hi, 2.0);
@@ -338,21 +324,6 @@ mod tests {
         let cond = Conjunction::single(atoms::ge(Equation::from(v.clone()) * -2.0 + 6.0, 0.0));
         let bounds = consistency_check(&cond).bounds();
         assert_eq!(bounds.get(v.key).hi, 3.0);
-    }
-
-    #[test]
-    fn nonlinear_atoms_yield_weak_verdict() {
-        let a = y();
-        let b = y();
-        // a·b > 1 is degree 2 → skipped → weak consistent.
-        let cond = Conjunction::single(atoms::gt(
-            Equation::from(a.clone()) * Equation::from(b.clone()),
-            1.0,
-        ));
-        match consistency_check(&cond) {
-            Consistency::Consistent { strong, .. } => assert!(!strong),
-            other => panic!("unexpected {other:?}"),
-        }
     }
 
     #[test]

@@ -89,10 +89,8 @@ pub struct Database {
     /// `indexes`, always.
     indexes: RwLock<HashMap<String, IndexEntry>>,
     /// Monotonic catalog generation, bumped by every DDL/DML mutation.
-    /// Cache layers (e.g. the server's sample-result cache) key on it so
-    /// stale entries can never be served after a mutation — and it is
-    /// persisted across checkpoint/recovery, so they can never be served
-    /// across a restart either.
+    /// Table statistics key on it, replication's `WAIT VERSION` waits
+    /// for it, and it is persisted across checkpoint/recovery.
     version: AtomicU64,
     /// Optimizer statistics per table, keyed by the catalog version they
     /// were collected at — any mutation retires them (see

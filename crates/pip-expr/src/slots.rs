@@ -16,8 +16,7 @@ use crate::vars::{RandomVar, VarKey};
 ///
 /// Slots are allocated in insertion order, so building the map by
 /// iterating variable groups in group order gives every thread and every
-/// run the same layout — a prerequisite for reusing cached sample blocks
-/// across evaluations.
+/// run the same layout.
 #[derive(Debug, Clone, Default)]
 pub struct SlotMap {
     keys: Vec<VarKey>,

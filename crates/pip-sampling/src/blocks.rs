@@ -11,8 +11,8 @@
 //! stopping point never switches a group the loop did not reach.
 //!
 //! Nothing here is memoized. A draw sequence is a pure function of
-//! `(group, world_seed, site)`, and a statement re-run at the same seed
-//! is answered by the server's result cache before any sampling starts.
+//! `(group, world_seed, site)`, so a statement re-run at the same seed
+//! is recomputed to the same bits.
 
 use pip_core::{PipError, Result};
 use pip_dist::PipRng;

@@ -6,9 +6,8 @@
 //!
 //! * [`session`] — client sessions sharing one internally-synchronized
 //!   [`pip_engine::Database`], each with a per-session
-//!   [`pip_sampling::SamplerConfig`], a prepared-statement LRU and a
-//!   sample-result LRU keyed on the catalog version (mutations
-//!   invalidate by construction);
+//!   [`pip_sampling::SamplerConfig`] and a prepared-statement LRU; every
+//!   `SELECT` runs its plan;
 //! * [`protocol`] — the line-oriented request/response protocol
 //!   (`QUERY` / `PREPARE` / `EXEC` / `SET` / `STATS`);
 //! * [`scheduler`] — the bounded query-execution fleet shared by every
@@ -21,8 +20,7 @@
 //!
 //! Sampling heads execute on the deterministic parallel Monte-Carlo
 //! runtime ([`pip_sampling::parallel`]): `SET THREADS n` changes
-//! wall-clock time, never results, which is also why cached results
-//! survive thread-count changes.
+//! wall-clock time, never results.
 //!
 //! ```
 //! use std::io::{BufRead, BufReader, Write};

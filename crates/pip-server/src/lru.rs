@@ -1,5 +1,4 @@
-//! A small least-recently-used cache for per-session state (prepared
-//! statements, sampled query results).
+//! A small least-recently-used map for a session's prepared statements.
 //!
 //! Capacities are tens of entries, so the implementation favours
 //! simplicity: a `HashMap` of values stamped with a logical clock, with
@@ -17,17 +16,13 @@ pub struct Lru<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V> Lru<K, V> {
-    /// A cache holding at most `capacity` entries (`0` disables caching).
+    /// A map holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         Lru {
             capacity,
             clock: 0,
             entries: HashMap::with_capacity(capacity.min(64)),
         }
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     pub fn len(&self) -> usize {
@@ -51,9 +46,6 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     /// Insert (or replace), evicting the least-recently-used entry when
     /// over capacity. Returns the evicted key, if any.
     pub fn put(&mut self, key: K, value: V) -> Option<K> {
-        if self.capacity == 0 {
-            return None;
-        }
         self.clock += 1;
         self.entries.insert(key, (value, self.clock));
         if self.entries.len() <= self.capacity {
@@ -71,11 +63,6 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     /// Remove one entry.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         self.entries.remove(key).map(|(v, _)| v)
-    }
-
-    /// Drop every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -103,13 +90,5 @@ mod tests {
         lru.put("a", 2);
         assert_eq!(lru.len(), 1);
         assert_eq!(lru.get(&"a"), Some(&2));
-    }
-
-    #[test]
-    fn zero_capacity_disables() {
-        let mut lru = Lru::new(0);
-        lru.put("a", 1);
-        assert!(lru.is_empty());
-        assert_eq!(lru.get(&"a"), None);
     }
 }

@@ -57,15 +57,24 @@
 //! `ANALYZE t` are equivalent (as are the `EXPLAIN` variants, including
 //! `EXPLAIN (FORMAT JSON)` for machine-readable plans).
 //!
-//! `QUERY` result sets are `OK <n> rows (<fresh|cached>)`, a tab
-//! separated header line, one line per row (rows still carrying a
-//! non-trivial c-table condition render it after an `IF`), then `END`.
-//! `STREAM` cannot know the row count up front — its frame is
-//! `STREAM BEGIN`, the header, rows written as the physical operator
-//! tree produces them, then `END <n> rows (<fresh|cached>)`; an error
-//! mid-stream terminates the frame with an `ERR` line instead of `END`.
-//! All other successes answer with a single `OK ...` line; failures
-//! answer `ERR <message>` and keep the connection open.
+//! `QUERY` result sets are `OK <n> rows (fresh)`, a tab separated
+//! header line, one line per row (rows still carrying a non-trivial
+//! c-table condition render it after an `IF`), then `END`. Every result
+//! is computed for its request; `(fresh)` stays in the status line
+//! because clients parse it. `STREAM` cannot know the row count up
+//! front — its frame is `STREAM BEGIN`, the header, rows written as the
+//! physical operator tree produces them, then `END <n> rows (fresh)`;
+//! an error mid-stream terminates the frame with an `ERR` line instead
+//! of `END`. All other successes answer with a single `OK ...` line;
+//! failures answer `ERR <message>` and keep the connection open.
+//!
+//! `STATS` answers one line: `session=`, `queries=` (statements this
+//! session ran), `prepared=` (statements it holds), the sampler
+//! settings `threads=`, `seed=` and `samples=<min>..<max>`, then
+//! `durability=` and `wal_bytes=` over a data directory, `version=` and
+//! on a replicated node the replication fields above, `inflight=`,
+//! `queued=`, `admitted=`, `rejected=` and `capacity=` when served over
+//! TCP, and last `uptime_secs=` and `queries_total=` (server-wide).
 
 use std::io::{self, Write};
 use std::sync::Arc;
@@ -236,10 +245,9 @@ fn render_row(row: &CRow) -> String {
 }
 
 /// Render a result table as the multi-line `OK ... END` block.
-fn render_table(table: &CTable, cached: bool) -> String {
+fn render_table(table: &CTable) -> String {
     let mut out = String::new();
-    let freshness = if cached { "cached" } else { "fresh" };
-    out.push_str(&format!("OK {} rows ({freshness})\n", table.len()));
+    out.push_str(&format!("OK {} rows (fresh)\n", table.len()));
     out.push_str(&render_header(table.schema()));
     out.push('\n');
     for row in table.rows() {
@@ -252,24 +260,20 @@ fn render_table(table: &CTable, cached: bool) -> String {
 
 /// Execute `STREAM <sql>`: rows are written to `out` as the physical
 /// operator tree produces them (one `write` per row — on a TCP sink
-/// each row leaves the process before the next is computed). A fresh
-/// SELECT's collected result still lands in the session's sample-result
-/// cache, so later `QUERY`/`STREAM` calls with the same text hit it.
+/// each row leaves the process before the next is computed), and only
+/// the row being written is held.
 pub fn handle_stream(session: &mut Session, sql: &str, out: &mut dyn Write) -> io::Result<()> {
-    let replay = |out: &mut dyn Write, table: &CTable, cached: bool| -> io::Result<()> {
-        writeln!(out, "STREAM BEGIN")?;
-        writeln!(out, "{}", render_header(table.schema()))?;
-        for row in table.rows() {
-            writeln!(out, "{}", render_row(row))?;
-        }
-        let freshness = if cached { "cached" } else { "fresh" };
-        writeln!(out, "END {} rows ({freshness})", table.len())
-    };
-    let (plan, cfg, key) = match session.open_stream(sql) {
+    let (plan, cfg) = match session.open_stream(sql) {
         Err(e) => return writeln!(out, "ERR {}", e.to_string().replace('\n', "; ")),
-        Ok(StreamQuery::Cached(table)) => return replay(out, &table, true),
-        Ok(StreamQuery::Table(table)) => return replay(out, &table, false),
-        Ok(StreamQuery::Live { plan, cfg, key }) => (plan, cfg, key),
+        Ok(StreamQuery::Table(table)) => {
+            writeln!(out, "STREAM BEGIN")?;
+            writeln!(out, "{}", render_header(table.schema()))?;
+            for row in table.rows() {
+                writeln!(out, "{}", render_row(row))?;
+            }
+            return writeln!(out, "END {} rows (fresh)", table.len());
+        }
+        Ok(StreamQuery::Live { plan, cfg }) => (plan, cfg),
     };
     let db = Arc::clone(session.database());
     let mut phys = match pip_engine::lower(&db, &plan, &cfg) {
@@ -278,18 +282,12 @@ pub fn handle_stream(session: &mut Session, sql: &str, out: &mut dyn Write) -> i
     };
     writeln!(out, "STREAM BEGIN")?;
     writeln!(out, "{}", render_header(phys.schema()))?;
-    let mut table = CTable::empty(phys.schema().clone());
+    let mut n = 0usize;
     loop {
         match phys.next_row() {
             Ok(Some(row)) => {
                 writeln!(out, "{}", render_row(&row))?;
-                // Arity was checked at lowering, so this cannot fail —
-                // but if an operator ever emitted a malformed row,
-                // caching a truncated table would silently corrupt
-                // later QUERY hits; terminate the frame instead.
-                if let Err(e) = table.push(row) {
-                    return writeln!(out, "ERR {}", e.to_string().replace('\n', "; "));
-                }
+                n += 1;
             }
             Ok(None) => break,
             Err(e) => {
@@ -298,9 +296,6 @@ pub fn handle_stream(session: &mut Session, sql: &str, out: &mut dyn Write) -> i
             }
         }
     }
-    let n = table.len();
-    drop(phys);
-    session.note_streamed(key, Arc::new(table));
     writeln!(out, "END {n} rows (fresh)")
 }
 
@@ -422,7 +417,7 @@ pub fn handle_command(session: &mut Session, cmd: Command) -> Reply {
     match cmd {
         Command::Query(sql) => match session.query(&sql) {
             Ok(r) => Reply {
-                text: render_table(&r.table, r.cached),
+                text: render_table(&r.table),
                 close: false,
             },
             Err(e) => Reply::err(e),
@@ -445,7 +440,7 @@ pub fn handle_command(session: &mut Session, cmd: Command) -> Reply {
         },
         Command::Exec(name) => match session.exec_prepared(&name) {
             Ok(r) => Reply {
-                text: render_table(&r.table, r.cached),
+                text: render_table(&r.table),
                 close: false,
             },
             Err(e) => Reply::err(e),
@@ -562,10 +557,9 @@ pub fn handle_command(session: &mut Session, cmd: Command) -> Reply {
                 None => String::new(),
             };
             Reply::line(format!(
-                "OK session={} queries={} cache_hits={} prepared={} threads={} seed={} samples={}..{}{durability}{replication}{serving} uptime_secs={:.0} queries_total={}",
+                "OK session={} queries={} prepared={} threads={} seed={} samples={}..{}{durability}{replication}{serving} uptime_secs={:.0} queries_total={}",
                 session.id(),
                 s.queries,
-                s.cache_hits,
                 s.prepared,
                 session.cfg.threads,
                 session.cfg.world_seed,
@@ -665,19 +659,17 @@ mod tests {
         assert!(r.text.starts_with("OK 1 rows (fresh)\n"), "{}", r.text);
         assert!(r.text.contains("expected_sum(x)"), "{}", r.text);
         assert!(r.text.trim_end().ends_with("END"), "{}", r.text);
-        let r = handle_line(&mut s, "QUERY SELECT expected_sum(x) FROM t");
-        assert!(r.text.starts_with("OK 1 rows (cached)"), "{}", r.text);
         let r = handle_line(&mut s, "QUERY SELECT nothing FROM ghost");
         assert!(r.text.starts_with("ERR "), "{}", r.text);
         assert!(!r.close);
         let r = handle_line(&mut s, "STATS");
-        assert!(r.text.contains("cache_hits=1"), "{}", r.text);
+        assert!(r.text.contains(" queries=4 prepared=0 "), "{}", r.text);
         let r = handle_line(&mut s, "QUIT");
         assert!(r.close);
     }
 
     #[test]
-    fn stream_frames_rows_and_hits_the_cache() {
+    fn stream_frames_rows() {
         let mut s = session();
         handle_line(&mut s, "QUERY CREATE TABLE t (a INT)");
         handle_line(&mut s, "QUERY INSERT INTO t VALUES (1), (2), (3)");
@@ -688,13 +680,10 @@ mod tests {
             "{}",
             r.text
         );
-        // Same text through QUERY now hits the streamed result's cache entry.
-        let r = handle_line(&mut s, "QUERY SELECT * FROM t");
-        assert!(r.text.starts_with("OK 3 rows (cached)"), "{}", r.text);
-        // And STREAM replays cached results too.
-        let r = handle_line(&mut s, "STREAM SELECT * FROM t");
+        // Non-SELECT statements run eagerly and frame their table alike.
+        let r = handle_line(&mut s, "STREAM INSERT INTO t VALUES (4)");
         assert!(
-            r.text.trim_end().ends_with("END 3 rows (cached)"),
+            r.text.starts_with("STREAM BEGIN\n") && r.text.ends_with(" rows (fresh)\n"),
             "{}",
             r.text
         );

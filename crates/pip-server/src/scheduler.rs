@@ -75,9 +75,7 @@ pub struct ServingCounters {
     pub(crate) slow_reader_evictions: Arc<Counter>,
     pub(crate) oversize_kills: Arc<Counter>,
     pub(crate) utf8_kills: Arc<Counter>,
-    /// Session-cache hit totals (result cache keyed by SQL + sampling
-    /// parameters + catalog version; prepared statements by name).
-    pub(crate) result_cache_hits: Arc<Counter>,
+    /// EXECs that found their prepared statement by name.
     pub(crate) prepared_cache_hits: Arc<Counter>,
     /// Latency histograms: admit → start, one command slice, and the
     /// parked-reply duration of replication waits.
@@ -165,10 +163,6 @@ impl ServingCounters {
             utf8_kills: r.counter(
                 "pip_server_utf8_kills_total",
                 "Connections dropped for sending non-UTF-8 request lines.",
-            ),
-            result_cache_hits: r.counter(
-                "pip_server_result_cache_hits_total",
-                "Queries answered from a session's sample-result cache.",
             ),
             prepared_cache_hits: r.counter(
                 "pip_server_prepared_cache_hits_total",

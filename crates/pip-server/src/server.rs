@@ -26,10 +26,6 @@ pub struct ServerOptions {
     /// Default per-session sampler configuration (sessions override it
     /// with `SET ...`).
     pub default_config: SamplerConfig,
-    /// Per-session prepared-statement LRU capacity.
-    pub prepared_cache: usize,
-    /// Per-session sample-result LRU capacity.
-    pub result_cache: usize,
     /// Background-checkpoint trigger: when the catalog's WAL grows past
     /// this many bytes, the server checkpoints it. `0` disables the
     /// background checkpointer; it is also inert for catalogs without a
@@ -72,8 +68,6 @@ impl Default for ServerOptions {
     fn default() -> Self {
         ServerOptions {
             default_config: SamplerConfig::default(),
-            prepared_cache: 32,
-            result_cache: 64,
             checkpoint_wal_bytes: 8 << 20,
             checkpoint_poll: std::time::Duration::from_millis(100),
             replication: None,
@@ -234,7 +228,6 @@ pub fn serve(
     let slowlog = Arc::new(SlowLog::new());
     let manager = Arc::new(
         SessionManager::new(db, options.default_config.clone())
-            .with_cache_capacities(options.prepared_cache, options.result_cache)
             .with_replication(options.replication.clone())
             .with_serving(Arc::clone(&serving))
             .with_obs(Arc::new(MonotonicClock), slowlog),

@@ -6,12 +6,11 @@
 //! session-local state:
 //!
 //! * a per-session [`SamplerConfig`] (`SET THREADS/SEED/SAMPLES`),
-//! * an LRU cache of prepared statements (`PREPARE` / `EXEC`),
-//! * an LRU cache of sampled query results, keyed by the statement text,
-//!   the sampling parameters that define the result, and the catalog
-//!   version — a mutation anywhere invalidates by construction, and the
-//!   thread count is deliberately *not* part of the key because the
-//!   parallel runtime is bit-deterministic in it.
+//! * an LRU store of prepared statements (`PREPARE` / `EXEC`).
+//!
+//! Every `SELECT` runs its plan. An answer is a pure function of the
+//! statement, the catalog, the world seed and the sampler settings, so
+//! running it again recomputes the same bits; nothing is cached.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,10 +32,11 @@ struct PreparedStatement {
     plan: Arc<Plan>,
     /// The statement text, recorded in the query span.
     sql: String,
-    /// Distinguishes re-prepared statements with the same name in the
-    /// result-cache key.
-    generation: u64,
 }
+
+/// Prepared statements a session keeps before evicting the least
+/// recently used.
+const PREPARED_CAPACITY: usize = 32;
 
 /// The session's synchronous-replication setting (`SET REPLICATION
 /// WAIT ...`): how many follower ACKs a mutation's reply waits for.
@@ -68,10 +68,8 @@ pub const DEFAULT_REPL_WAIT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Counters reported by the `STATS` command.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Statements executed (QUERY + EXEC, including cache hits).
+    /// Statements executed (QUERY + EXEC).
     pub queries: u64,
-    /// Executions served from the sample-result cache.
-    pub cache_hits: u64,
     /// Statements currently prepared.
     pub prepared: usize,
 }
@@ -79,23 +77,13 @@ pub struct SessionStats {
 /// Result of one session statement.
 pub struct QueryReply {
     pub table: Arc<CTable>,
-    /// Served from the sample-result cache.
-    pub cached: bool,
 }
 
 /// A statement opened for streaming execution ([`Session::open_stream`]).
 pub enum StreamQuery {
-    /// Result-cache hit: the whole table, rows replayed to the sink.
-    Cached(Arc<CTable>),
     /// Live pipelined execution: lower `plan` against the shared catalog
-    /// (`pip_engine::lower`), drain it row by row, then hand the
-    /// collected table back via [`Session::note_streamed`] under `key`
-    /// so later identical queries hit the cache.
-    Live {
-        plan: Box<Plan>,
-        cfg: SamplerConfig,
-        key: String,
-    },
+    /// (`pip_engine::lower`) and drain it row by row.
+    Live { plan: Box<Plan>, cfg: SamplerConfig },
     /// Non-SELECT statement, executed eagerly (DDL/DML/EXPLAIN).
     Table(Arc<CTable>),
 }
@@ -113,8 +101,6 @@ pub struct Session {
     /// it the reply degrades to `ERR repl_timeout ...`.
     pub repl_wait_timeout: Duration,
     prepared: Lru<String, PreparedStatement>,
-    results: Lru<String, Arc<CTable>>,
-    next_generation: u64,
     stats: SessionStats,
     replication: Option<Arc<Replication>>,
     /// Scheduler-wide serving counters (when the session is served by
@@ -189,30 +175,8 @@ impl Session {
         }
     }
 
-    /// The portion of the result-cache key that pins the *numbers*: the
-    /// sampling parameters a result depends on, plus the catalog
-    /// version. Thread count is excluded — the parallel runtime returns
-    /// bit-identical results for any `threads`, so a hit stays valid.
-    fn cache_suffix(&self) -> String {
-        format!(
-            "|seed={}|min={}|max={}|eps={}|delta={}|v={}",
-            self.cfg.world_seed,
-            self.cfg.min_samples,
-            self.cfg.max_samples,
-            self.cfg.epsilon,
-            self.cfg.delta,
-            self.db.version()
-        )
-    }
-
-    /// Optimize and execute an uncached `SELECT`, store the result under
-    /// `cache_key` and close the span.
-    fn run_plan(
-        &mut self,
-        cache_key: String,
-        plan: Plan,
-        mut rec: Option<SpanRecorder>,
-    ) -> Result<QueryReply> {
+    /// Optimize and execute a `SELECT` and close the span.
+    fn run_plan(&self, plan: Plan, rec: Option<SpanRecorder>) -> Result<QueryReply> {
         // Optimization is catalog-dependent (schema lookups), so it runs
         // per execution against the current catalog.
         let t0 = std::time::Instant::now();
@@ -220,22 +184,17 @@ impl Session {
         let optimize_nanos = t0.elapsed().as_nanos() as u64;
         let (table, qs) = execute_with_stats(&self.db, &optimized, &self.cfg)?;
         let table = Arc::new(table);
-        self.results.put(cache_key, Arc::clone(&table));
-        if let Some(mut r) = rec.take() {
+        if let Some(mut r) = rec {
             r.span.optimize_nanos = optimize_nanos;
             r.span.execute_nanos = (qs.query_secs * 1e9) as u64;
             r.span.sample_nanos = (qs.sample_secs * 1e9) as u64;
             r.span.rows = table.len() as u64;
             self.observe_span(r);
         }
-        Ok(QueryReply {
-            table,
-            cached: false,
-        })
+        Ok(QueryReply { table })
     }
 
-    /// Parse and run one SQL statement, consulting the sample-result
-    /// cache for `SELECT`s.
+    /// Parse and run one SQL statement.
     pub fn query(&mut self, sql_text: &str) -> Result<QueryReply> {
         self.stats.queries += 1;
         let mut rec = self.span_recorder(sql_text);
@@ -245,78 +204,38 @@ impl Session {
             r.span.parse_nanos = r.lap();
         }
         match stmt {
-            Statement::Select(plan) => {
-                let key = format!("Q:{}{}", sql_text.trim(), self.cache_suffix());
-                if let Some(hit) = self.results.get(&key) {
-                    self.stats.cache_hits += 1;
-                    if let Some(s) = &self.serving {
-                        s.result_cache_hits.inc();
-                    }
-                    let table = Arc::clone(hit);
-                    if let Some(mut r) = rec.take() {
-                        r.span.cache_hit = true;
-                        r.span.rows = table.len() as u64;
-                        self.observe_span(r);
-                    }
-                    return Ok(QueryReply {
-                        table,
-                        cached: true,
-                    });
-                }
-                self.run_plan(key, plan, rec)
-            }
+            Statement::Select(plan) => self.run_plan(plan, rec),
             other => {
-                // DDL/DML: the catalog version bump retires stale cache
-                // keys on its own.
                 let table = Arc::new(sql::run_statement(&self.db, other, &self.cfg)?);
                 if let Some(mut r) = rec.take() {
                     r.span.execute_nanos = r.lap();
                     r.span.rows = table.len() as u64;
                     self.observe_span(r);
                 }
-                Ok(QueryReply {
-                    table,
-                    cached: false,
-                })
+                Ok(QueryReply { table })
             }
         }
     }
 
     /// Open one SQL statement for streaming execution: rows of a live
     /// `SELECT` leave through the physical operator tree as they are
-    /// produced instead of waiting for the full result table. Cache
-    /// consultation and statistics match [`Session::query`]; a live
-    /// stream's result is cached by calling [`Session::note_streamed`]
-    /// after the drain.
+    /// produced instead of waiting for the full result table. Statistics
+    /// match [`Session::query`].
     pub fn open_stream(&mut self, sql_text: &str) -> Result<StreamQuery> {
         self.stats.queries += 1;
         let stmt = sql::parse(sql_text)?;
         match stmt {
             Statement::Select(plan) => {
-                let key = format!("Q:{}{}", sql_text.trim(), self.cache_suffix());
-                if let Some(hit) = self.results.get(&key) {
-                    self.stats.cache_hits += 1;
-                    if let Some(s) = &self.serving {
-                        s.result_cache_hits.inc();
-                    }
-                    return Ok(StreamQuery::Cached(Arc::clone(hit)));
-                }
                 let optimized = optimize(&self.db, plan)?;
                 Ok(StreamQuery::Live {
                     plan: Box::new(optimized),
                     cfg: self.cfg.clone(),
-                    key,
                 })
             }
             other => Ok(StreamQuery::Table(Arc::new(sql::run_statement(
                 &self.db, other, &self.cfg,
             )?))),
         }
-    }
-
-    /// Store a drained stream's table in the sample-result cache.
-    pub fn note_streamed(&mut self, key: String, table: Arc<CTable>) {
-        self.results.put(key, table);
     }
 
     /// `PREPARE name AS SELECT ...` — parse and plan once.
@@ -328,13 +247,11 @@ impl Session {
         }
         match sql::parse(sql_text)? {
             Statement::Select(plan) => {
-                self.next_generation += 1;
                 self.prepared.put(
                     name.to_string(),
                     PreparedStatement {
                         plan: Arc::new(plan),
                         sql: sql_text.trim().to_string(),
-                        generation: self.next_generation,
                     },
                 );
                 Ok(())
@@ -345,38 +262,21 @@ impl Session {
         }
     }
 
-    /// `EXEC name` — run a prepared statement through the result cache.
+    /// `EXEC name` — run a prepared statement.
     pub fn exec_prepared(&mut self, name: &str) -> Result<QueryReply> {
         self.stats.queries += 1;
-        let (plan, sql, generation) = match self.prepared.get(&name.to_string()) {
+        let (plan, sql) = match self.prepared.get(&name.to_string()) {
             Some(p) => {
                 if let Some(s) = &self.serving {
                     s.prepared_cache_hits.inc();
                 }
-                (Arc::clone(&p.plan), p.sql.clone(), p.generation)
+                (Arc::clone(&p.plan), p.sql.clone())
             }
             None => return Err(PipError::NotFound(format!("prepared statement '{name}'"))),
         };
-        let mut rec = self.span_recorder(&sql);
+        let rec = self.span_recorder(&sql);
         self.pending_admission_wait_nanos = 0;
-        let key = format!("E:{name}#{generation}{}", self.cache_suffix());
-        if let Some(hit) = self.results.get(&key) {
-            self.stats.cache_hits += 1;
-            if let Some(s) = &self.serving {
-                s.result_cache_hits.inc();
-            }
-            let table = Arc::clone(hit);
-            if let Some(mut r) = rec.take() {
-                r.span.cache_hit = true;
-                r.span.rows = table.len() as u64;
-                self.observe_span(r);
-            }
-            return Ok(QueryReply {
-                table,
-                cached: true,
-            });
-        }
-        self.run_plan(key, (*plan).clone(), rec)
+        self.run_plan((*plan).clone(), rec)
     }
 
     /// Forget one prepared statement.
@@ -392,8 +292,6 @@ impl Session {
 pub struct SessionManager {
     db: Arc<Database>,
     default_cfg: SamplerConfig,
-    prepared_capacity: usize,
-    result_capacity: usize,
     next_id: AtomicU64,
     replication: Option<Arc<Replication>>,
     serving: Option<Arc<ServingCounters>>,
@@ -406,21 +304,12 @@ impl SessionManager {
         SessionManager {
             db,
             default_cfg,
-            prepared_capacity: 32,
-            result_capacity: 64,
             next_id: AtomicU64::new(1),
             replication: None,
             serving: None,
             clock: Arc::new(MonotonicClock),
             slowlog: None,
         }
-    }
-
-    /// Override the per-session cache capacities.
-    pub fn with_cache_capacities(mut self, prepared: usize, results: usize) -> Self {
-        self.prepared_capacity = prepared;
-        self.result_capacity = results;
-        self
     }
 
     /// Attach the node's replication role: sessions report it in STATS
@@ -462,9 +351,7 @@ impl SessionManager {
             cfg: self.default_cfg.clone(),
             repl_wait: ReplWait::default(),
             repl_wait_timeout: DEFAULT_REPL_WAIT_TIMEOUT,
-            prepared: Lru::new(self.prepared_capacity),
-            results: Lru::new(self.result_capacity),
-            next_generation: 0,
+            prepared: Lru::new(PREPARED_CAPACITY),
             stats: SessionStats::default(),
             replication: self.replication.clone(),
             serving: self.serving.clone(),
@@ -490,38 +377,40 @@ mod tests {
         mgr
     }
 
-    #[test]
-    fn query_caches_selects_until_mutation() {
-        let mgr = manager();
-        let mut s = mgr.open();
-        let q = "SELECT expected_sum(x) FROM t";
-        let a = s.query(q).unwrap();
-        assert!(!a.cached);
-        let b = s.query(q).unwrap();
-        assert!(b.cached);
-        assert_eq!(
-            scalar_result(&a.table).unwrap(),
-            scalar_result(&b.table).unwrap()
-        );
-        // A catalog mutation retires the cached entry.
-        s.query("INSERT INTO t VALUES (create_variable('Normal', 5, 1))")
-            .unwrap();
-        let c = s.query(q).unwrap();
-        assert!(!c.cached);
-        assert!(scalar_result(&c.table).unwrap() > scalar_result(&a.table).unwrap());
-        let stats = s.stats();
-        assert_eq!(stats.queries, 4);
-        assert_eq!(stats.cache_hits, 1);
+    /// `E[x · 1{x > 11}]` for x ~ N(10, 2): the CDF-bounded sampler
+    /// answers it, so its bits depend on the seed and the sampler config.
+    const SAMPLED: &str = "SELECT expected_sum(x) FROM t WHERE x > 11";
+
+    fn bits(reply: &QueryReply) -> u64 {
+        scalar_result(&reply.table).unwrap().to_bits()
     }
 
     #[test]
-    fn seed_change_bypasses_cache() {
+    fn a_repeated_query_recomputes_until_mutation() {
         let mgr = manager();
         let mut s = mgr.open();
-        let q = "SELECT conf() FROM t WHERE x > 9";
-        s.query(q).unwrap();
-        s.cfg.world_seed ^= 1;
-        assert!(!s.query(q).unwrap().cached);
+        let a = s.query(SAMPLED).unwrap();
+        let b = s.query(SAMPLED).unwrap();
+        assert_eq!(bits(&a), bits(&b), "a re-run at the same seed diverged");
+        // A catalog mutation changes the answer.
+        s.query("INSERT INTO t VALUES (create_variable('Normal', 15, 1))")
+            .unwrap();
+        let c = s.query(SAMPLED).unwrap();
+        assert!(scalar_result(&c.table).unwrap() > scalar_result(&a.table).unwrap() + 10.0);
+        assert_eq!(s.stats().queries, 4);
+    }
+
+    #[test]
+    fn a_config_change_answers_like_a_fresh_session() {
+        let mgr = manager();
+        let mut s = mgr.open();
+        s.query(SAMPLED).unwrap();
+        s.cfg.use_cdf_sampling = false;
+        let changed = s.query(SAMPLED).unwrap();
+        let mut fresh = mgr.open();
+        fresh.cfg.use_cdf_sampling = false;
+        let expected = fresh.query(SAMPLED).unwrap();
+        assert_eq!(bits(&changed), bits(&expected));
     }
 
     #[test]
@@ -530,9 +419,8 @@ mod tests {
         let mut s = mgr.open();
         s.prepare("total", "SELECT expected_sum(x) FROM t").unwrap();
         let a = s.exec_prepared("total").unwrap();
-        assert!(!a.cached);
         let b = s.exec_prepared("total").unwrap();
-        assert!(b.cached);
+        assert_eq!(bits(&a), bits(&b));
         assert!((scalar_result(&a.table).unwrap() - 10.0).abs() < 1e-9);
         assert!(s.exec_prepared("missing").is_err());
         s.deallocate("total").unwrap();
@@ -556,19 +444,17 @@ mod tests {
     }
 
     #[test]
-    fn thread_setting_reuses_cache() {
+    fn thread_count_never_changes_bits() {
         let mgr = manager();
         let mut s = mgr.open();
-        let q = "SELECT expected_sum(x) FROM t";
-        let serial = s.query(q).unwrap();
+        s.query(
+            "INSERT INTO t VALUES (create_variable('Normal', 12, 1)), \
+             (create_variable('Normal', 11, 3)), (create_variable('Normal', 9, 2))",
+        )
+        .unwrap();
+        let serial = s.query(SAMPLED).unwrap();
         s.cfg = s.cfg.clone().with_threads(4);
-        let parallel = s.query(q).unwrap();
-        // Bit-determinism makes the cached serial result valid at any
-        // thread count.
-        assert!(parallel.cached);
-        assert_eq!(
-            scalar_result(&serial.table).unwrap(),
-            scalar_result(&parallel.table).unwrap()
-        );
+        let parallel = s.query(SAMPLED).unwrap();
+        assert_eq!(bits(&serial), bits(&parallel));
     }
 }

@@ -176,9 +176,7 @@ fn load_workload(c: &mut Client) {
 }
 
 /// The read side of the workload — sampling heads and plain scans —
-/// returning every reply block for byte comparison. The session-local
-/// `(fresh)`/`(cached)` marker is normalized away: whether a *session*
-/// re-served its own result says nothing about cross-node identity.
+/// returning every reply block for byte comparison.
 fn run_queries(c: &mut Client) -> Vec<Vec<String>> {
     [
         "QUERY SELECT expected_sum(price) FROM orders, shipping \
@@ -188,11 +186,7 @@ fn run_queries(c: &mut Client) -> Vec<Vec<String>> {
         "QUERY SELECT cust, price FROM orders WHERE ship_to = 'NY'",
     ]
     .iter()
-    .map(|q| {
-        let mut block = c.ok(q);
-        block[0] = block[0].replace(" (cached)", "").replace(" (fresh)", "");
-        block
-    })
+    .map(|q| c.ok(q))
     .collect()
 }
 

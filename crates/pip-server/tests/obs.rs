@@ -276,7 +276,6 @@ fn slowlog_captures_per_phase_breakdowns() {
         "execute=",
         "sample=",
         "rows=",
-        "cache_hit=",
         "admission_wait=",
         "park=",
         "sql=",

@@ -190,8 +190,7 @@ fn admission_control_rejects_past_capacity_and_recovers() {
     }
     assert_eq!(c.read_reply(), "PONG\n");
 
-    // Capacity freed: the same query is admitted again (cached now —
-    // the session result cache kept the first execution).
+    // Capacity freed: the same query is admitted and runs again.
     let again = c.send(GROUPED);
     assert!(again.starts_with("OK"), "{again}");
 
@@ -495,9 +494,8 @@ fn shutdown_drains_inflight_replies_before_closing() {
 // ---------------------------------------------------------------------
 
 /// Build client `k`'s command script from the proptest choice vector.
-/// Read-only after setup (the catalog version must stay fixed so
-/// fresh/cached labels replay identically), across 1/2/4 sampling
-/// threads.
+/// Read-only after setup (the catalog stays fixed so a serial replay
+/// sees the same rows), across 1/2/4 sampling threads.
 fn client_script(k: usize, choices: &[usize]) -> Vec<String> {
     let mut script = vec![format!("SET THREADS {}", [1, 2, 4][k % 3])];
     let per_client = choices.len() / 3;

@@ -12,7 +12,7 @@
 //! Run with `cargo run --example iceberg_watch`.
 
 use pip::prelude::*;
-use pip::workloads::iceberg::{
+use pip_workloads::iceberg::{
     exact_threat, generate, relative_errors, threat_pip, threat_sf, IcebergConfig,
 };
 

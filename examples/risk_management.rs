@@ -10,8 +10,8 @@
 //! Run with `cargo run --example risk_management`.
 
 use pip::prelude::*;
-use pip::workloads::queries;
-use pip::workloads::tpch::{generate, TpchConfig};
+use pip_workloads::queries;
+use pip_workloads::tpch::{generate, TpchConfig};
 
 fn main() -> Result<()> {
     let data = generate(&TpchConfig {

@@ -22,10 +22,6 @@
 //! * [`sampling`] — the Algorithm 4.3 expectation operator,
 //!   `conf`/`aconf`, aggregate operators and their per-world samples.
 //! * [`engine`] — catalog, logical plans, executor, SQL.
-//! * [`samplefirst`] — the MCDB-style tuple-bundle
-//!   baseline the paper compares against.
-//! * [`workloads`] — TPC-H-like + iceberg generators and
-//!   evaluation queries Q1–Q5.
 //!
 //! ## Quickstart
 //!
@@ -49,10 +45,8 @@ pub use pip_ctable as ctable;
 pub use pip_dist as dist;
 pub use pip_engine as engine;
 pub use pip_expr as expr;
-pub use pip_samplefirst as samplefirst;
 pub use pip_sampling as sampling;
 pub use pip_store as store;
-pub use pip_workloads as workloads;
 
 /// One-stop import for applications.
 pub mod prelude {

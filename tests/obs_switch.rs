@@ -5,7 +5,7 @@
 
 use pip::engine::{execute_with_stats, optimize, scalar_result};
 use pip::sampling::SamplerConfig;
-use pip::workloads::{plans, tpch};
+use pip_workloads::{plans, tpch};
 
 #[test]
 fn answers_are_bit_identical_with_observability_on_and_off() {

@@ -192,17 +192,17 @@ fn form_bits(form: Option<LinearForm>) -> Option<Vec<u64>> {
     })
 }
 
-/// A verdict as raw bits: `None` when inconsistent, else `strong`, then
-/// every bound's key and endpoints.
+/// A verdict as raw bits: `None` when inconsistent, else every bound's
+/// key and endpoints.
 fn verdict_bits(c: &Consistency) -> Option<Vec<u64>> {
     match c {
         Consistency::Inconsistent => None,
-        Consistency::Consistent { strong, bounds } => {
-            let entries = bounds
+        Consistency::Consistent { bounds } => Some(
+            bounds
                 .iter()
-                .flat_map(|(k, iv)| [k.id.0, k.subscript.into(), iv.lo.to_bits(), iv.hi.to_bits()]);
-            Some(std::iter::once(u64::from(*strong)).chain(entries).collect())
-        }
+                .flat_map(|(k, iv)| [k.id.0, k.subscript.into(), iv.lo.to_bits(), iv.hi.to_bits()])
+                .collect(),
+        ),
     }
 }
 
@@ -211,7 +211,7 @@ proptest! {
 
     /// The fused analysis: propagating bounds over the partition that
     /// also holds an expectation's extra variables gives exactly what
-    /// `consistency_check` gives — verdict, `strong` and every bound, to
+    /// `consistency_check` gives — verdict and every bound, to
     /// the bit — including when an extra variable is another component
     /// of a variable the condition mentions.
     #[test]

@@ -8,8 +8,8 @@ use pip::dist::prelude::*;
 use pip::dist::special;
 use pip::expr::{atoms, Conjunction, Equation, RandomVar};
 use pip::prelude::{DataType, Schema};
-use pip::samplefirst::{agg as sf_agg, BundleTable};
 use pip::sampling::{expectation, SamplerConfig};
+use pip_samplefirst::{agg as sf_agg, BundleTable};
 
 /// E[Y | 1 < Y < 2] for Y ~ Normal(0,1), the closed form.
 fn truncated_normal_mean(a: f64, b: f64) -> f64 {
