@@ -91,34 +91,27 @@ struct ExecSummary {
     /// Legacy materializing executor on the predicate-pushdown-only plan
     /// (the pre-refactor engine configuration).
     materialized_query_secs: f64,
-    /// Materializing executor plus projection pushdown: isolates what
-    /// column pruning buys when intermediates are cloned wholesale.
-    materialized_pushdown_query_secs: f64,
     /// Pipelined executor, predicate pushdown only.
     streaming_query_secs: f64,
-    /// Pipelined executor plus projection pushdown (the shipped default).
+    /// Pipelined executor on the full optimizer's plan (the shipped
+    /// default).
     streaming_pushdown_query_secs: f64,
     executor_speedup: f64,
-    pushdown_speedup_materialized: f64,
     pushdown_speedup_streaming: f64,
     total_speedup: f64,
     bit_identical: bool,
 }
 
 /// The fig6 join workload (Q3's selective join as a full engine plan),
-/// run through the materializing executor and the pipelined executor
-/// before/after cost-gated projection pushdown. Each executor gets the
-/// plan its own cost target produces (`OptimizerConfig::materializing`
-/// prunes aggressively; the streaming default prunes only where the
-/// narrower rows repay the extra stage).
+/// run through the materializing executor on the predicate-pushdown
+/// plan and through the pipelined executor on that plan and on the
+/// full optimizer's.
 fn exec_comparison(scale: f64) -> (ExecSummary, Vec<PlanShape>) {
     let data = generate(&TpchConfig::scaled(scale, 0x33));
     let sel = 0.1;
     let db = plans::join_db(&data, sel).expect("join db");
     let raw = plans::join_plan();
     let pred_only = pip_engine::optimize::push_selects(&db, raw.clone()).expect("push_selects");
-    let full_mat = optimize_with(&db, raw.clone(), &OptimizerConfig::materializing())
-        .expect("optimize for materializing");
     let full_stream = optimize(&db, raw).expect("optimize");
     // A fixed sampling budget keeps the sample phase identical across
     // variants; only the query phase is under test.
@@ -126,23 +119,21 @@ fn exec_comparison(scale: f64) -> (ExecSummary, Vec<PlanShape>) {
     let trials = 9;
 
     println!("\n# Executor comparison on the fig6 join workload (Q3 shape, sel {sel}):");
-    println!("# materializing (pre-refactor) vs pipelined, before/after cost-gated pushdown.");
+    println!("# materializing (pre-refactor) vs pipelined, before/after the full optimizer.");
     pip_bench::header(&["variant", "query_secs", "value"]);
     let (mat_secs, mat_v) = best_of(trials, &db, &pred_only, &cfg, true);
     println!("materialized\t{mat_secs:.4}\t{mat_v:.3}");
-    let (mat_push_secs, mat_push_v) = best_of(trials, &db, &full_mat, &cfg, true);
-    println!("materialized+pushdown\t{mat_push_secs:.4}\t{mat_push_v:.3}");
     let (stream_secs, stream_v) = best_of(trials, &db, &pred_only, &cfg, false);
     println!("streaming\t{stream_secs:.4}\t{stream_v:.3}");
     let (push_secs, push_v) = best_of(trials, &db, &full_stream, &cfg, false);
     println!("streaming+pushdown\t{push_secs:.4}\t{push_v:.3}");
 
-    let bit_identical = [mat_push_v, stream_v, push_v]
+    let bit_identical = [stream_v, push_v]
         .iter()
         .all(|v| v.to_bits() == mat_v.to_bits());
     assert!(
         bit_identical,
-        "executor variants disagree: {mat_v} / {mat_push_v} / {stream_v} / {push_v}"
+        "executor variants disagree: {mat_v} / {stream_v} / {push_v}"
     );
     let summary = ExecSummary {
         workload: "fig6_q3_join",
@@ -150,30 +141,21 @@ fn exec_comparison(scale: f64) -> (ExecSummary, Vec<PlanShape>) {
         suppliers: data.suppliers.len(),
         selectivity: sel,
         materialized_query_secs: mat_secs,
-        materialized_pushdown_query_secs: mat_push_secs,
         streaming_query_secs: stream_secs,
         streaming_pushdown_query_secs: push_secs,
         executor_speedup: mat_secs / stream_secs,
-        pushdown_speedup_materialized: mat_secs / mat_push_secs,
         pushdown_speedup_streaming: stream_secs / push_secs,
         total_speedup: mat_secs / push_secs,
         bit_identical,
     };
     println!(
-        "# speedup: executor {:.2}x, pushdown (materialized) {:.2}x, pushdown (streaming) {:.2}x, total {:.2}x",
-        summary.executor_speedup,
-        summary.pushdown_speedup_materialized,
-        summary.pushdown_speedup_streaming,
-        summary.total_speedup
+        "# speedup: executor {:.2}x, pushdown (streaming) {:.2}x, total {:.2}x",
+        summary.executor_speedup, summary.pushdown_speedup_streaming, summary.total_speedup
     );
     let shapes = vec![
         PlanShape {
             name: "fig6_join_pred_only",
             shape: pred_only.shape_json(),
-        },
-        PlanShape {
-            name: "fig6_join_materializing",
-            shape: full_mat.shape_json(),
         },
         PlanShape {
             name: "fig6_join_streaming",
@@ -197,8 +179,8 @@ struct JoinOrderSummary {
     dim_b_rows: usize,
     dim_c_rows: usize,
     c_selectivity: f64,
-    /// Query phase of the plan executed in written order (predicate +
-    /// projection pushdown only — the pre-cost-based-optimizer engine).
+    /// Query phase of the plan executed in written order (the optimizer
+    /// with join reordering off).
     written_query_secs: f64,
     /// Query phase of the cost-based plan (join graph reordered by
     /// estimated cardinality).

@@ -32,9 +32,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::RwLock;
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use pip_core::{DataType, PipError, Result, Schema, Tuple};
 use pip_dist::DistributionRegistry;
@@ -47,6 +45,19 @@ use pip_ctable::{CRow, CTable, OrderedIndex};
 
 use crate::persist;
 use crate::stats::TableStats;
+
+/// Take a catalog lock for reading. A panic under a catalog lock
+/// poisons it; the lock is taken anyway, so one failed statement does
+/// not wedge every later session.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Take a catalog lock for writing, recovering from poisoning as
+/// [`read`] does.
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(|e| e.into_inner())
+}
 
 /// What recovery found in a data directory ([`Database::recover`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,8 +188,8 @@ impl Database {
         let (store, recovered) = Store::open(dir.as_ref(), &registry)?;
         let db = Self::with_registry(registry);
         {
-            let mut tables = db.tables.write();
-            let mut stats = db.stats.write();
+            let mut tables = write(&db.tables);
+            let mut stats = write(&db.stats);
             for (name, table, stats_json) in recovered.tables {
                 if let Some(blob) = &stats_json {
                     // Statistics are derived data: a blob that fails to
@@ -209,7 +220,7 @@ impl Database {
             // table or column no longer resolves means the log and the
             // catalog semantics disagree — corruption, never papered
             // over (the store already validated table existence).
-            let mut indexes = db.indexes.write();
+            let mut indexes = write(&db.indexes);
             for (name, table, column) in &recovered.indexes {
                 let t = tables.get(table).ok_or_else(|| {
                     PipError::corrupt(format!("index '{name}' covers unknown table '{table}'"))
@@ -352,7 +363,7 @@ impl Database {
         // the record could land in a generation the checkpoint deletes
         // while the snapshot's watermark predates the allocation, and a
         // post-recovery variable could reuse the id.
-        let _ordered_with_checkpoints = self.tables.read();
+        let _ordered_with_checkpoints = read(&self.tables);
         let var = RandomVar::create_named(&self.registry, class, params)?;
         if self.durable() {
             self.log(
@@ -393,7 +404,7 @@ impl Database {
     /// Create an empty table. Errors if the name is taken.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<()> {
         self.check_writable()?;
-        let mut tables = self.tables.write();
+        let mut tables = write(&self.tables);
         if tables.contains_key(name) {
             return Err(PipError::Schema(format!("table '{name}' already exists")));
         }
@@ -416,7 +427,7 @@ impl Database {
     /// indexes, so their definitions die with the old contents.
     pub fn register_table(&self, name: &str, table: CTable) -> Result<()> {
         self.check_writable()?;
-        let mut tables = self.tables.write();
+        let mut tables = write(&self.tables);
         let version = self.bump_version();
         if self.durable() {
             self.log(
@@ -428,14 +439,14 @@ impl Database {
             )?;
         }
         tables.insert(name.to_string(), Arc::new(table));
-        self.indexes.write().retain(|_, e| e.table != name);
+        write(&self.indexes).retain(|_, e| e.table != name);
         Ok(())
     }
 
     /// Drop a table.
     pub fn drop_table(&self, name: &str) -> Result<()> {
         self.check_writable()?;
-        let mut tables = self.tables.write();
+        let mut tables = write(&self.tables);
         if !tables.contains_key(name) {
             return Err(PipError::NotFound(format!("table '{name}'")));
         }
@@ -449,7 +460,7 @@ impl Database {
             )?;
         }
         tables.remove(name);
-        self.indexes.write().retain(|_, e| e.table != name);
+        write(&self.indexes).retain(|_, e| e.table != name);
         Ok(())
     }
 
@@ -459,11 +470,11 @@ impl Database {
     /// does not resolve.
     pub fn create_index(&self, name: &str, table: &str, column: &str) -> Result<()> {
         self.check_writable()?;
-        let tables = self.tables.write();
+        let tables = write(&self.tables);
         let t = tables
             .get(table)
             .ok_or_else(|| PipError::NotFound(format!("table '{table}'")))?;
-        if self.indexes.read().contains_key(name) {
+        if read(&self.indexes).contains_key(name) {
             return Err(PipError::Schema(format!("index '{name}' already exists")));
         }
         // Build (and thereby validate) before the WAL append — a logged
@@ -480,15 +491,15 @@ impl Database {
                 },
             )?;
         }
-        self.indexes.write().insert(name.to_string(), entry);
+        write(&self.indexes).insert(name.to_string(), entry);
         Ok(())
     }
 
     /// `DROP INDEX name`.
     pub fn drop_index(&self, name: &str) -> Result<()> {
         self.check_writable()?;
-        let _tables = self.tables.write();
-        if !self.indexes.read().contains_key(name) {
+        let _tables = write(&self.tables);
+        if !read(&self.indexes).contains_key(name) {
             return Err(PipError::NotFound(format!("index '{name}'")));
         }
         let version = self.bump_version();
@@ -500,21 +511,19 @@ impl Database {
                 },
             )?;
         }
-        self.indexes.write().remove(name);
+        write(&self.indexes).remove(name);
         Ok(())
     }
 
     /// The named index, if registered.
     pub fn index(&self, name: &str) -> Option<IndexEntry> {
-        self.indexes.read().get(name).cloned()
+        read(&self.indexes).get(name).cloned()
     }
 
     /// Every index covering `table`, as `(name, entry)` sorted by index
     /// name — the optimizer's access-path candidates.
     pub fn indexes_on(&self, table: &str) -> Vec<(String, IndexEntry)> {
-        let mut out: Vec<(String, IndexEntry)> = self
-            .indexes
-            .read()
+        let mut out: Vec<(String, IndexEntry)> = read(&self.indexes)
             .iter()
             .filter(|(_, e)| e.table == table)
             .map(|(n, e)| (n.clone(), e.clone()))
@@ -525,15 +534,14 @@ impl Database {
 
     /// Names of all indexes, sorted.
     pub fn index_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.indexes.read().keys().cloned().collect();
+        let mut names: Vec<String> = read(&self.indexes).keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Shared snapshot of a table.
     pub fn table(&self, name: &str) -> Result<Arc<CTable>> {
-        self.tables
-            .read()
+        read(&self.tables)
             .get(name)
             .cloned()
             .ok_or_else(|| PipError::NotFound(format!("table '{name}'")))
@@ -559,11 +567,11 @@ impl Database {
     /// [`Database::table_stats`]).
     pub fn insert_rows(&self, name: &str, rows: Vec<CRow>) -> Result<()> {
         self.check_writable()?;
-        let mut tables = self.tables.write();
+        let mut tables = write(&self.tables);
         let table = tables
             .get_mut(name)
             .ok_or_else(|| PipError::NotFound(format!("table '{name}'")))?;
-        let mut indexes = self.indexes.write();
+        let mut indexes = write(&self.indexes);
         check_append(table, &indexes, name, &rows)?;
         let old_len = table.len();
         let post_insert = self.bump_version();
@@ -594,7 +602,7 @@ impl Database {
         // equality (either here or for the other inserter), and the
         // loser's entry simply goes stale and recollects on next use.
         let pre_insert = post_insert - 1;
-        let mut stats = self.stats.write();
+        let mut stats = write(&self.stats);
         if let Some(entry) = stats.get_mut(name) {
             if entry.version == pre_insert {
                 *entry = Arc::new(entry.apply_insert(&table.rows()[old_len..], post_insert));
@@ -634,7 +642,7 @@ impl Database {
 
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
+        let mut names: Vec<String> = read(&self.tables).keys().cloned().collect();
         names.sort();
         names
     }
@@ -651,7 +659,7 @@ impl Database {
     /// generation.
     pub fn checkpoint(&self) -> Result<u64> {
         let store = Arc::clone(self.require_store()?);
-        let tables = self.tables.write();
+        let tables = write(&self.tables);
         let captured = self.capture_checkpoint(&tables);
         let generation = store.begin_checkpoint()?;
         drop(tables);
@@ -666,10 +674,10 @@ impl Database {
     /// gone.
     fn capture_checkpoint(&self, tables: &HashMap<String, Arc<CTable>>) -> CheckpointCapture {
         let version = self.version();
-        let stats = self.stats.read();
+        let stats = read(&self.stats);
         let mut names: Vec<&String> = tables.keys().collect();
         names.sort();
-        let indexes = self.indexes.read();
+        let indexes = read(&self.indexes);
         let mut inames: Vec<&String> = indexes.keys().collect();
         inames.sort();
         CheckpointCapture {
@@ -716,7 +724,7 @@ impl Database {
     /// exact prefix of the primary's history and can resume the feed
     /// from its applied version.
     pub fn apply_replicated(&self, entry: &WalEntry) -> Result<()> {
-        let mut tables = self.tables.write();
+        let mut tables = write(&self.tables);
         let current = self.version();
         if entry.version < current {
             return Err(PipError::corrupt(format!(
@@ -760,7 +768,7 @@ impl Database {
                         "replication feed inserts into unknown table '{name}'"
                     ))
                 })?;
-                check_append(table, &self.indexes.read(), name, rows)?;
+                check_append(table, &read(&self.indexes), name, rows)?;
                 for r in rows {
                     for v in r.variables() {
                         VarId::reserve_through(v.key.id.0);
@@ -782,7 +790,7 @@ impl Database {
                 table,
                 column,
             } => {
-                if self.indexes.read().contains_key(name) {
+                if read(&self.indexes).contains_key(name) {
                     return Err(PipError::corrupt(format!(
                         "replication feed creates index '{name}' twice"
                     )));
@@ -798,7 +806,7 @@ impl Database {
                 staged_index = Some((name.clone(), e));
             }
             CatalogRecord::DropIndex { name } => {
-                if !self.indexes.read().contains_key(name) {
+                if !read(&self.indexes).contains_key(name) {
                     return Err(PipError::corrupt(format!(
                         "replication feed drops unknown index '{name}'"
                     )));
@@ -812,13 +820,13 @@ impl Database {
         }
         if let Some((name, rows)) = appended {
             let table = tables.get_mut(name).expect("checked above");
-            self.append_in_place(table, &mut self.indexes.write(), name, rows.clone());
+            self.append_in_place(table, &mut write(&self.indexes), name, rows.clone());
         }
         if let Some(name) = dropped {
             tables.remove(&name);
         }
         if staged_index.is_some() || dropped_index.is_some() || retire_indexes_of.is_some() {
-            let mut indexes = self.indexes.write();
+            let mut indexes = write(&self.indexes);
             if let Some(table) = retire_indexes_of {
                 indexes.retain(|_, e| e.table != table);
             }
@@ -842,11 +850,11 @@ impl Database {
     /// a local checkpoint, so a restart resumes from here instead of
     /// needing another bulk transfer.
     pub fn install_snapshot(&self, snapshot: Snapshot) -> Result<()> {
-        let mut tables = self.tables.write();
-        let mut stats = self.stats.write();
+        let mut tables = write(&self.tables);
+        let mut stats = write(&self.stats);
         tables.clear();
         stats.clear();
-        self.indexes.write().clear();
+        write(&self.indexes).clear();
         for t in &snapshot.tables {
             if let Some(blob) = &t.stats {
                 // Same derived-data rules as recovery: undecodable or
@@ -868,7 +876,7 @@ impl Database {
         // Index contents are derived data, rebuilt from the shipped
         // tables — same resolution rules as recovery.
         {
-            let mut indexes = self.indexes.write();
+            let mut indexes = write(&self.indexes);
             for i in &snapshot.indexes {
                 let t = tables.get(&i.table).ok_or_else(|| {
                     PipError::corrupt(format!(
@@ -919,7 +927,7 @@ impl Database {
     /// accepts).
     pub fn capture_replication_snapshot(&self) -> Result<(Snapshot, WalCursor)> {
         let store = Arc::clone(self.require_store()?);
-        let tables = self.tables.read();
+        let tables = read(&self.tables);
         let cursor = store.wal_position();
         let captured = self.capture_checkpoint(&tables);
         drop(tables);
@@ -957,7 +965,7 @@ impl Database {
             ));
         }
         let store = Arc::clone(self.require_store()?);
-        let tables = self.tables.write();
+        let tables = write(&self.tables);
         if store.durability() == Durability::Off && level != Durability::Off {
             let captured = self.capture_checkpoint(&tables);
             store.checkpoint(&captured.into_snapshot())?;
@@ -972,9 +980,7 @@ impl Database {
         let version = self.version();
         let table = self.table(name)?;
         let stats = Arc::new(TableStats::analyze(name, &table, version));
-        self.stats
-            .write()
-            .insert(name.to_string(), Arc::clone(&stats));
+        write(&self.stats).insert(name.to_string(), Arc::clone(&stats));
         Ok(stats)
     }
 
@@ -999,7 +1005,7 @@ impl Database {
     /// *after* the cache hit, so a concurrent mutation between the two
     /// reads forces a recollect instead of a stale hit).
     pub fn table_stats(&self, name: &str) -> Result<Arc<TableStats>> {
-        if let Some(hit) = self.stats.read().get(name) {
+        if let Some(hit) = read(&self.stats).get(name) {
             if hit.version == self.version() && !hit.columns_stale() {
                 return Ok(Arc::clone(hit));
             }
@@ -1392,7 +1398,7 @@ mod tests {
             // An index that does not cover exactly the table's rows (a
             // broken invariant) refuses the insert before the log too.
             let stale = OrderedIndex::build(&CTable::empty(table.schema().clone()), 0).unwrap();
-            db.indexes.write().get_mut("idx_k").unwrap().index = Arc::new(stale);
+            write(&db.indexes).get_mut("idx_k").unwrap().index = Arc::new(stale);
             assert!(db.insert_rows("t", keys(&[3])).is_err());
             assert_eq!((db.version(), db.wal_bytes()), (version, wal_bytes));
             assert_eq!(*db.table("t").unwrap(), table);

@@ -47,6 +47,24 @@ pub struct QueryStats {
     pub ops: Vec<OpProfile>,
 }
 
+impl QueryStats {
+    /// Split the wall time of one drained pipelined run into its
+    /// phases: the sampling heads' exclusive time is the sample phase,
+    /// the rest the query phase.
+    pub fn from_profiles(total_secs: f64, ops: Vec<OpProfile>) -> QueryStats {
+        let sample_secs: f64 = ops
+            .iter()
+            .filter(|p| p.sampling)
+            .map(|p| p.exclusive_secs)
+            .sum();
+        QueryStats {
+            query_secs: (total_secs - sample_secs).max(0.0),
+            sample_secs,
+            ops,
+        }
+    }
+}
+
 /// Execute `plan` against `db` through the pipelined physical layer,
 /// returning the result table and the query/sample timing split with
 /// per-operator profiles.
@@ -58,18 +76,7 @@ pub fn execute_with_stats(
     let mut phys = physical::lower(db, plan, cfg)?;
     let t0 = Instant::now();
     let table = phys.collect()?;
-    let total = t0.elapsed().as_secs_f64();
-    let ops = phys.profiles();
-    let sample_secs: f64 = ops
-        .iter()
-        .filter(|p| p.sampling)
-        .map(|p| p.exclusive_secs)
-        .sum();
-    let stats = QueryStats {
-        query_secs: (total - sample_secs).max(0.0),
-        sample_secs,
-        ops,
-    };
+    let stats = QueryStats::from_profiles(t0.elapsed().as_secs_f64(), phys.profiles());
     let m = db.metrics();
     m.queries_total.inc();
     m.query_phase_seconds.observe_secs(stats.query_secs);

@@ -50,7 +50,7 @@ impl EngineMetrics {
             parse_seconds: r.histogram("pip_engine_parse_seconds", "SQL parse latency."),
             optimize_seconds: r.histogram(
                 "pip_engine_optimize_seconds",
-                "Optimizer latency (pushdown, join reorder, access paths, pruning).",
+                "Optimizer latency (pushdown, join reorder, access paths, required columns).",
             ),
             query_phase_seconds: r.histogram(
                 "pip_engine_query_phase_seconds",

@@ -6,13 +6,12 @@ use pip_expr::CmpOp;
 use super::{conjuncts, OptimizerConfig};
 use crate::catalog::Database;
 use crate::plan::{Plan, ScalarExpr};
-use crate::stats::{self, ExecTarget};
+use crate::stats;
 
-/// The access-path pass. Index paths exist only in the pipelined
-/// executor; the materializing interpreter always scans.
+/// The access-path pass; the identity unless `cfg.use_indexes`.
 pub(super) fn run(db: &Database, plan: Plan, cfg: &OptimizerConfig) -> Result<Plan> {
-    if cfg.use_indexes && cfg.target == ExecTarget::Streaming {
-        choose_access_paths(db, plan, cfg)
+    if cfg.use_indexes {
+        choose_access_paths(db, plan)
     } else {
         Ok(plan)
     }
@@ -27,13 +26,13 @@ type Bound = Option<(Value, bool)>;
 /// Both candidates keep the exact semantics (the full predicate is
 /// re-applied as a residual; the join re-checks every key pair), so the
 /// rewrite is always safe — the cost gate is purely about speed.
-fn choose_access_paths(db: &Database, plan: Plan, cfg: &OptimizerConfig) -> Result<Plan> {
+fn choose_access_paths(db: &Database, plan: Plan) -> Result<Plan> {
     Ok(match plan {
         leaf @ (Plan::Scan(_) | Plan::IndexScan { .. }) => leaf,
         Plan::Select { input, predicate } => {
-            let input = choose_access_paths(db, *input, cfg)?;
+            let input = choose_access_paths(db, *input)?;
             if let Plan::Scan(table) = &input {
-                if let Some(better) = index_scan_candidate(db, table, &predicate, cfg)? {
+                if let Some(better) = index_scan_candidate(db, table, &predicate)? {
                     return Ok(better);
                 }
             }
@@ -43,10 +42,10 @@ fn choose_access_paths(db: &Database, plan: Plan, cfg: &OptimizerConfig) -> Resu
             }
         }
         Plan::EquiJoin { left, right, on } => {
-            let left = choose_access_paths(db, *left, cfg)?;
-            let right = choose_access_paths(db, *right, cfg)?;
+            let left = choose_access_paths(db, *left)?;
+            let right = choose_access_paths(db, *right)?;
             if let Plan::Scan(table) = &right {
-                if let Some(better) = index_join_candidate(db, &left, table, &on, cfg)? {
+                if let Some(better) = index_join_candidate(db, &left, table, &on)? {
                     return Ok(better);
                 }
             }
@@ -62,44 +61,44 @@ fn choose_access_paths(db: &Database, plan: Plan, cfg: &OptimizerConfig) -> Resu
             index,
             on,
         } => Plan::IndexJoin {
-            left: Box::new(choose_access_paths(db, *left, cfg)?),
+            left: Box::new(choose_access_paths(db, *left)?),
             table,
             index,
             on,
         },
         Plan::Project { input, exprs } => Plan::Project {
-            input: Box::new(choose_access_paths(db, *input, cfg)?),
+            input: Box::new(choose_access_paths(db, *input)?),
             exprs,
         },
         Plan::Product { left, right } => Plan::Product {
-            left: Box::new(choose_access_paths(db, *left, cfg)?),
-            right: Box::new(choose_access_paths(db, *right, cfg)?),
+            left: Box::new(choose_access_paths(db, *left)?),
+            right: Box::new(choose_access_paths(db, *right)?),
         },
         Plan::Union { left, right } => Plan::Union {
-            left: Box::new(choose_access_paths(db, *left, cfg)?),
-            right: Box::new(choose_access_paths(db, *right, cfg)?),
+            left: Box::new(choose_access_paths(db, *left)?),
+            right: Box::new(choose_access_paths(db, *right)?),
         },
-        Plan::Distinct(input) => Plan::Distinct(Box::new(choose_access_paths(db, *input, cfg)?)),
+        Plan::Distinct(input) => Plan::Distinct(Box::new(choose_access_paths(db, *input)?)),
         Plan::Difference { left, right } => Plan::Difference {
-            left: Box::new(choose_access_paths(db, *left, cfg)?),
-            right: Box::new(choose_access_paths(db, *right, cfg)?),
+            left: Box::new(choose_access_paths(db, *left)?),
+            right: Box::new(choose_access_paths(db, *right)?),
         },
         Plan::Aggregate {
             input,
             group_by,
             aggs,
         } => Plan::Aggregate {
-            input: Box::new(choose_access_paths(db, *input, cfg)?),
+            input: Box::new(choose_access_paths(db, *input)?),
             group_by,
             aggs,
         },
-        Plan::Conf(input) => Plan::Conf(Box::new(choose_access_paths(db, *input, cfg)?)),
+        Plan::Conf(input) => Plan::Conf(Box::new(choose_access_paths(db, *input)?)),
         Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(choose_access_paths(db, *input, cfg)?),
+            input: Box::new(choose_access_paths(db, *input)?),
             keys,
         },
         Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(choose_access_paths(db, *input, cfg)?),
+            input: Box::new(choose_access_paths(db, *input)?),
             n,
         },
     })
@@ -209,7 +208,6 @@ fn index_scan_candidate(
     db: &Database,
     table: &str,
     predicate: &ScalarExpr,
-    cfg: &OptimizerConfig,
 ) -> Result<Option<Plan>> {
     let indexes = db.indexes_on(table);
     if indexes.is_empty() {
@@ -229,7 +227,7 @@ fn index_scan_candidate(
             hi,
             predicate: predicate.clone(),
         };
-        let cost = stats::plan_cost(db, &candidate, cfg.target, &cfg.cost)?;
+        let cost = stats::plan_cost(db, &candidate)?;
         if best.as_ref().map(|(c, _)| cost < *c).unwrap_or(true) {
             best = Some((cost, candidate));
         }
@@ -241,7 +239,7 @@ fn index_scan_candidate(
         input: Box::new(Plan::Scan(table.to_string())),
         predicate: predicate.clone(),
     };
-    let seq_cost = stats::plan_cost(db, &sequential, cfg.target, &cfg.cost)?;
+    let seq_cost = stats::plan_cost(db, &sequential)?;
     Ok(if cost < seq_cost {
         Some(candidate)
     } else {
@@ -257,7 +255,6 @@ fn index_join_candidate(
     left: &Plan,
     table: &str,
     on: &[(String, String)],
-    cfg: &OptimizerConfig,
 ) -> Result<Option<Plan>> {
     let Some((iname, _)) = db
         .indexes_on(table)
@@ -277,8 +274,8 @@ fn index_join_candidate(
         right: Box::new(Plan::Scan(table.to_string())),
         on: on.to_vec(),
     };
-    let index_cost = stats::plan_cost(db, &candidate, cfg.target, &cfg.cost)?;
-    let hash_cost = stats::plan_cost(db, &hash, cfg.target, &cfg.cost)?;
+    let index_cost = stats::plan_cost(db, &candidate)?;
+    let hash_cost = stats::plan_cost(db, &hash)?;
     Ok(if index_cost < hash_cost {
         Some(candidate)
     } else {

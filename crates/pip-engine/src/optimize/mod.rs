@@ -33,11 +33,13 @@
 //!    sequential plan. Candidates carry the exact cardinality estimate
 //!    of the logical shape they replace, so the decision reduces to
 //!    the access-cost formulas.
-//! 4. **Cost-gated projection pushdown** (`prune.rs`): wrap base
-//!    scans in narrow projections only where the estimator says the
-//!    saved downstream cell clones outweigh the extra per-row stage —
-//!    pruning is free on wide join fan-outs and a net loss on scans
-//!    whose rows are cloned once.
+//! 4. **Required-column propagation** (`prune.rs`): carry the columns
+//!    read from above down through `Aggregate`, `Project`, `Select`,
+//!    `Sort` and `Limit`, and drop the outputs of the `Project` nodes on
+//!    that chain (the SQL layer's, or the reorderer's column-restoring
+//!    one) that nothing above reads. It stops at joins, scans and
+//!    whole-row operators and never inserts an operator, so it has
+//!    nothing to price.
 
 mod access;
 mod prune;
@@ -50,63 +52,24 @@ use pip_core::{Result, Schema};
 
 use crate::catalog::Database;
 use crate::plan::{Plan, ScalarExpr};
-use crate::stats::{CostModel, ExecTarget};
 
-/// When to wrap base-table scans in narrow column projections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PruneMode {
-    /// Prune only where the cost model predicts a net win (default).
-    CostBased,
-    /// Prune whenever any column is dead (the pre-cost-model behavior;
-    /// useful for isolating what pruning does in tests and benchmarks).
-    Always,
-    /// Never prune.
-    Never,
-}
-
-/// Optimizer knobs. [`OptimizerConfig::default`] is what [`optimize`]
-/// (and therefore the SQL layer and the server) runs.
+/// Optimizer switches. [`OptimizerConfig::default`] (both on) is what
+/// [`optimize`] (and therefore the SQL layer and the server) runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizerConfig {
-    /// Executor the plan is being optimized for: the pipelined executor
-    /// (default) or the materializing reference interpreter. Affects
-    /// both cost estimates and the pruning gate.
-    pub target: ExecTarget,
     /// Enable the cost-based join reorderer.
     pub reorder_joins: bool,
-    /// Projection-pushdown gating.
-    pub prune: PruneMode,
     /// Enable cost-based access-path selection over secondary indexes.
     /// Off forces every access through sequential scans and hash joins
     /// (the pre-index behavior; benchmarks use it as the baseline).
     pub use_indexes: bool,
-    /// Cost-model constants.
-    pub cost: CostModel,
-    /// A reordered region is adopted only if its estimated cost is below
-    /// `reorder_margin` × the written-order cost — estimates are fuzzy,
-    /// and ties should keep the user's (bit-reproducible) written order.
-    pub reorder_margin: f64,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
-            target: ExecTarget::Streaming,
             reorder_joins: true,
-            prune: PruneMode::CostBased,
             use_indexes: true,
-            cost: CostModel::default(),
-            reorder_margin: 0.9,
-        }
-    }
-}
-
-impl OptimizerConfig {
-    /// Preset for the materializing reference interpreter.
-    pub fn materializing() -> Self {
-        OptimizerConfig {
-            target: ExecTarget::Materializing,
-            ..Self::default()
         }
     }
 }
@@ -204,7 +167,8 @@ fn rebuild(mut parts: Vec<ScalarExpr>) -> Option<ScalarExpr> {
 }
 
 /// Optimize a plan with the default configuration (predicate pushdown,
-/// cost-based join reordering, cost-gated projection pushdown).
+/// cost-based join reordering and access paths, required-column
+/// propagation).
 pub fn optimize(db: &Database, plan: Plan) -> Result<Plan> {
     optimize_with(db, plan, &OptimizerConfig::default())
 }
@@ -216,7 +180,7 @@ pub fn optimize_with(db: &Database, plan: Plan, cfg: &OptimizerConfig) -> Result
     let plan = push_selects(db, plan)?;
     let plan = reorder::run(db, plan, cfg)?;
     let plan = access::run(db, plan, cfg)?;
-    let plan = prune::run(db, plan, cfg)?;
+    let plan = prune::run(plan);
     let m = db.metrics();
     m.optimize_seconds.observe_since(start);
     m.note_plan(&plan);
@@ -250,20 +214,10 @@ mod tests {
     }
 
     /// Config that isolates the predicate-pushdown pass shapes (no
-    /// reordering, no pruning) for structural assertions.
+    /// reordering) for structural assertions.
     fn pushdown_only() -> OptimizerConfig {
         OptimizerConfig {
             reorder_joins: false,
-            prune: PruneMode::Never,
-            ..OptimizerConfig::default()
-        }
-    }
-
-    /// Config with unconditional pruning (the pre-cost-gate behavior).
-    fn prune_always() -> OptimizerConfig {
-        OptimizerConfig {
-            reorder_joins: false,
-            prune: PruneMode::Always,
             ..OptimizerConfig::default()
         }
     }
@@ -463,141 +417,45 @@ mod tests {
     }
 
     #[test]
-    fn projection_pushdown_prunes_scans_under_aggregates() {
+    fn projection_pushdown_respects_whole_row_operators() {
         let db = setup();
-        // Only `a` is referenced: `b` is prunable at the scan — the
-        // mechanism fires under PruneMode::Always...
-        let plan = PlanBuilder::scan("l")
-            .aggregate(vec![], vec![crate::plan::AggFunc::ExpectedSum("a".into())])
-            .build();
-        let opt = optimize_with(&db, plan.clone(), &prune_always()).unwrap();
+        let sum_a = || vec![crate::plan::AggFunc::ExpectedSum("a".into())];
+        let both = || {
+            PlanBuilder::scan("l").project(vec![
+                ("a", ScalarExpr::col("a")),
+                ("b", ScalarExpr::col("b")),
+            ])
+        };
+        // Only `a` is read above the projection: `b` is dropped there,
+        // and the scan below is left as it is.
+        let opt = optimize(&db, both().aggregate(vec![], sum_a()).build()).unwrap();
         match &opt {
             Plan::Aggregate { input, .. } => match &**input {
                 Plan::Project { input, exprs } => {
                     assert_eq!(exprs.len(), 1);
                     assert_eq!(exprs[0].0, "a");
-                    assert!(matches!(**input, Plan::Scan(_)));
+                    assert!(matches!(**input, Plan::Scan(_)), "{input:?}");
                 }
-                other => panic!("expected pruning projection, got {other:?}"),
+                other => panic!("expected narrowed projection, got {other:?}"),
             },
             other => panic!("{other:?}"),
         }
-        // ...but the cost gate declines it: the row is cloned once into
-        // its group, which cannot repay a fresh per-row stage.
-        let gated = optimize(&db, plan.clone()).unwrap();
-        match &gated {
-            Plan::Aggregate { input, .. } => {
-                assert!(matches!(**input, Plan::Scan(_)), "{input:?}")
-            }
-            other => panic!("{other:?}"),
-        }
-        let cfg = SamplerConfig::default();
-        let a = crate::exec::execute(&db, &plan, &cfg).unwrap();
-        let b = crate::exec::execute(&db, &opt, &cfg).unwrap();
-        assert_eq!(a.rows(), b.rows());
-    }
-
-    #[test]
-    fn projection_pushdown_splits_across_joins() {
-        let db = setup();
-        // d is never used; c is a join key and must survive.
+        // distinct dedups on all cells: nothing below it may be narrowed.
+        let plan = both().distinct().aggregate(vec![], sum_a()).build();
+        let opt = optimize(&db, plan.clone()).unwrap();
+        assert_eq!(opt, plan);
+        // The walk stops at joins: a projection below one keeps `d`,
+        // which nothing above reads.
+        let right = PlanBuilder::scan("r").project(vec![
+            ("c", ScalarExpr::col("c")),
+            ("d", ScalarExpr::col("d")),
+        ]);
         let plan = PlanBuilder::scan("l")
-            .equi_join(PlanBuilder::scan("r"), vec![("a", "c")])
-            .project(vec![("b", ScalarExpr::col("b"))])
+            .equi_join(right, vec![("a", "c")])
+            .aggregate(vec![], sum_a())
             .build();
-        let opt = optimize_with(&db, plan.clone(), &prune_always()).unwrap();
-        let text = opt.explain();
-        assert!(text.contains("Project: [c]"), "{text}");
-        let cfg = SamplerConfig::default();
-        assert_eq!(
-            crate::exec::execute(&db, &plan, &cfg).unwrap().rows(),
-            crate::exec::execute(&db, &opt, &cfg).unwrap().rows()
-        );
-    }
-
-    #[test]
-    fn cost_gate_prunes_wide_fanout_sides() {
-        // A build side whose rows fan out into many join outputs repays
-        // pruning; the probe side (fan-out 1) does not.
-        let db = Database::new();
-        db.create_table(
-            "probe",
-            Schema::of(&[
-                ("pk", DataType::Int),
-                ("pv", DataType::Float),
-                ("pad0", DataType::Float),
-            ]),
-        )
-        .unwrap();
-        let mut build_cols = vec![("bk", DataType::Int), ("bv", DataType::Float)];
-        let pads: Vec<String> = (0..8).map(|i| format!("bpad{i}")).collect();
-        for p in &pads {
-            build_cols.push((p.as_str(), DataType::Float));
-        }
-        db.create_table("build", Schema::of(&build_cols)).unwrap();
-        for i in 0..200i64 {
-            db.insert_tuples("probe", &[tuple![i % 10, i as f64, 0.0]])
-                .unwrap();
-        }
-        for i in 0..10i64 {
-            let mut cells = vec![pip_expr::Equation::val(i), pip_expr::Equation::val(1.0)];
-            for _ in 0..8 {
-                cells.push(pip_expr::Equation::val(0.0));
-            }
-            db.insert_rows("build", vec![pip_ctable::CRow::unconditional(cells)])
-                .unwrap();
-        }
-        let plan = PlanBuilder::scan("probe")
-            .equi_join(PlanBuilder::scan("build"), vec![("pk", "bk")])
-            .project(vec![(
-                "x",
-                ScalarExpr::col("pv").mul(ScalarExpr::col("bv")),
-            )])
-            .build();
-        let opt = optimize(&db, plan).unwrap();
-        let text = opt.explain();
-        // Build side pruned to its key + referenced value...
-        assert!(text.contains("Project: [bk, bv]"), "{text}");
-        // ...probe side left alone (fan-out 1: pruning cannot pay).
-        assert!(!text.contains("Project: [pk, pv]"), "{text}");
-    }
-
-    #[test]
-    fn projection_pushdown_respects_whole_row_operators() {
-        let db = setup();
-        // distinct dedups on all cells: nothing may be pruned below it.
-        let plan = PlanBuilder::scan("l")
-            .distinct()
-            .aggregate(vec![], vec![crate::plan::AggFunc::ExpectedCount])
-            .build();
-        let opt = optimize_with(&db, plan, &prune_always()).unwrap();
-        match &opt {
-            Plan::Aggregate { input, .. } => match &**input {
-                Plan::Distinct(inner) => assert!(matches!(**inner, Plan::Scan(_)), "{inner:?}"),
-                other => panic!("{other:?}"),
-            },
-            other => panic!("{other:?}"),
-        }
-        // Ambiguous names across a product bail out to no pruning.
-        db.create_table("l2", Schema::of(&[("a", DataType::Int)]))
-            .unwrap();
-        db.create_table("r2", Schema::of(&[("a", DataType::Int)]))
-            .unwrap();
-        let plan = PlanBuilder::scan("l2")
-            .product(PlanBuilder::scan("r2"))
-            .aggregate(vec![], vec![crate::plan::AggFunc::ExpectedSum("a".into())])
-            .build();
-        let opt = optimize_with(&db, plan, &prune_always()).unwrap();
-        match &opt {
-            Plan::Aggregate { input, .. } => match &**input {
-                Plan::Product { left, right } => {
-                    assert!(matches!(**left, Plan::Scan(_)));
-                    assert!(matches!(**right, Plan::Scan(_)));
-                }
-                other => panic!("{other:?}"),
-            },
-            other => panic!("{other:?}"),
-        }
+        let opt = optimize_with(&db, plan.clone(), &pushdown_only()).unwrap();
+        assert_eq!(opt, plan);
     }
 
     /// Three name-disjoint tables with skewed sizes for reorder tests:
@@ -712,15 +570,7 @@ mod tests {
         let plan = PlanBuilder::scan("big")
             .equi_join(PlanBuilder::scan("mid"), vec![("bk", "mk")])
             .build();
-        let opt = optimize_with(
-            &db,
-            plan.clone(),
-            &OptimizerConfig {
-                prune: PruneMode::Never,
-                ..OptimizerConfig::default()
-            },
-        )
-        .unwrap();
+        let opt = optimize(&db, plan.clone()).unwrap();
         assert_eq!(opt, plan);
     }
 

@@ -7,9 +7,9 @@ use super::{columns_of, conjuncts, plan_schema, rebuild};
 use crate::catalog::Database;
 use crate::plan::{Plan, ScalarExpr};
 
-/// The predicate-pushdown / select-fusion pass alone (no reordering or
-/// column pruning). Exposed so benchmarks can isolate what the
-/// cost-based passes buy on top; [`super::optimize`] runs the full pipeline.
+/// The predicate-pushdown / select-fusion pass alone (no reordering,
+/// access paths or required-column narrowing). Exposed so benchmarks
+/// can isolate what the later passes buy on top; [`super::optimize`] runs the full pipeline.
 pub fn push_selects(db: &Database, plan: Plan) -> Result<Plan> {
     Ok(match plan {
         Plan::Select { input, predicate } => {

@@ -7,10 +7,15 @@ use crate::catalog::Database;
 use crate::plan::{Plan, ScalarExpr};
 use crate::stats;
 
+/// A reordered region is adopted only if its estimated cost is below
+/// `REORDER_MARGIN` × the written-order cost: estimates are fuzzy, and
+/// ties should keep the user's (bit-reproducible) written order.
+const REORDER_MARGIN: f64 = 0.9;
+
 /// The join-reordering pass; the identity unless `cfg.reorder_joins`.
 pub(super) fn run(db: &Database, plan: Plan, cfg: &OptimizerConfig) -> Result<Plan> {
     if cfg.reorder_joins {
-        reorder_pass(db, plan, cfg, true)
+        reorder_pass(db, plan, true)
     } else {
         Ok(plan)
     }
@@ -32,16 +37,16 @@ fn is_region_node(plan: &Plan) -> bool {
 /// any `Limit`: a limit keeps "the first n rows", so changing the row
 /// order beneath it would change *which* rows survive — a semantic
 /// change, not just an ordering one.
-fn reorder_pass(db: &Database, plan: Plan, cfg: &OptimizerConfig, allow: bool) -> Result<Plan> {
+fn reorder_pass(db: &Database, plan: Plan, allow: bool) -> Result<Plan> {
     if allow && is_region_node(&plan) {
-        reorder_region(db, plan, cfg)
+        reorder_region(db, plan)
     } else {
-        reorder_children(db, plan, cfg, allow)
+        reorder_children(db, plan, allow)
     }
 }
 
 /// Rebuild a non-region node with reordered children.
-fn reorder_children(db: &Database, plan: Plan, cfg: &OptimizerConfig, allow: bool) -> Result<Plan> {
+fn reorder_children(db: &Database, plan: Plan, allow: bool) -> Result<Plan> {
     Ok(match plan {
         leaf @ (Plan::Scan(_) | Plan::IndexScan { .. }) => leaf,
         Plan::IndexJoin {
@@ -50,53 +55,53 @@ fn reorder_children(db: &Database, plan: Plan, cfg: &OptimizerConfig, allow: boo
             index,
             on,
         } => Plan::IndexJoin {
-            left: Box::new(reorder_pass(db, *left, cfg, allow)?),
+            left: Box::new(reorder_pass(db, *left, allow)?),
             table,
             index,
             on,
         },
         Plan::Select { input, predicate } => Plan::Select {
-            input: Box::new(reorder_pass(db, *input, cfg, allow)?),
+            input: Box::new(reorder_pass(db, *input, allow)?),
             predicate,
         },
         Plan::Project { input, exprs } => Plan::Project {
-            input: Box::new(reorder_pass(db, *input, cfg, allow)?),
+            input: Box::new(reorder_pass(db, *input, allow)?),
             exprs,
         },
         Plan::Product { left, right } => Plan::Product {
-            left: Box::new(reorder_pass(db, *left, cfg, allow)?),
-            right: Box::new(reorder_pass(db, *right, cfg, allow)?),
+            left: Box::new(reorder_pass(db, *left, allow)?),
+            right: Box::new(reorder_pass(db, *right, allow)?),
         },
         Plan::EquiJoin { left, right, on } => Plan::EquiJoin {
-            left: Box::new(reorder_pass(db, *left, cfg, allow)?),
-            right: Box::new(reorder_pass(db, *right, cfg, allow)?),
+            left: Box::new(reorder_pass(db, *left, allow)?),
+            right: Box::new(reorder_pass(db, *right, allow)?),
             on,
         },
         Plan::Union { left, right } => Plan::Union {
-            left: Box::new(reorder_pass(db, *left, cfg, allow)?),
-            right: Box::new(reorder_pass(db, *right, cfg, allow)?),
+            left: Box::new(reorder_pass(db, *left, allow)?),
+            right: Box::new(reorder_pass(db, *right, allow)?),
         },
-        Plan::Distinct(input) => Plan::Distinct(Box::new(reorder_pass(db, *input, cfg, allow)?)),
+        Plan::Distinct(input) => Plan::Distinct(Box::new(reorder_pass(db, *input, allow)?)),
         Plan::Difference { left, right } => Plan::Difference {
-            left: Box::new(reorder_pass(db, *left, cfg, allow)?),
-            right: Box::new(reorder_pass(db, *right, cfg, allow)?),
+            left: Box::new(reorder_pass(db, *left, allow)?),
+            right: Box::new(reorder_pass(db, *right, allow)?),
         },
         Plan::Aggregate {
             input,
             group_by,
             aggs,
         } => Plan::Aggregate {
-            input: Box::new(reorder_pass(db, *input, cfg, allow)?),
+            input: Box::new(reorder_pass(db, *input, allow)?),
             group_by,
             aggs,
         },
-        Plan::Conf(input) => Plan::Conf(Box::new(reorder_pass(db, *input, cfg, allow)?)),
+        Plan::Conf(input) => Plan::Conf(Box::new(reorder_pass(db, *input, allow)?)),
         Plan::Sort { input, keys } => Plan::Sort {
-            input: Box::new(reorder_pass(db, *input, cfg, allow)?),
+            input: Box::new(reorder_pass(db, *input, allow)?),
             keys,
         },
         Plan::Limit { input, n } => Plan::Limit {
-            input: Box::new(reorder_pass(db, *input, cfg, false)?),
+            input: Box::new(reorder_pass(db, *input, false)?),
             n,
         },
     })
@@ -167,7 +172,7 @@ struct JoinEdge {
 /// Try to reorder one join region; falls back to the written order when
 /// column names are ambiguous, estimation fails, or the cost model does
 /// not approve the rewrite.
-fn reorder_region(db: &Database, plan: Plan, cfg: &OptimizerConfig) -> Result<Plan> {
+fn reorder_region(db: &Database, plan: Plan) -> Result<Plan> {
     let shape = plan.clone();
     let mut leaves = Vec::new();
     let mut preds = Vec::new();
@@ -176,7 +181,7 @@ fn reorder_region(db: &Database, plan: Plan, cfg: &OptimizerConfig) -> Result<Pl
     // blocking operator, e.g. an aggregate subquery).
     let leaves: Vec<Plan> = leaves
         .into_iter()
-        .map(|l| reorder_pass(db, l, cfg, true))
+        .map(|l| reorder_pass(db, l, true))
         .collect::<Result<_>>()?;
 
     let written = |leaves: Vec<Plan>| -> Plan {
@@ -365,9 +370,9 @@ fn reorder_region(db: &Database, plan: Plan, cfg: &OptimizerConfig) -> Result<Pl
 
     // Adopt only on a clear estimated win over the written order.
     let written_plan = written(leaves);
-    let old_cost = stats::plan_cost(db, &written_plan, cfg.target, &cfg.cost)?;
-    let new_cost = stats::plan_cost(db, &acc, cfg.target, &cfg.cost)?;
-    if new_cost < old_cost * cfg.reorder_margin {
+    let old_cost = stats::plan_cost(db, &written_plan)?;
+    let new_cost = stats::plan_cost(db, &acc)?;
+    if new_cost < old_cost * REORDER_MARGIN {
         Ok(acc)
     } else {
         Ok(written_plan)

@@ -218,19 +218,11 @@ fn explain_statement(
     let plan = crate::optimize::optimize(db, plan)?;
     let mut phys = crate::physical::lower_annotated(db, &plan, cfg)?;
     let mut result_rows = 0u64;
-    let mut query_secs = 0.0;
-    let mut sample_secs = 0.0;
+    let mut qs = crate::exec::QueryStats::default();
     if analyze {
         let t0 = std::time::Instant::now();
         let result = phys.collect()?;
-        let total = t0.elapsed().as_secs_f64();
-        sample_secs = phys
-            .profiles()
-            .iter()
-            .filter(|p| p.sampling)
-            .map(|p| p.exclusive_secs)
-            .sum();
-        query_secs = (total - sample_secs).max(0.0);
+        qs = crate::exec::QueryStats::from_profiles(t0.elapsed().as_secs_f64(), phys.profiles());
         result_rows = result.len() as u64;
     }
 
@@ -239,8 +231,8 @@ fn explain_statement(
             let doc = ExplainJson {
                 analyzed: analyze,
                 result_rows,
-                query_secs,
-                sample_secs,
+                query_secs: qs.query_secs,
+                sample_secs: qs.sample_secs,
                 logical: logical_json(db, &plan),
                 physical: physical_json(&phys.profiles(), &mut 0),
             };
@@ -259,8 +251,9 @@ fn explain_statement(
                 lines.push("-- physical plan (analyzed) --".to_string());
                 lines.extend(phys.explain(true).lines().map(String::from));
                 lines.push(format!(
-                    "-- {result_rows} result rows; query phase {query_secs:.6}s, \
-                     sample phase {sample_secs:.6}s --"
+                    "-- {result_rows} result rows; query phase {:.6}s, \
+                     sample phase {:.6}s --",
+                    qs.query_secs, qs.sample_secs
                 ));
             } else {
                 lines.push("-- physical plan --".to_string());

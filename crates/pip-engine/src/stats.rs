@@ -15,10 +15,8 @@
 //! 2. **Cardinality estimation** ([`estimate`]): selectivity rules for
 //!    equality/range/conjunction and NDV-based join fan-out, applied
 //!    over logical [`Plan`] nodes.
-//! 3. **A cost model** ([`plan_cost`]) distinguishing the pipelined
-//!    executor (fused σ/π stages, build/probe hash joins) from the
-//!    materializing reference interpreter (every operator clones whole
-//!    intermediate tables).
+//! 3. **A cost model** ([`plan_cost`]) of the pipelined executor (fused
+//!    σ/π stages, build/probe hash joins, index seeks).
 
 use std::collections::HashSet;
 
@@ -590,57 +588,31 @@ pub fn estimate(db: &Database, plan: &Plan) -> Result<PlanEst> {
 // Cost model.
 // ---------------------------------------------------------------------
 
-/// Which executor the plan is being costed for. The pipelined executor
-/// fuses σ/π into per-row stages and hash-joins equi predicates; the
-/// materializing interpreter clones a full intermediate c-table per
-/// operator and evaluates equi-joins as product-then-select.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecTarget {
-    Streaming,
-    Materializing,
-}
+/// Fixed per-row per-operator overhead, in abstract cost units: the
+/// iterator call, per-expression schema lookups, a fresh cell vector
+/// and a condition clone.
+const ROW_COST: f64 = 24.0;
 
-/// Cost-model knobs, in abstract units: `row_cost` is the fixed per-row
-/// per-operator overhead (iterator call, per-expression schema lookups,
-/// fresh cell vector, condition clone), `cell_cost` the price of
-/// cloning or materializing one cell. The *ratio* is what drives
-/// decisions; the default was calibrated against the fig6 join
-/// workload, where measurement shows an extra per-row projection stage
-/// costs on the order of two dozen plain cell clones — pruning must
-/// save more than that per row to pay on the streaming path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    pub row_cost: f64,
-    pub cell_cost: f64,
-}
+/// Price of cloning or materializing one cell. The *ratio* to
+/// [`ROW_COST`] is what drives decisions; 24:1 was calibrated against
+/// the fig6 join workload, where measurement shows an extra per-row
+/// operator stage costs on the order of two dozen plain cell clones.
+/// Join reordering and access-path selection weigh rows touched against
+/// cells copied at this rate.
+const CELL_COST: f64 = 1.0;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            row_cost: 24.0,
-            cell_cost: 1.0,
-        }
-    }
-}
-
-/// Estimated execution cost of a plan on the given target, in the
-/// abstract units of [`CostModel`]. Sampling-head work is excluded: it
-/// depends on the sampling budget, not the plan shape, and is identical
-/// across plan alternatives.
-pub fn plan_cost(db: &Database, plan: &Plan, target: ExecTarget, m: &CostModel) -> Result<f64> {
-    Ok(cost_rec(db, plan, target, m)?.1)
+/// Estimated execution cost of a plan on the pipelined executor, in
+/// the abstract units of `ROW_COST` and `CELL_COST`. Sampling-head
+/// work is excluded: it depends on the sampling budget, not the plan
+/// shape, and is identical across plan alternatives.
+pub fn plan_cost(db: &Database, plan: &Plan) -> Result<f64> {
+    Ok(cost_rec(db, plan)?.1)
 }
 
 /// Returns `(estimate, cumulative cost)` for one node.
-fn cost_rec(
-    db: &Database,
-    plan: &Plan,
-    target: ExecTarget,
-    m: &CostModel,
-) -> Result<(PlanEst, f64)> {
+fn cost_rec(db: &Database, plan: &Plan) -> Result<(PlanEst, f64)> {
     let est = estimate(db, plan)?;
-    let (r, c) = (m.row_cost, m.cell_cost);
-    let mat = target == ExecTarget::Materializing;
+    let (r, c) = (ROW_COST, CELL_COST);
     let cost = match plan {
         Plan::Scan(_) => est.rows * (r + c * est.width),
         Plan::IndexScan { table, .. } => {
@@ -657,78 +629,61 @@ fn cost_rec(
             // index, and every candidate pays the random-access penalty
             // before joining. Competes against HashJoin's build-n +
             // probe cost.
-            let (l, lc) = cost_rec(db, left, target, m)?;
+            let (l, lc) = cost_rec(db, left)?;
             let n = (db.table_stats(table)?.rows as f64).max(2.0);
             lc + l.rows * r * (1.0 + n.log2())
                 + est.rows * INDEX_PROBE_COST * (r + c)
                 + est.rows * (r + c * est.width)
         }
         Plan::Select { input, .. } => {
-            let (in_est, in_cost) = cost_rec(db, input, target, m)?;
-            // Streaming: predicate evaluation only (the row passes
-            // through). Materializing: kept rows are cloned wholesale.
-            in_cost
-                + in_est.rows * r
-                + if mat {
-                    est.rows * (r + c * est.width)
-                } else {
-                    0.0
-                }
+            let (in_est, in_cost) = cost_rec(db, input)?;
+            // Predicate evaluation only: the row passes through.
+            in_cost + in_est.rows * r
         }
         Plan::Project { input, exprs } => {
-            let (in_est, in_cost) = cost_rec(db, input, target, m)?;
+            let (in_est, in_cost) = cost_rec(db, input)?;
             in_cost + in_est.rows * (r + c * exprs.len() as f64)
         }
         Plan::Product { left, right } => {
-            let (l, lc) = cost_rec(db, left, target, m)?;
-            let (rr, rc) = cost_rec(db, right, target, m)?;
-            // Both executors visit every pair; output rows clone both
-            // sides' cells.
+            let (l, lc) = cost_rec(db, left)?;
+            let (rr, rc) = cost_rec(db, right)?;
+            // Every pair is visited; output rows clone both sides'
+            // cells.
             lc + rc + l.rows * rr.rows * r + est.rows * (r + c * est.width)
         }
         Plan::EquiJoin { left, right, .. } => {
-            let (l, lc) = cost_rec(db, left, target, m)?;
-            let (rr, rc) = cost_rec(db, right, target, m)?;
-            let join = if mat {
-                // product-then-select: the full cross product is
-                // materialized before keys filter it.
-                l.rows * rr.rows * (r + c * est.width)
-            } else {
-                // build (right) + probe (left) + output.
-                rr.rows * (r + c) + l.rows * (r + c)
-            };
+            let (l, lc) = cost_rec(db, left)?;
+            let (rr, rc) = cost_rec(db, right)?;
+            // build (right) + probe (left) + output.
+            let join = rr.rows * (r + c) + l.rows * (r + c);
             lc + rc + join + est.rows * (r + c * est.width)
         }
         Plan::Union { left, right } => {
-            let (_, lc) = cost_rec(db, left, target, m)?;
-            let (_, rc) = cost_rec(db, right, target, m)?;
+            let (_, lc) = cost_rec(db, left)?;
+            let (_, rc) = cost_rec(db, right)?;
             lc + rc + est.rows * r
         }
         Plan::Distinct(input) => {
-            let (in_est, in_cost) = cost_rec(db, input, target, m)?;
+            let (in_est, in_cost) = cost_rec(db, input)?;
             in_cost + in_est.rows * (r + c * est.width) * 2.0
         }
         Plan::Difference { left, right } => {
-            let (l, lc) = cost_rec(db, left, target, m)?;
-            let (rr, rc) = cost_rec(db, right, target, m)?;
+            let (l, lc) = cost_rec(db, left)?;
+            let (rr, rc) = cost_rec(db, right)?;
             lc + rc + (l.rows + rr.rows) * (r + c * est.width) * 2.0
         }
         Plan::Sort { input, .. } => {
-            let (in_est, in_cost) = cost_rec(db, input, target, m)?;
+            let (in_est, in_cost) = cost_rec(db, input)?;
             let n = in_est.rows.max(2.0);
             in_cost + n * (r + c * est.width) + n * n.log2() * r
         }
         Plan::Limit { input, n } => {
-            let (in_est, in_cost) = cost_rec(db, input, target, m)?;
-            let frac = if mat {
-                1.0 // the materializing interpreter drains its input
-            } else {
-                (*n as f64 / in_est.rows.max(1.0)).min(1.0)
-            };
+            let (in_est, in_cost) = cost_rec(db, input)?;
+            let frac = (*n as f64 / in_est.rows.max(1.0)).min(1.0);
             in_cost * frac + est.rows * r
         }
         Plan::Aggregate { input, .. } | Plan::Conf(input) => {
-            let (in_est, in_cost) = cost_rec(db, input, target, m)?;
+            let (in_est, in_cost) = cost_rec(db, input)?;
             in_cost + in_est.rows * (r + c * in_est.width)
         }
     };
@@ -885,7 +840,6 @@ mod tests {
     #[test]
     fn hash_join_costs_below_product_select() {
         let db = stats_db();
-        let m = CostModel::default();
         let join = PlanBuilder::scan("t")
             .equi_join(PlanBuilder::scan("d"), vec![("k", "j")])
             .build();
@@ -894,12 +848,9 @@ mod tests {
             .select(ScalarExpr::col("k").eq(ScalarExpr::col("j")))
             .unwrap()
             .build();
-        let cj = plan_cost(&db, &join, ExecTarget::Streaming, &m).unwrap();
-        let cp = plan_cost(&db, &product, ExecTarget::Streaming, &m).unwrap();
+        let cj = plan_cost(&db, &join).unwrap();
+        let cp = plan_cost(&db, &product).unwrap();
         assert!(cj < cp, "hash join {cj} vs product+select {cp}");
-        // The materializing join is product-then-select: far costlier.
-        let cjm = plan_cost(&db, &join, ExecTarget::Materializing, &m).unwrap();
-        assert!(cj < cjm, "streaming {cj} vs materializing {cjm}");
     }
 
     #[test]

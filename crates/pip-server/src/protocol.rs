@@ -80,6 +80,7 @@ use std::io::{self, Write};
 use std::sync::Arc;
 
 use pip_ctable::{CRow, CTable};
+use pip_engine::QueryStats;
 
 use crate::session::{ReplWait, Session, StreamQuery};
 
@@ -263,7 +264,7 @@ fn render_table(table: &CTable) -> String {
 /// each row leaves the process before the next is computed), and only
 /// the row being written is held.
 pub fn handle_stream(session: &mut Session, sql: &str, out: &mut dyn Write) -> io::Result<()> {
-    let (plan, cfg) = match session.open_stream(sql) {
+    let (plan, span) = match session.open_stream(sql) {
         Err(e) => return writeln!(out, "ERR {}", e.to_string().replace('\n', "; ")),
         Ok(StreamQuery::Table(table)) => {
             writeln!(out, "STREAM BEGIN")?;
@@ -273,20 +274,24 @@ pub fn handle_stream(session: &mut Session, sql: &str, out: &mut dyn Write) -> i
             }
             return writeln!(out, "END {} rows (fresh)", table.len());
         }
-        Ok(StreamQuery::Live { plan, cfg }) => (plan, cfg),
+        Ok(StreamQuery::Live { plan, span }) => (plan, span),
     };
     let db = Arc::clone(session.database());
-    let mut phys = match pip_engine::lower(&db, &plan, &cfg) {
+    let mut phys = match pip_engine::lower(&db, &plan, &session.cfg) {
         Ok(p) => p,
         Err(e) => return writeln!(out, "ERR {}", e.to_string().replace('\n', "; ")),
     };
     writeln!(out, "STREAM BEGIN")?;
     writeln!(out, "{}", render_header(phys.schema()))?;
+    let t0 = std::time::Instant::now();
+    let mut writing = std::time::Duration::ZERO;
     let mut n = 0usize;
     loop {
         match phys.next_row() {
             Ok(Some(row)) => {
+                let tw = std::time::Instant::now();
                 writeln!(out, "{}", render_row(&row))?;
+                writing += tw.elapsed();
                 n += 1;
             }
             Ok(None) => break,
@@ -296,7 +301,15 @@ pub fn handle_stream(session: &mut Session, sql: &str, out: &mut dyn Write) -> i
             }
         }
     }
-    writeln!(out, "END {n} rows (fresh)")
+    writeln!(out, "END {n} rows (fresh)")?;
+    // As for QUERY, the execute phase leaves out writing the rows, so a
+    // slow reader does not make a fast query look slow.
+    if let Some(rec) = span {
+        let executing = t0.elapsed().saturating_sub(writing);
+        let qs = QueryStats::from_profiles(executing.as_secs_f64(), phys.profiles());
+        session.finish_plan_span(rec, &qs, n);
+    }
+    Ok(())
 }
 
 fn apply_set(session: &mut Session, key: &str, value: &str) -> Result<String, String> {

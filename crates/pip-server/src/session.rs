@@ -19,7 +19,7 @@ use std::time::Duration;
 use pip_core::{PipError, Result};
 use pip_ctable::CTable;
 use pip_engine::sql::{self, Statement};
-use pip_engine::{execute_with_stats, optimize, Database, Plan};
+use pip_engine::{execute_with_stats, optimize, Database, Plan, QueryStats};
 use pip_obs::{Clock, MonotonicClock, SlowLog, SpanRecorder};
 use pip_replica::Replication;
 use pip_sampling::SamplerConfig;
@@ -80,10 +80,15 @@ pub struct QueryReply {
 }
 
 /// A statement opened for streaming execution ([`Session::open_stream`]).
-pub enum StreamQuery {
+pub(crate) enum StreamQuery {
     /// Live pipelined execution: lower `plan` against the shared catalog
-    /// (`pip_engine::lower`) and drain it row by row.
-    Live { plan: Box<Plan>, cfg: SamplerConfig },
+    /// (`pip_engine::lower`) under the session's sampler settings, drain
+    /// it row by row, and hand `span` to [`Session::finish_plan_span`]
+    /// once the rows are out.
+    Live {
+        plan: Box<Plan>,
+        span: Option<SpanRecorder>,
+    },
     /// Non-SELECT statement, executed eagerly (DDL/DML/EXPLAIN).
     Table(Arc<CTable>),
 }
@@ -175,27 +180,51 @@ impl Session {
         }
     }
 
-    /// Optimize and execute a `SELECT` and close the span.
-    fn run_plan(&self, plan: Plan, rec: Option<SpanRecorder>) -> Result<QueryReply> {
+    /// Optimize a `SELECT`'s plan, timing it into the span.
+    fn optimize_plan(&self, plan: Plan, rec: &mut Option<SpanRecorder>) -> Result<Plan> {
         // Optimization is catalog-dependent (schema lookups), so it runs
         // per execution against the current catalog.
         let t0 = std::time::Instant::now();
         let optimized = optimize(&self.db, plan)?;
-        let optimize_nanos = t0.elapsed().as_nanos() as u64;
+        if let Some(r) = rec {
+            r.span.optimize_nanos = t0.elapsed().as_nanos() as u64;
+        }
+        Ok(optimized)
+    }
+
+    /// Optimize and execute a `SELECT` and close the span.
+    fn run_plan(&self, plan: Plan, mut rec: Option<SpanRecorder>) -> Result<QueryReply> {
+        let optimized = self.optimize_plan(plan, &mut rec)?;
         let (table, qs) = execute_with_stats(&self.db, &optimized, &self.cfg)?;
         let table = Arc::new(table);
-        if let Some(mut r) = rec {
-            r.span.optimize_nanos = optimize_nanos;
-            r.span.execute_nanos = (qs.query_secs * 1e9) as u64;
-            r.span.sample_nanos = (qs.sample_secs * 1e9) as u64;
-            r.span.rows = table.len() as u64;
-            self.observe_span(r);
+        if let Some(r) = rec {
+            self.finish_plan_span(r, &qs, table.len());
         }
         Ok(QueryReply { table })
     }
 
-    /// Parse and run one SQL statement.
-    pub fn query(&mut self, sql_text: &str) -> Result<QueryReply> {
+    /// Close the span of an executed plan: its execute/sample split and
+    /// result row count.
+    pub(crate) fn finish_plan_span(&self, mut rec: SpanRecorder, qs: &QueryStats, rows: usize) {
+        rec.span.execute_nanos = (qs.query_secs * 1e9) as u64;
+        rec.span.sample_nanos = (qs.sample_secs * 1e9) as u64;
+        rec.span.rows = rows as u64;
+        self.observe_span(rec);
+    }
+
+    /// Run a non-`SELECT` statement and close its span.
+    fn run_other(&self, stmt: Statement, rec: Option<SpanRecorder>) -> Result<Arc<CTable>> {
+        let table = Arc::new(sql::run_statement(&self.db, stmt, &self.cfg)?);
+        if let Some(mut r) = rec {
+            r.span.execute_nanos = r.lap();
+            r.span.rows = table.len() as u64;
+            self.observe_span(r);
+        }
+        Ok(table)
+    }
+
+    /// Open a span for `sql_text` and parse it, timing the parse.
+    fn parse_traced(&mut self, sql_text: &str) -> Result<(Statement, Option<SpanRecorder>)> {
         self.stats.queries += 1;
         let mut rec = self.span_recorder(sql_text);
         self.pending_admission_wait_nanos = 0;
@@ -203,38 +232,32 @@ impl Session {
         if let Some(r) = rec.as_mut() {
             r.span.parse_nanos = r.lap();
         }
+        Ok((stmt, rec))
+    }
+
+    /// Parse and run one SQL statement.
+    pub fn query(&mut self, sql_text: &str) -> Result<QueryReply> {
+        let (stmt, rec) = self.parse_traced(sql_text)?;
         match stmt {
             Statement::Select(plan) => self.run_plan(plan, rec),
-            other => {
-                let table = Arc::new(sql::run_statement(&self.db, other, &self.cfg)?);
-                if let Some(mut r) = rec.take() {
-                    r.span.execute_nanos = r.lap();
-                    r.span.rows = table.len() as u64;
-                    self.observe_span(r);
-                }
-                Ok(QueryReply { table })
-            }
+            other => Ok(QueryReply {
+                table: self.run_other(other, rec)?,
+            }),
         }
     }
 
     /// Open one SQL statement for streaming execution: rows of a live
     /// `SELECT` leave through the physical operator tree as they are
     /// produced instead of waiting for the full result table. Statistics
-    /// match [`Session::query`].
-    pub fn open_stream(&mut self, sql_text: &str) -> Result<StreamQuery> {
-        self.stats.queries += 1;
-        let stmt = sql::parse(sql_text)?;
+    /// and query spans match [`Session::query`].
+    pub(crate) fn open_stream(&mut self, sql_text: &str) -> Result<StreamQuery> {
+        let (stmt, mut rec) = self.parse_traced(sql_text)?;
         match stmt {
-            Statement::Select(plan) => {
-                let optimized = optimize(&self.db, plan)?;
-                Ok(StreamQuery::Live {
-                    plan: Box::new(optimized),
-                    cfg: self.cfg.clone(),
-                })
-            }
-            other => Ok(StreamQuery::Table(Arc::new(sql::run_statement(
-                &self.db, other, &self.cfg,
-            )?))),
+            Statement::Select(plan) => Ok(StreamQuery::Live {
+                plan: Box::new(self.optimize_plan(plan, &mut rec)?),
+                span: rec,
+            }),
+            other => self.run_other(other, rec).map(StreamQuery::Table),
         }
     }
 

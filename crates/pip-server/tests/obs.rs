@@ -300,6 +300,60 @@ fn slowlog_captures_per_phase_breakdowns() {
     assert!(lines[0].starts_with("OK 0 entries"), "{:?}", lines[0]);
 }
 
+/// The spans the armed slowlog holds, after its `OK <n> entries` line.
+fn slowlog_spans(c: &mut Client) -> Vec<String> {
+    let mut lines = c.send_block("SLOWLOG");
+    assert!(lines[0].starts_with("OK "), "{:?}", lines[0]);
+    lines.remove(0);
+    lines
+}
+
+/// `STREAM` and `EXEC` run plans too, so each leaves one span with the
+/// same breakdown as `QUERY`'s.
+#[test]
+fn slowlog_captures_stream_and_exec_spans() {
+    let server = serve(
+        Arc::new(Database::new()),
+        "127.0.0.1:0",
+        ServerOptions::default(),
+    )
+    .expect("bind server");
+    let mut c = Client::connect(server.addr());
+    setup_catalog(&mut c);
+    let sql = GROUPED.strip_prefix("QUERY ").expect("QUERY verb");
+    assert_eq!(c.send("SET SLOWLOG 1"), "OK slowlog_ms=1\n");
+    assert_eq!(c.send("SET SAMPLES 60000"), "OK samples=60000\n");
+
+    c.writer
+        .write_all(format!("STREAM {sql}\n").as_bytes())
+        .expect("write");
+    assert_eq!(c.read_line(), "STREAM BEGIN");
+    let last = loop {
+        let line = c.read_line();
+        if line.starts_with("END") || line.starts_with("ERR") {
+            break line;
+        }
+    };
+    assert_eq!(last, "END 2 rows (fresh)");
+    let spans = slowlog_spans(&mut c);
+    assert_eq!(spans.len(), 1, "{spans:?}");
+    assert!(spans[0].contains(&format!("sql={sql}")), "{}", spans[0]);
+    assert!(spans[0].contains("rows=2"), "{}", spans[0]);
+    assert!(!spans[0].contains("sample=0.000ms"), "{}", spans[0]);
+
+    // Re-arming clears the ring; PREPARE runs nothing, EXEC one span.
+    assert_eq!(c.send("SET SLOWLOG 0"), "OK slowlog_ms=0\n");
+    assert_eq!(c.send("SET SLOWLOG 1"), "OK slowlog_ms=1\n");
+    let r = c.send(&format!("PREPARE grouped AS {sql}"));
+    assert!(r.starts_with("OK"), "{r}");
+    let r = c.send("EXEC grouped");
+    assert!(r.starts_with("OK 2 rows"), "{r}");
+    let spans = slowlog_spans(&mut c);
+    assert_eq!(spans.len(), 1, "{spans:?}");
+    assert!(spans[0].contains(&format!("sql={sql}")), "{}", spans[0]);
+    assert!(spans[0].contains("rows=2"), "{}", spans[0]);
+}
+
 // ---------------------------------------------------------------------
 // STATS rides on the registry.
 // ---------------------------------------------------------------------

@@ -4,9 +4,9 @@
 //! right for isolating the sampling operators, but blind to query-phase
 //! cost. The workload here drives Q3's shape (the Figure 6 selective
 //! join) through the *whole* engine instead: catalog tables, a join
-//! plan, predicate + projection pushdown, and an executor. Customer and
-//! delivery tables carry deliberately wide padding columns, the realism
-//! tax projection pushdown exists to avoid paying.
+//! plan, the optimizer, and an executor. Customer and delivery tables
+//! carry deliberately wide padding columns that every join output row
+//! copies.
 
 use pip_core::{DataType, Result, Schema};
 use pip_dist::prelude::builtin;
@@ -247,9 +247,7 @@ mod tests {
     use super::*;
     use crate::queries::q3_exact;
     use crate::tpch::{generate, TpchConfig};
-    use pip_engine::{
-        execute, execute_materialized, optimize, optimize_with, scalar_result, OptimizerConfig,
-    };
+    use pip_engine::{execute, execute_materialized, optimize, scalar_result};
     use pip_sampling::SamplerConfig;
 
     #[test]
@@ -276,37 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_prunes_the_padding_columns_where_it_pays() {
-        let data = generate(&TpchConfig {
-            n_customers: 10,
-            n_parts: 2,
-            n_suppliers: 4,
-            seed: 3,
-        });
-        let db = join_db(&data, 0.3).unwrap();
-        // Streaming target: at this workload's widths and fan-outs an
-        // extra per-row projection stage costs more than the saved cell
-        // clones on either side (measured in BENCH_exec.json — this was
-        // the PR 2 pushdown regression), so the cost gate declines both
-        // and the plan keeps bare scans.
-        let opt = optimize(&db, join_plan()).unwrap();
-        let text = opt.explain();
-        assert!(!text.contains("pad0"), "{text}");
-        assert!(
-            !text.contains("Project: [supp_id, duration, thr]"),
-            "{text}"
-        );
-        assert!(!text.contains("Project: [spend, incr, supp]"), "{text}");
-        // Materializing target: product-then-select clones each side
-        // once per *pair*, so pruning repays on both sides (and `cust`,
-        // never referenced, goes too).
-        let mat = optimize_with(&db, join_plan(), &OptimizerConfig::materializing()).unwrap();
-        let text = mat.explain();
-        assert!(text.contains("Project: [supp_id, duration, thr]"), "{text}");
-        assert!(text.contains("Project: [spend, incr, supp]"), "{text}");
-    }
-
-    #[test]
     fn star_workload_reorders_and_preserves_the_answer() {
         let shape = StarShape::of(400);
         let db = star_db(&shape).unwrap();
@@ -317,6 +284,9 @@ mod tests {
         // Every product became a hash join.
         assert!(!text.contains("Product"), "{text}");
         assert!(text.contains("EquiJoin"), "{text}");
+        // The reorderer's column-restoring projection is narrowed to
+        // the one column the aggregate reads.
+        assert!(text.contains("Project: [amount]"), "{text}");
         // The selective dimension joins before the wide ones: dim_c must
         // appear as the first build side (the innermost right leaf).
         let join_line = text

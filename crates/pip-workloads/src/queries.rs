@@ -468,14 +468,24 @@ mod tests {
             p.value,
             s.value
         );
-        // Max delivery must exceed the largest mean delivery.
-        let max_mean = data
-            .suppliers
-            .iter()
-            .filter(|s| s.japanese)
+        // E[max delivery] is at least the largest mean delivery (Jensen),
+        // but only just, so the 2,000-world estimate may land below it by
+        // Monte Carlo error. A world's max of independent Normals has a
+        // variance of at most the largest row variance (Gaussian
+        // Poincaré inequality): allow four standard errors of that.
+        let japanese = || data.suppliers.iter().filter(|s| s.japanese);
+        let max_mean = japanese()
             .map(|s| s.mfg_mean + s.ship_mean)
             .fold(0.0, f64::max);
-        assert!(p.value >= max_mean, "{} < {max_mean}", p.value);
+        let max_sd = japanese()
+            .map(|s| (s.mfg_std * s.mfg_std + s.ship_std * s.ship_std).sqrt())
+            .fold(0.0, f64::max);
+        let tol = 4.0 * max_sd / 2000f64.sqrt();
+        assert!(
+            p.value >= max_mean - tol,
+            "{} < {max_mean} - {tol}",
+            p.value
+        );
     }
 
     #[test]
