@@ -1047,7 +1047,7 @@ impl CheckpointCapture {
 
 /// Refuse an append that could not apply: a row whose arity differs
 /// from the table's, or an index on the table that does not cover
-/// exactly its rows. Checked before the WAL append — a logged record
+/// exactly its rows. Tested before the WAL append — a logged record
 /// must never fail to apply.
 fn check_append(
     table: &CTable,

@@ -77,10 +77,7 @@ pub fn execute_with_stats(
     let t0 = Instant::now();
     let table = phys.collect()?;
     let stats = QueryStats::from_profiles(t0.elapsed().as_secs_f64(), phys.profiles());
-    let m = db.metrics();
-    m.queries_total.inc();
-    m.query_phase_seconds.observe_secs(stats.query_secs);
-    m.sample_phase_seconds.observe_secs(stats.sample_secs);
+    db.metrics().record(&stats);
     Ok((table, stats))
 }
 

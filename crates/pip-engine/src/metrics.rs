@@ -5,13 +5,15 @@
 //! The hot-path cost is a handful of relaxed atomic ops per query; phase
 //! histograms are gated by the global observability switch.
 
+use crate::exec::QueryStats;
 use crate::plan::Plan;
 use pip_obs::{Counter, Histogram, Registry};
 use std::sync::Arc;
 
 #[derive(Debug)]
 pub struct EngineMetrics {
-    /// SELECTs executed through the pipelined executor.
+    /// SELECTs executed through the pipelined executor (`QUERY`, `EXEC`
+    /// and `STREAM` alike).
     pub queries_total: Arc<Counter>,
     /// Logical catalog mutations (DDL + DML) applied.
     pub mutations_total: Arc<Counter>,
@@ -73,6 +75,15 @@ impl EngineMetrics {
                 "Optimized plans' index-join operators.",
             ),
         }
+    }
+
+    /// Count one executed SELECT and its phase split: every front-end
+    /// that drains a plan (`execute_with_stats`, the server's `STREAM`)
+    /// records here, once the plan has run to its end.
+    pub fn record(&self, stats: &QueryStats) {
+        self.queries_total.inc();
+        self.query_phase_seconds.observe_secs(stats.query_secs);
+        self.sample_phase_seconds.observe_secs(stats.sample_secs);
     }
 
     /// Count the access paths the optimizer settled on in a final plan.

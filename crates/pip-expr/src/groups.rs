@@ -13,6 +13,7 @@
 //! variable — is [`independent_components`]: `aconf` multiplies across
 //! components and samples only inside one.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use crate::atom::Atom;
@@ -209,11 +210,11 @@ pub fn independent_groups(condition: &Conjunction, extra_vars: &[RandomVar]) -> 
 /// Components are lists of indices into `disjuncts`, each ascending,
 /// ordered by their first index — a pure function of the input order. A
 /// variable-free disjunct is a component of its own.
-pub fn independent_components(disjuncts: &[Conjunction]) -> Vec<Vec<usize>> {
+pub fn independent_components<C: Borrow<Conjunction>>(disjuncts: &[C]) -> Vec<Vec<usize>> {
     let mut dsu = Dsu::new(disjuncts.len());
     let mut owner: HashMap<VarId, usize> = HashMap::new();
     for (i, d) in disjuncts.iter().enumerate() {
-        for v in d.variables() {
+        for v in d.borrow().variables() {
             match owner.get(&v.key.id) {
                 Some(&j) => dsu.union(i, j),
                 None => {
@@ -318,7 +319,7 @@ mod tests {
             independent_components(&disjuncts),
             vec![vec![0, 2, 4], vec![1], vec![3]]
         );
-        assert!(independent_components(&[]).is_empty());
+        assert!(independent_components::<Conjunction>(&[]).is_empty());
     }
 
     #[test]

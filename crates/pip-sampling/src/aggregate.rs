@@ -1,6 +1,5 @@
-//! Aggregate sampling operators (paper Sections IV-C and V-C):
-//! `expected_sum`, `expected_count`, `expected_avg`, `expected_max`, and
-//! their histogram variants.
+//! Aggregate sampling operators (paper Section IV-C): `expected_sum`,
+//! `expected_count`, `expected_avg` and `expected_max`.
 //!
 //! Aggregates use *per-table* sampling semantics: the probability of each
 //! row's presence is folded into the aggregate. `sum`/`count` obey
@@ -187,71 +186,38 @@ pub fn expected_max_sampled(
     cfg: &SamplerConfig,
     n_worlds: usize,
 ) -> Result<AggregateResult> {
-    let sums = per_world_aggregate(table, col, cfg, n_worlds, WorldAgg::Max)?;
-    let value = sums.iter().sum::<f64>() / sums.len().max(1) as f64;
+    let maxima = per_world_max(table, col, cfg, n_worlds)?;
+    let value = maxima.iter().sum::<f64>() / maxima.len().max(1) as f64;
     Ok(AggregateResult {
         value,
         n_samples: n_worlds,
     })
 }
 
-/// Which per-world statistic to compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorldAgg {
-    Sum,
-    Max,
-}
-
-/// Evaluate `col` in every sampled world, aggregating across present
-/// rows. Worlds are independent (world `i` is seeded by `i` alone), so
-/// they go through [`run_indexed`]; outputs stay in world order.
-fn per_world_aggregate(
+/// The maximum of `col` over the present rows of every sampled world (0
+/// in an empty world). Worlds are independent (world `i` is seeded by `i`
+/// alone), so they go through [`run_indexed`]; outputs stay in world
+/// order.
+fn per_world_max(
     table: &CTable,
     col: &str,
     cfg: &SamplerConfig,
     n_worlds: usize,
-    agg: WorldAgg,
 ) -> Result<Vec<f64>> {
     let idx = table.schema().index_of(col)?;
     let worlds = sample_worlds(table, n_worlds, cfg)?;
     let eval_world = |w: &pip_expr::Assignment| -> Result<f64> {
-        let mut acc: Option<f64> = None;
+        let mut max: Option<f64> = None;
         for row in table.rows() {
             if !row.condition.eval(w)? {
                 continue;
             }
             let v = row.cells[idx].eval_f64(w)?;
-            acc = Some(match (acc, agg) {
-                (None, _) => v,
-                (Some(a), WorldAgg::Sum) => a + v,
-                (Some(a), WorldAgg::Max) => a.max(v),
-            });
+            max = Some(max.map_or(v, |m| m.max(v)));
         }
-        Ok(acc.unwrap_or(0.0))
+        Ok(max.unwrap_or(0.0))
     };
     run_indexed(cfg, worlds.len(), |i| eval_world(&worlds[i]))
-}
-
-/// `expected_sum_hist(col)` — the raw per-world sums (paper Section V-C:
-/// "instead of outputting the average of the results, it instead outputs
-/// an array of all the generated samples").
-pub fn expected_sum_hist(
-    table: &CTable,
-    col: &str,
-    cfg: &SamplerConfig,
-    n_worlds: usize,
-) -> Result<Vec<f64>> {
-    per_world_aggregate(table, col, cfg, n_worlds, WorldAgg::Sum)
-}
-
-/// `expected_max_hist(col)` — the raw per-world maxima.
-pub fn expected_max_hist(
-    table: &CTable,
-    col: &str,
-    cfg: &SamplerConfig,
-    n_worlds: usize,
-) -> Result<Vec<f64>> {
-    per_world_aggregate(table, col, cfg, n_worlds, WorldAgg::Max)
 }
 
 #[cfg(test)]
@@ -496,35 +462,10 @@ mod tests {
                 "expected_avg, threads={threads}"
             );
             assert_eq!(
-                expected_sum_hist(&t, "v", &serial, 64).unwrap(),
-                expected_sum_hist(&t, "v", &par, 64).unwrap(),
-                "expected_sum_hist, threads={threads}"
+                expected_max_sampled(&t, "v", &serial, 64).unwrap(),
+                expected_max_sampled(&t, "v", &par, 64).unwrap(),
+                "expected_max_sampled, threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn hist_variants_return_raw_samples() {
-        let y = normal(0.0, 1.0);
-        let t = CTable::new(
-            sym_schema(),
-            vec![
-                CRow::unconditional(vec![Equation::val(1.0)]),
-                CRow::new(
-                    vec![Equation::val(1.0)],
-                    Conjunction::single(atoms::gt(Equation::from(y), 0.0)),
-                ),
-            ],
-        )
-        .unwrap();
-        let cfg = SamplerConfig::default();
-        let sums = expected_sum_hist(&t, "v", &cfg, 1000).unwrap();
-        assert_eq!(sums.len(), 1000);
-        // Sum is 1 or 2 depending on the condition; mean ≈ 1.5.
-        assert!(sums.iter().all(|&s| s == 1.0 || s == 2.0));
-        let mean = sums.iter().sum::<f64>() / 1000.0;
-        assert!((mean - 1.5).abs() < 0.06, "{mean}");
-        let maxes = expected_max_hist(&t, "v", &cfg, 100).unwrap();
-        assert!(maxes.iter().all(|&m| m == 1.0));
     }
 }

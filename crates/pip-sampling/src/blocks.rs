@@ -286,7 +286,7 @@ pub(crate) fn serial_blocked(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expectation::group;
+    use crate::expectation::analyse;
     use crate::tape::GroupKernel;
     use pip_dist::prelude::builtin;
     use pip_dist::rng_from_seed;
@@ -302,7 +302,7 @@ mod tests {
             use_cdf_sampling: false,
             ..SamplerConfig::default()
         };
-        let mut p = group(&Equation::from(y), &cond, &cfg)
+        let mut p = analyse(&cond, vec![y], &cfg)
             .unwrap()
             .build(|g, bounds, slots| GroupKernel::for_group(g, bounds, &cfg, slots));
         let mut rng = rng_from_seed(5);

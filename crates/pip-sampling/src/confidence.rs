@@ -16,130 +16,25 @@
 
 use pip_core::Result;
 use pip_dist::{mix64, rng_from_seed, PipRng};
-use pip_expr::{
-    independent_components, independent_groups, Assignment, Conjunction, Dnf, SlotMap, Truth,
-    VarGroup,
-};
-
-use pip_ctable::{consistency_check, consistency_of_groups, BoundsMap, Consistency};
+use pip_expr::{independent_components, Assignment, Conjunction, Dnf};
 
 use crate::blocks::LoopStats;
 use crate::config::SamplerConfig;
-use crate::strategy::exact_group_probability;
-use crate::tape::GroupKernel;
+use crate::expectation::{analyse, kernel_probe};
 
-/// What the static checks leave of a row condition.
-pub(crate) enum Checked {
-    /// Holds in no world (folds to false, or fails Algorithm 3.2).
-    Dead,
-    /// Holds in every world.
-    Certain,
-    /// Simplified and consistent.
-    Open(Open),
-}
-
-/// A simplified, consistent condition, analysed once: the groups `conf`
-/// multiplies over and the bounds Algorithm 3.2 derived on them.
-pub(crate) struct Open {
-    pub(crate) condition: Conjunction,
-    pub(crate) groups: Vec<VarGroup>,
-    pub(crate) bounds: BoundsMap,
-}
-
-/// Simplify, partition, then run the consistency check over the
-/// partition when the config allows — one simplification and one
-/// partition per condition (the monolithic `use_independence` ablation
-/// runs the whole-condition check instead).
-pub(crate) fn check(condition: &Conjunction, cfg: &SamplerConfig) -> Checked {
-    let (condition, truth) = condition.simplify();
-    match truth {
-        Truth::False => return Checked::Dead,
-        Truth::True => return Checked::Certain,
-        Truth::Unknown => {}
-    }
-    let groups = conf_groups(&condition, cfg);
-    let bounds = if cfg.use_consistency {
-        let verdict = if cfg.use_independence {
-            consistency_of_groups(&groups)
-        } else {
-            consistency_check(&condition)
-        };
-        match verdict {
-            Consistency::Inconsistent => return Checked::Dead,
-            Consistency::Consistent { bounds, .. } => bounds,
-        }
-    } else {
-        BoundsMap::new()
-    };
-    Checked::Open(Open {
-        condition,
-        groups,
-        bounds,
-    })
-}
-
-/// `P[condition]` for a conjunctive row condition.
+/// `P[condition]` for a conjunctive row condition: the row's analysis,
+/// then the product over its groups.
 pub fn conf(condition: &Conjunction, cfg: &SamplerConfig, site: u64) -> Result<f64> {
-    Ok(match check(condition, cfg) {
-        Checked::Dead => 0.0,
-        Checked::Certain => 1.0,
-        Checked::Open(open) => conf_open(open.groups, &open.bounds, cfg, site)?.0,
-    })
-}
-
-/// The groups `conf` multiplies over: independent groups, or one
-/// monolithic group with `use_independence` off.
-pub(crate) fn conf_groups(condition: &Conjunction, cfg: &SamplerConfig) -> Vec<VarGroup> {
-    if cfg.use_independence {
-        independent_groups(condition, &[])
-    } else {
-        vec![VarGroup {
-            atoms: condition.atoms().to_vec(),
-            vars: condition.variables(),
-        }]
-    }
+    let Some(row) = analyse(condition, Vec::new(), cfg) else {
+        return Ok(0.0);
+    };
+    let (p, _draws) = row.probability(cfg, &mut conf_rng(cfg, site), kernel_probe)?;
+    Ok(p)
 }
 
 /// The generator of `conf` at `site`.
 pub(crate) fn conf_rng(cfg: &SamplerConfig, site: u64) -> PipRng {
     rng_from_seed(mix64(cfg.world_seed ^ site ^ 0xC0FF))
-}
-
-/// `P[condition]` of an [`Open`] condition from its groups and bounds,
-/// with the number of candidate worlds the estimate rests on — 0 when
-/// every group had a closed form.
-fn conf_open(
-    groups: Vec<VarGroup>,
-    bounds: &BoundsMap,
-    cfg: &SamplerConfig,
-    site: u64,
-) -> Result<(f64, u64)> {
-    let mut rng = conf_rng(cfg, site);
-    let mut prob = 1.0;
-    let mut draws = 0;
-    for g in groups {
-        if g.atoms.is_empty() {
-            continue;
-        }
-        if cfg.use_exact_cdf {
-            if let Some(p) = exact_group_probability(&g) {
-                prob *= p;
-                continue;
-            }
-        }
-        let budget = cfg.probe_budget();
-        draws += budget;
-        // A fixed-budget candidate probe.
-        let mut slots = SlotMap::new();
-        let mut kernel = GroupKernel::for_group(g, bounds, cfg, &mut slots);
-        prob *= kernel.estimate_probability(
-            &mut rng,
-            budget,
-            &mut vec![0.0; slots.len()],
-            &mut Vec::new(),
-        )?;
-    }
-    Ok((prob, draws))
 }
 
 /// `P[φ₁ ∨ … ∨ φₖ]` for the DNF of a distinct group.
@@ -154,29 +49,22 @@ fn conf_open(
 /// component of disjunct 0 runs at `site` itself, so a one-disjunct DNF
 /// is exactly `conf` at the same site).
 pub fn aconf(dnf: &Dnf, cfg: &SamplerConfig, site: u64) -> Result<f64> {
-    // Per live disjunct: its condition, and its groups and bounds with
-    // its index in `dnf`.
+    // Per live disjunct: its index in `dnf` and its analysis.
     let mut live = Vec::new();
-    let mut analysed = Vec::new();
     for (i, d) in dnf.disjuncts().iter().enumerate() {
-        match check(d, cfg) {
-            Checked::Dead => {}
-            Checked::Certain => return Ok(1.0),
-            Checked::Open(Open {
-                condition,
-                groups,
-                bounds,
-            }) => {
-                live.push(condition);
-                analysed.push((i, groups, bounds));
+        if let Some(row) = analyse(d, Vec::new(), cfg) {
+            if row.condition.atoms().is_empty() {
+                return Ok(1.0);
             }
+            live.push((i, row));
         }
     }
     if live.is_empty() {
         return Ok(0.0);
     }
     let components = if cfg.use_independence {
-        independent_components(&live)
+        let conditions: Vec<&Conjunction> = live.iter().map(|(_, row)| &*row.condition).collect();
+        independent_components(&conditions)
     } else {
         vec![(0..live.len()).collect()]
     };
@@ -185,14 +73,13 @@ pub fn aconf(dnf: &Dnf, cfg: &SamplerConfig, site: u64) -> Result<f64> {
     // exact for a lone component and for tail-sized probabilities.
     let mut any_holds = 0.0;
     for component in components {
-        let (first, groups, bounds) = &mut analysed[component[0]];
+        let (first, row) = &live[component[0]];
         let component_site = site ^ (*first as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let (p, draws) = match component.as_slice() {
-            // Each disjunct is in one component: its groups are used once.
-            &[_] => conf_open(std::mem::take(groups), bounds, cfg, component_site)?,
+            &[_] => row.probability(cfg, &mut conf_rng(cfg, component_site), kernel_probe)?,
             shared => {
-                let union = Dnf::of(shared.iter().map(|&i| live[i].clone()).collect());
-                sampled_union(&union, cfg, component_site)?
+                let union = shared.iter().map(|&i| (*live[i].1.condition).clone());
+                sampled_union(&Dnf::of(union.collect()), cfg, component_site)?
             }
         };
         if draws == 0 {
@@ -504,18 +391,21 @@ mod tests {
 
     #[test]
     fn conditions_are_analysed_once_as_in_three_passes() {
-        // `check` partitions once and propagates bounds over the
+        // `analyse` partitions once and propagates bounds over the
         // partition; the plain analysis simplifies, runs the
         // whole-condition check (which partitions) and partitions again.
         // Same verdicts, groups and bounds, hence the same `conf` bits as
         // the oracle, which analyses the plain way.
+        use crate::expectation::analyse;
+        use pip_ctable::{consistency_check, Consistency};
         use pip_dist::rng_from_seed;
+        use pip_expr::{Truth, VarGroup};
         let mut rng = rng_from_seed(0x3A55);
         let configs = [
             SamplerConfig::fixed_samples(200),
             SamplerConfig::default(),
             SamplerConfig {
-                use_consistency: false,
+                use_exact_cdf: false,
                 ..SamplerConfig::fixed_samples(200)
             },
             SamplerConfig {
@@ -539,30 +429,30 @@ mod tests {
             let plain = match truth {
                 Truth::False => None,
                 Truth::True => Some(None),
-                Truth::Unknown => match cfg.use_consistency {
-                    true => match consistency_check(&simplified) {
-                        Consistency::Inconsistent => None,
-                        Consistency::Consistent { bounds, .. } => Some(Some(bounds)),
-                    },
-                    false => Some(Some(BoundsMap::new())),
+                Truth::Unknown => match consistency_check(&simplified) {
+                    Consistency::Inconsistent => None,
+                    Consistency::Consistent { bounds, .. } => Some(Some(bounds)),
                 },
             };
-            match (check(&cond, cfg), plain) {
-                (Checked::Dead, None) => dead += 1,
-                (Checked::Certain, Some(None)) => certain += 1,
-                (Checked::Open(open), Some(Some(bounds))) => {
-                    split += usize::from(open.groups.len() > 1);
-                    assert_eq!(open.condition, simplified, "case {case}");
-                    assert_eq!(open.bounds, bounds, "case {case}: {cond}");
-                    let groups = conf_groups(&simplified, cfg);
-                    assert_eq!(open.groups.len(), groups.len(), "case {case}: {cond}");
-                    for (a, b) in open.groups.iter().zip(&groups) {
+            match (analyse(&cond, Vec::new(), cfg), plain) {
+                (None, None) => dead += 1,
+                (Some(row), Some(None)) if row.condition.atoms().is_empty() => certain += 1,
+                (Some(row), Some(Some(bounds))) => {
+                    split += usize::from(row.groups.len() > 1);
+                    assert_eq!(*row.condition, simplified, "case {case}");
+                    assert_eq!(row.bounds, bounds, "case {case}: {cond}");
+                    let groups = crate::oracle::conf_groups(&simplified, cfg);
+                    assert_eq!(row.groups.len(), groups.len(), "case {case}: {cond}");
+                    for (a, b) in row.groups.iter().zip(&groups) {
                         assert_eq!(a.atoms, b.atoms, "case {case}: {cond}");
                         let keys = |g: &VarGroup| g.vars.iter().map(|v| v.key).collect::<Vec<_>>();
                         assert_eq!(keys(a), keys(b), "case {case}: {cond}");
                     }
                 }
-                (_, plain) => panic!("case {case}: {cond}: verdicts differ ({plain:?})"),
+                (row, plain) => panic!(
+                    "case {case}: {cond}: verdicts differ ({} vs {plain:?})",
+                    row.is_some()
+                ),
             }
             let bits = |r: Result<f64>| r.map(f64::to_bits).map_err(|e| e.to_string());
             assert_eq!(

@@ -1,5 +1,6 @@
-//! Sampler configuration: the ε–δ precision goal of Algorithm 4.3 plus
-//! strategy toggles used by the ablation benchmarks.
+//! Sampler configuration: the ε–δ precision goal of Algorithm 4.3, the
+//! Metropolis switch's threshold and burn-in, and the three strategy
+//! toggles the ablation benchmarks set. Algorithm 3.2 always runs.
 
 /// Configuration of the expectation operator and all samplers.
 #[derive(Debug, Clone)]
@@ -16,21 +17,16 @@ pub struct SamplerConfig {
     pub max_samples: usize,
     /// Rejection-rate threshold beyond which a group switches to
     /// Metropolis, per Algorithm 4.3 line 19 ("Metropolis Threshold").
+    /// `1.0` turns the switch off: the rejection fraction never exceeds 1.
     pub metropolis_threshold: f64,
     /// Metropolis burn-in steps (`C_burn_in` in the paper's cost model).
     pub metropolis_burn_in: usize,
-    /// Random-walk steps between retained Metropolis samples.
-    pub metropolis_thinning: usize,
     /// Strategy toggle: use inverse-CDF sampling restricted to
     /// consistency-derived bounds (Section IV-A(b)). Off = ablation.
     pub use_cdf_sampling: bool,
     /// Strategy toggle: decompose conditions into minimal independent
     /// subsets (Section IV-A(c)). Off = one monolithic group.
     pub use_independence: bool,
-    /// Strategy toggle: run Algorithm 3.2 and exploit its bounds map.
-    pub use_consistency: bool,
-    /// Strategy toggle: permit the Metropolis fallback (Section IV-A(d)).
-    pub use_metropolis: bool,
     /// Strategy toggle: use exact CDF integration where available, which
     /// can sidestep sampling entirely (Section III-A).
     pub use_exact_cdf: bool,
@@ -54,11 +50,8 @@ impl Default for SamplerConfig {
             max_samples: 10_000,
             metropolis_threshold: 0.995,
             metropolis_burn_in: 500,
-            metropolis_thinning: 8,
             use_cdf_sampling: true,
             use_independence: true,
-            use_consistency: true,
-            use_metropolis: true,
             use_exact_cdf: true,
             world_seed: 0x5151_5151,
             threads: 1,
@@ -92,14 +85,14 @@ impl SamplerConfig {
     }
 
     /// Baseline configuration with every PIP-specific optimization off —
-    /// pure rejection sampling and no Metropolis switch: the ablation
-    /// reference point.
+    /// pure rejection sampling, one monolithic group, no closed form and
+    /// no Metropolis switch: the ablation reference point. It still runs
+    /// Algorithm 3.2, so a condition that holds in no world draws nothing.
     pub fn naive(n: usize) -> Self {
         SamplerConfig {
+            metropolis_threshold: 1.0,
             use_cdf_sampling: false,
             use_independence: false,
-            use_consistency: false,
-            use_metropolis: false,
             use_exact_cdf: false,
             ..Self::fixed_samples(n)
         }
@@ -156,9 +149,8 @@ mod tests {
         let c = SamplerConfig::naive(10);
         assert!(!c.use_cdf_sampling);
         assert!(!c.use_independence);
-        assert!(!c.use_consistency);
-        assert!(!c.use_metropolis);
         assert!(!c.use_exact_cdf);
+        assert!(!crate::strategy::metropolis_due(&c, 1 << 40, 0));
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Given an expression `E` and a context condition `C`, compute
 //! `E[E | C]` (and optionally `P[C]`) with ε–δ precision:
 //!
-//! 1–2. in one pass over the row (`group`): simplify `C` once (not at
-//!    all when the query phase already did), partition it once into
-//!    minimal independent variable groups together with `E`'s variables,
-//!    and run the consistency check over that partition's atom groups
+//! 1–2. in one pass over the row (`analyse`, which `conf` and `aconf`
+//!    share): simplify `C` once (not at all when the query phase
+//!    already did), partition it once into minimal independent variable
+//!    groups together with `E`'s variables, and run the consistency
+//!    check over that partition's atom groups
 //!    (each atom linearised once, no hashing); an inconsistent context
 //!    yields `(NAN, 0)` immediately. Only groups sharing variables with
 //!    `E` need to be sampled inside the averaging loop. If none of them
@@ -26,15 +27,17 @@
 //!    by a fixed-budget probe of that group alone otherwise (lines
 //!    29–35).
 
+use std::borrow::Cow;
+
 use pip_core::Result;
 use pip_dist::{mix64, rng_from_seed, PipRng};
-use pip_expr::{independent_groups, Conjunction, Equation, RandomVar, SlotMap, VarGroup};
+use pip_expr::{independent_groups, Conjunction, Equation, RandomVar, SlotMap, Truth, VarGroup};
 
 use pip_ctable::{consistency_check, consistency_of_groups, BoundsMap, Consistency};
 
 use crate::blocks::{compile_expr, serial_blocked, serial_per_sample};
 use crate::config::SamplerConfig;
-use crate::strategy::exact_group_probability;
+use crate::strategy::exact_probability;
 use crate::tape::GroupKernel;
 
 /// Result of the expectation operator.
@@ -79,12 +82,16 @@ impl ExpectationResult {
     }
 }
 
-/// Consistency + grouping (lines 1–10) before anything is built: the
-/// simplified condition's independent variable groups, the bounds, and
-/// the expression's variables (which say what each group is relevant to).
-pub(crate) struct Grouping {
-    groups: Vec<VarGroup>,
-    bounds: BoundsMap,
+/// One row's analysis (lines 1–10), shared by every sampling head: the
+/// simplified condition (borrowed when the query phase already
+/// simplified it), its independent variable groups together with the
+/// expression's variables (which say what each group is relevant to), and
+/// the bounds Algorithm 3.2 derived on them. `conf` and `aconf` analyse
+/// with no expression variables.
+pub(crate) struct RowAnalysis<'a> {
+    pub(crate) condition: Cow<'a, Conjunction>,
+    pub(crate) groups: Vec<VarGroup>,
+    pub(crate) bounds: BoundsMap,
     expr_vars: Vec<RandomVar>,
 }
 
@@ -100,43 +107,28 @@ pub(crate) struct Prepared<S = GroupKernel> {
     pub(crate) slots: SlotMap,
 }
 
-/// Consistency + grouping (lines 1–10) in one pass over the row: the
-/// condition is simplified once and partitioned once, together with the
-/// expression's variables, and Algorithm 3.2 propagates bounds over the
-/// partition's atom groups (the same groups, atoms and bounds
-/// `consistency_check` derives on its own). `None` when the condition
-/// holds in no world.
-pub(crate) fn group(
-    expr: &Equation,
-    condition: &Conjunction,
+/// Analyse a row in one pass: the condition is simplified once and
+/// partitioned once, together with `expr_vars`, and Algorithm 3.2
+/// propagates bounds over the partition's atom groups (the same groups,
+/// atoms and bounds `consistency_check` derives on its own). `None` when
+/// the condition holds in no world; a condition that holds in every world
+/// simplifies to one without atoms.
+pub(crate) fn analyse<'a>(
+    condition: &'a Conjunction,
+    expr_vars: Vec<RandomVar>,
     cfg: &SamplerConfig,
-) -> Option<Grouping> {
+) -> Option<RowAnalysis<'a>> {
     let (condition, truth) = condition.simplified();
-    if truth == pip_expr::Truth::False {
+    if truth == Truth::False {
         return None;
     }
-    let expr_vars = expr.variables();
-    let (groups, bounds) = if cfg.use_independence {
+    let (groups, verdict) = if cfg.use_independence {
         let groups = independent_groups(&condition, &expr_vars);
-        let bounds = if cfg.use_consistency {
-            match consistency_of_groups(&groups) {
-                Consistency::Inconsistent => return None,
-                Consistency::Consistent { bounds, .. } => bounds,
-            }
-        } else {
-            BoundsMap::new()
-        };
-        (groups, bounds)
+        let verdict = consistency_of_groups(&groups);
+        (groups, verdict)
     } else {
-        let bounds = if cfg.use_consistency {
-            match consistency_check(&condition) {
-                Consistency::Inconsistent => return None,
-                Consistency::Consistent { bounds, .. } => bounds,
-            }
-        } else {
-            BoundsMap::new()
-        };
         // Ablation: one monolithic group holding everything.
+        let verdict = consistency_check(&condition);
         let mut vars = condition.variables();
         for v in &expr_vars {
             if !vars.iter().any(|o| o.key == v.key) {
@@ -151,16 +143,34 @@ pub(crate) fn group(
                 vars,
             }]
         };
-        (groups, bounds)
+        (groups, verdict)
     };
-    Some(Grouping {
-        groups,
-        bounds,
-        expr_vars,
-    })
+    match verdict {
+        Consistency::Inconsistent => None,
+        Consistency::Consistent { bounds, .. } => Some(RowAnalysis {
+            condition,
+            groups,
+            bounds,
+            expr_vars,
+        }),
+    }
 }
 
-impl Grouping {
+/// The production probe of [`RowAnalysis::probability`]: `budget`
+/// candidates of a fresh [`GroupKernel`] for `g` alone.
+pub(crate) fn kernel_probe(
+    g: &VarGroup,
+    bounds: &BoundsMap,
+    cfg: &SamplerConfig,
+    rng: &mut PipRng,
+    budget: u64,
+) -> Result<f64> {
+    let mut slots = SlotMap::new();
+    let mut k = GroupKernel::for_group(g.clone(), bounds, cfg, &mut slots);
+    k.estimate_probability(rng, budget, &mut vec![0.0; slots.len()], &mut Vec::new())
+}
+
+impl RowAnalysis<'_> {
     /// True if group `g` shares a variable with the expression.
     fn relevant(&self, g: &VarGroup) -> bool {
         g.vars
@@ -177,7 +187,7 @@ impl Grouping {
         let relevant = (0..self.groups.len())
             .filter(|&i| self.relevant(&self.groups[i]))
             .collect();
-        let Grouping { groups, bounds, .. } = self;
+        let RowAnalysis { groups, bounds, .. } = self;
         let mut slots = SlotMap::new();
         let samplers = groups
             .into_iter()
@@ -191,21 +201,44 @@ impl Grouping {
         }
     }
 
+    /// `P[C]` without an averaging loop (lines 29–35), with the candidate
+    /// worlds it drew — 0 when every group had a closed form: the product
+    /// over the atom groups, in group order, of [`exact_probability`]
+    /// where it applies and otherwise `probe(group, bounds, cfg, rng,
+    /// budget)` — a fixed-budget acceptance probe of that group alone,
+    /// drawn from `rng`. Production and the oracle share this rule; only
+    /// `probe` differs.
+    pub(crate) fn probability(
+        &self,
+        cfg: &SamplerConfig,
+        rng: &mut PipRng,
+        probe: impl Fn(&VarGroup, &BoundsMap, &SamplerConfig, &mut PipRng, u64) -> Result<f64>,
+    ) -> Result<(f64, u64)> {
+        let (mut p, mut draws) = (1.0, 0);
+        for g in self.groups.iter().filter(|g| !g.atoms.is_empty()) {
+            p *= match exact_probability(g, cfg) {
+                Some(exact) => exact,
+                None => {
+                    let budget = cfg.probe_budget();
+                    draws += budget;
+                    probe(g, &self.bounds, cfg, rng, budget)?
+                }
+            };
+        }
+        Ok((p, draws))
+    }
+
     /// The answer without an averaging loop. When no group relevant to
     /// `expr` carries an atom, `expr` is independent of the condition, so
     /// `E[expr | C] = E[expr]`; if [`linear_exact`] has that mean, it is
-    /// the answer. `P[C]` is then the product over the atom groups, in
-    /// group order: exact CDF integration under `use_exact_cdf`, else
-    /// `probe(group, bounds, rng, budget)` — a fixed-budget acceptance
-    /// probe of that group alone, drawn from the row's generator.
-    /// Production and the oracle share this rule; only `probe` differs.
+    /// the answer, and `P[C]` is [`RowAnalysis::probability`].
     pub(crate) fn closed_form(
         &self,
         expr: &Equation,
         want_probability: bool,
         cfg: &SamplerConfig,
         rng: &mut PipRng,
-        mut probe: impl FnMut(&VarGroup, &BoundsMap, &mut PipRng, u64) -> Result<f64>,
+        probe: impl Fn(&VarGroup, &BoundsMap, &SamplerConfig, &mut PipRng, u64) -> Result<f64>,
     ) -> Result<Option<ExpectationResult>> {
         if self
             .groups
@@ -217,20 +250,11 @@ impl Grouping {
         let Some(expectation) = linear_exact(expr, &self.expr_vars, cfg)? else {
             return Ok(None);
         };
-        let mut probability = f64::NAN;
-        if want_probability {
-            probability = 1.0;
-            for g in self.groups.iter().filter(|g| !g.atoms.is_empty()) {
-                let exact = cfg
-                    .use_exact_cdf
-                    .then(|| exact_group_probability(g))
-                    .flatten();
-                probability *= match exact {
-                    Some(p) => p,
-                    None => probe(g, &self.bounds, rng, cfg.probe_budget())?,
-                };
-            }
-        }
+        let probability = if want_probability {
+            self.probability(cfg, rng, probe)?.0
+        } else {
+            f64::NAN
+        };
         Ok(Some(ExpectationResult::exact(expectation, probability)))
     }
 }
@@ -289,21 +313,16 @@ pub fn expectation(
     site: u64,
 ) -> Result<ExpectationResult> {
     let expr = expr.simplified();
-    let Some(grouping) = group(&expr, condition, cfg) else {
+    let Some(row) = analyse(condition, expr.variables(), cfg) else {
         return Ok(ExpectationResult::nan(want_probability));
     };
     let mut rng = rng_for_site(cfg, site);
     // Closed form first; it builds a kernel only for a condition group
     // without an exact probability.
-    let probe = |g: &VarGroup, bounds: &BoundsMap, rng: &mut PipRng, budget| {
-        let mut slots = SlotMap::new();
-        let mut k = GroupKernel::for_group(g.clone(), bounds, cfg, &mut slots);
-        k.estimate_probability(rng, budget, &mut vec![0.0; slots.len()], &mut Vec::new())
-    };
-    if let Some(r) = grouping.closed_form(&expr, want_probability, cfg, &mut rng, probe)? {
+    if let Some(r) = row.closed_form(&expr, want_probability, cfg, &mut rng, kernel_probe)? {
         return Ok(r);
     }
-    let mut prep = grouping.build(|g, bounds, slots| GroupKernel::for_group(g, bounds, cfg, slots));
+    let mut prep = row.build(|g, bounds, slots| GroupKernel::for_group(g, bounds, cfg, slots));
 
     // Averaging loop (lines 11–28): the kernels draw into slot buffers
     // and the expression evaluates as a tape.
@@ -318,10 +337,8 @@ pub fn expectation(
     // taken when every atom group resolves exactly, and the
     // sample-at-a-time loop otherwise.
     let tape = compile_expr(&expr, &prep);
-    let sampling_state_consumed_after = |k: &GroupKernel| {
-        let has_exact_path = cfg.use_exact_cdf && exact_group_probability(&k.group).is_some();
-        !k.group.atoms.is_empty() && !has_exact_path
-    };
+    let sampling_state_consumed_after =
+        |k: &GroupKernel| !k.group.atoms.is_empty() && exact_probability(&k.group, cfg).is_none();
     let loop_state_needed_after =
         want_probability && prep.samplers.iter().any(sampling_state_consumed_after);
     let stats = if loop_state_needed_after {
@@ -366,10 +383,7 @@ fn condition_probability(
         if k.group.atoms.is_empty() {
             continue;
         }
-        let exact = cfg
-            .use_exact_cdf
-            .then(|| exact_group_probability(&k.group))
-            .flatten();
+        let exact = exact_probability(&k.group, cfg);
         if prep.relevant.contains(&i) && !k.uses_metropolis() && k.attempts > 0 {
             // Free by-product of the averaging loop... unless an exact
             // path gives a sharper answer at constant cost.

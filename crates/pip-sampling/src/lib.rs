@@ -48,15 +48,14 @@ pub mod tape;
 pub mod worlds;
 
 pub use aggregate::{
-    expected_avg, expected_count, expected_max_const, expected_max_hist, expected_max_sampled,
-    expected_sum, expected_sum_hist, AggregateResult,
+    expected_avg, expected_count, expected_max_const, expected_max_sampled, expected_sum,
+    AggregateResult,
 };
 pub use blocks::{block_cache_clear, SampleBlock};
 pub use confidence::{aconf, conf};
 pub use config::SamplerConfig;
 pub use expectation::{expectation, ExpectationResult};
 pub use parallel::ParallelSampler;
-pub use strategy::exact_group_probability;
 pub use streaming::{ConfStream, StreamingGroups};
 pub use tape::{CondTape, Tape, TapeOp};
 pub use worlds::sample_worlds;
@@ -64,14 +63,13 @@ pub use worlds::sample_worlds;
 /// Glob-import surface.
 pub mod prelude {
     pub use crate::aggregate::{
-        expected_avg, expected_count, expected_max_const, expected_max_hist, expected_max_sampled,
-        expected_sum, expected_sum_hist, AggregateResult,
+        expected_avg, expected_count, expected_max_const, expected_max_sampled, expected_sum,
+        AggregateResult,
     };
     pub use crate::confidence::{aconf, conf};
     pub use crate::config::SamplerConfig;
     pub use crate::expectation::{expectation, ExpectationResult};
     pub use crate::parallel::ParallelSampler;
-    pub use crate::strategy::exact_group_probability;
     pub use crate::streaming::{ConfStream, StreamingGroups};
     pub use crate::worlds::sample_worlds;
 }

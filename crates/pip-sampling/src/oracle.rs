@@ -13,17 +13,17 @@
 use pip_core::{PipError, Result};
 use pip_ctable::{consistency_check, BoundsMap, Consistency};
 use pip_dist::PipRng;
-use pip_expr::{Assignment, Conjunction, Equation, Truth, VarGroup};
+use pip_expr::{independent_groups, Assignment, Conjunction, Equation, Truth, VarGroup};
 use rand::Rng;
 
 use crate::blocks::{partial_or_fail, LoopStats};
-use crate::confidence::{conf_groups, conf_rng};
+use crate::confidence::conf_rng;
 use crate::config::SamplerConfig;
-use crate::expectation::{group, rng_for_site, ExpectationResult, Prepared};
+use crate::expectation::{analyse, rng_for_site, ExpectationResult, Prepared};
 use crate::metropolis::MetropolisState;
 use crate::strategy::{
-    acceptance_estimate, exact_group_probability, metropolis_due, select_strategies, VarStrategy,
-    MAX_ATTEMPTS_PER_SAMPLE, METROPOLIS_START_ATTEMPTS,
+    acceptance_estimate, exact_probability, metropolis_due, select_strategies, VarStrategy,
+    MAX_ATTEMPTS_PER_SAMPLE, METROPOLIS_START_ATTEMPTS, METROPOLIS_THINNING,
 };
 
 /// Tree-walking sampler for one independent variable group.
@@ -101,7 +101,7 @@ impl GroupSampler {
         out: &mut Assignment,
     ) -> Result<()> {
         if let Some(m) = self.metropolis.as_mut() {
-            return m.sample_into(&self.group, rng, cfg.metropolis_thinning, out);
+            return m.sample_into(&self.group, rng, METROPOLIS_THINNING, out);
         }
         let mut local_attempts: u64 = 0;
         loop {
@@ -125,7 +125,7 @@ impl GroupSampler {
                         return self.metropolis.insert(m).sample_into(
                             &self.group,
                             rng,
-                            cfg.metropolis_thinning,
+                            METROPOLIS_THINNING,
                             out,
                         );
                     }
@@ -176,17 +176,18 @@ pub fn expectation(
     site: u64,
 ) -> Result<ExpectationResult> {
     let expr = expr.simplify();
-    let Some(grouping) = group(&expr, condition, cfg) else {
+    let Some(row) = analyse(condition, expr.variables(), cfg) else {
         return Ok(ExpectationResult::nan(want_probability));
     };
     let mut rng = rng_for_site(cfg, site);
-    let probe = |g: &VarGroup, bounds: &BoundsMap, rng: &mut PipRng, budget| {
-        GroupSampler::new(g.clone(), bounds, cfg).estimate_probability(rng, budget)
-    };
-    if let Some(r) = grouping.closed_form(&expr, want_probability, cfg, &mut rng, probe)? {
+    let probe =
+        |g: &VarGroup, bounds: &BoundsMap, cfg: &SamplerConfig, rng: &mut PipRng, budget| {
+            GroupSampler::new(g.clone(), bounds, cfg).estimate_probability(rng, budget)
+        };
+    if let Some(r) = row.closed_form(&expr, want_probability, cfg, &mut rng, probe)? {
         return Ok(r);
     }
-    let mut prep = grouping.build(|g, bounds, _| GroupSampler::new(g, bounds, cfg));
+    let mut prep = row.build(|g, bounds, _| GroupSampler::new(g, bounds, cfg));
 
     let stats = averaging_loop(&expr, &mut prep, cfg, &mut rng)?;
     if stats.n == 0 {
@@ -245,10 +246,7 @@ fn condition_probability(
         if s.group.atoms.is_empty() {
             continue;
         }
-        let exact = cfg
-            .use_exact_cdf
-            .then(|| exact_group_probability(&s.group))
-            .flatten();
+        let exact = exact_probability(&s.group, cfg);
         if prep.relevant.contains(&i) && !s.uses_metropolis() && s.attempts > 0 {
             prob *= exact.unwrap_or_else(|| s.probability_estimate());
             continue;
@@ -272,13 +270,9 @@ pub fn conf(condition: &Conjunction, cfg: &SamplerConfig, site: u64) -> Result<f
         Truth::True => return Ok(1.0),
         Truth::Unknown => {}
     }
-    let bounds = if cfg.use_consistency {
-        match consistency_check(&condition) {
-            Consistency::Inconsistent => return Ok(0.0),
-            Consistency::Consistent { bounds, .. } => bounds,
-        }
-    } else {
-        BoundsMap::new()
+    let bounds = match consistency_check(&condition) {
+        Consistency::Inconsistent => return Ok(0.0),
+        Consistency::Consistent { bounds, .. } => bounds,
     };
     let mut rng = conf_rng(cfg, site);
     let mut prob = 1.0;
@@ -286,14 +280,24 @@ pub fn conf(condition: &Conjunction, cfg: &SamplerConfig, site: u64) -> Result<f
         if g.atoms.is_empty() {
             continue;
         }
-        if cfg.use_exact_cdf {
-            if let Some(p) = exact_group_probability(&g) {
-                prob *= p;
-                continue;
-            }
-        }
-        prob *= GroupSampler::new(g, &bounds, cfg)
-            .estimate_probability(&mut rng, cfg.probe_budget())?;
+        prob *= match exact_probability(&g, cfg) {
+            Some(p) => p,
+            None => GroupSampler::new(g, &bounds, cfg)
+                .estimate_probability(&mut rng, cfg.probe_budget())?,
+        };
     }
     Ok(prob)
+}
+
+/// The groups the plain analysis multiplies over: independent groups, or
+/// one monolithic group with `use_independence` off.
+pub(crate) fn conf_groups(condition: &Conjunction, cfg: &SamplerConfig) -> Vec<VarGroup> {
+    if cfg.use_independence {
+        independent_groups(condition, &[])
+    } else {
+        vec![VarGroup {
+            atoms: condition.atoms().to_vec(),
+            vars: condition.variables(),
+        }]
+    }
 }

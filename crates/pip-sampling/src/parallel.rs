@@ -13,7 +13,7 @@
 //!   inputs regardless of which thread ran what.
 //! * [`run_indexed`] — the one place that decides *where* a sampling
 //!   head's per-item work runs. Every head (`expected_sum` et al., the
-//!   `*_hist` world loop, the engine's group and `conf()` heads,
+//!   `expected_max_sampled` world loop, the engine's group and `conf()` heads,
 //!   [`crate::streaming::ConfStream`]) seeds item `i` from
 //!   `(world_seed, i)`, submits its items here and folds the outputs in
 //!   index order, so each head has one body that serves every thread

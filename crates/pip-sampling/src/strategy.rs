@@ -38,6 +38,9 @@ pub(crate) const METROPOLIS_MIN_ATTEMPTS: u64 = 256;
 /// spend looking for the chain's start point.
 pub(crate) const METROPOLIS_START_ATTEMPTS: usize = 100_000;
 
+/// Random-walk steps between retained Metropolis samples.
+pub(crate) const METROPOLIS_THINNING: usize = 8;
+
 /// How a single variable is generated inside the rejection loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum VarStrategy {
@@ -84,10 +87,10 @@ pub(crate) fn select_strategies(
 
 /// The Metropolis switch of Algorithm 4.3 line 19, checked after every
 /// rejected candidate: the overall rejection fraction exceeds the
-/// threshold, with enough evidence that it is not a fluke.
+/// threshold, with enough evidence that it is not a fluke. A threshold of
+/// 1 turns the switch off: the fraction never exceeds 1.
 pub(crate) fn metropolis_due(cfg: &SamplerConfig, attempts: u64, accepts: u64) -> bool {
-    cfg.use_metropolis
-        && attempts >= METROPOLIS_MIN_ATTEMPTS
+    attempts >= METROPOLIS_MIN_ATTEMPTS
         && 1.0 - accepts as f64 / attempts as f64 > cfg.metropolis_threshold
 }
 
@@ -256,7 +259,7 @@ fn grid_above(t: f64) -> f64 {
 /// independent `Normal`s (`x + y > c`, a two-sided band on `2x − y`).
 /// `None` — the caller samples — for anything else: a non-Normal member,
 /// a non-affine atom, atoms along different directions.
-pub fn exact_group_probability(group: &VarGroup) -> Option<f64> {
+fn exact_group_probability(group: &VarGroup) -> Option<f64> {
     let (v, iv) = exact_interval(group)?;
     if iv.is_empty() {
         return Some(0.0);
@@ -264,6 +267,14 @@ pub fn exact_group_probability(group: &VarGroup) -> Option<f64> {
     let hi = cdf_at(&v, iv.hi)?;
     let lo = cdf_below(&v, iv.lo)?;
     Some((hi - lo).clamp(0.0, 1.0))
+}
+
+/// The exact `P[group atoms]` every sampling head uses: the CDF path of
+/// [`exact_group_probability`] under `use_exact_cdf`, `None` otherwise.
+pub(crate) fn exact_probability(group: &VarGroup, cfg: &SamplerConfig) -> Option<f64> {
+    cfg.use_exact_cdf
+        .then(|| exact_group_probability(group))
+        .flatten()
 }
 
 #[cfg(test)]
@@ -595,7 +606,7 @@ mod tests {
         let cond = Conjunction::single(atoms::gt(Equation::from(y.clone()), 5.0));
         let cfg = SamplerConfig::default();
         assert!(
-            cfg.use_metropolis,
+            metropolis_due(&cfg, 1 << 40, 0),
             "default config must exercise the switch"
         );
         let mut s = make(&cond, &cfg);

@@ -38,7 +38,7 @@ use crate::config::SamplerConfig;
 use crate::metropolis::MetropolisState;
 use crate::strategy::{
     acceptance_estimate, metropolis_due, select_strategies, VarStrategy, MAX_ATTEMPTS_PER_SAMPLE,
-    METROPOLIS_START_ATTEMPTS,
+    METROPOLIS_START_ATTEMPTS, METROPOLIS_THINNING,
 };
 
 /// One instruction of a [`Tape`]. Instruction `i` writes register `i`;
@@ -624,10 +624,10 @@ impl GroupKernel {
             self.held_at_switch = None;
             local_attempts = held;
             if self.switch_to_metropolis(rng, cfg, bounds) {
-                return self.chain_sample(rng, cfg, slots);
+                return self.chain_sample(rng, slots);
             }
         } else if self.metropolis.is_some() {
-            return self.chain_sample(rng, cfg, slots);
+            return self.chain_sample(rng, slots);
         }
         loop {
             if local_attempts >= MAX_ATTEMPTS_PER_SAMPLE {
@@ -648,7 +648,7 @@ impl GroupKernel {
                     return Ok(false);
                 }
                 if self.switch_to_metropolis(rng, cfg, bounds) {
-                    return self.chain_sample(rng, cfg, slots);
+                    return self.chain_sample(rng, slots);
                 }
             }
         }
@@ -683,14 +683,9 @@ impl GroupKernel {
     }
 
     /// The chain's next thinned point, written into the group's slots.
-    fn chain_sample(
-        &mut self,
-        rng: &mut PipRng,
-        cfg: &SamplerConfig,
-        slots: &mut [f64],
-    ) -> Result<bool> {
+    fn chain_sample(&mut self, rng: &mut PipRng, slots: &mut [f64]) -> Result<bool> {
         let chain = self.metropolis.as_mut().expect("switched to Metropolis");
-        let point = chain.advance(&self.group, rng, cfg.metropolis_thinning)?;
+        let point = chain.advance(&self.group, rng, METROPOLIS_THINNING)?;
         for (vg, &x) in self.vars.iter().zip(point) {
             slots[vg.slot as usize] = x;
         }

@@ -304,9 +304,10 @@ pub fn handle_stream(session: &mut Session, sql: &str, out: &mut dyn Write) -> i
     writeln!(out, "END {n} rows (fresh)")?;
     // As for QUERY, the execute phase leaves out writing the rows, so a
     // slow reader does not make a fast query look slow.
+    let executing = t0.elapsed().saturating_sub(writing);
+    let qs = QueryStats::from_profiles(executing.as_secs_f64(), phys.profiles());
+    db.metrics().record(&qs);
     if let Some(rec) = span {
-        let executing = t0.elapsed().saturating_sub(writing);
-        let qs = QueryStats::from_profiles(executing.as_secs_f64(), phys.profiles());
         session.finish_plan_span(rec, &qs, n);
     }
     Ok(())

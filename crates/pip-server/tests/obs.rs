@@ -395,6 +395,51 @@ fn stats_reports_registry_backed_totals() {
         queries_after > queries_before,
         "queries_total did not advance: {queries_before} -> {queries_after}"
     );
+
+    // STREAM runs a plan too: it counts once, and once in each phase
+    // histogram.
+    let phase_counts = |c: &mut Client| -> Vec<u64> {
+        let lines = c.send_block("METRICS");
+        [
+            "pip_engine_query_phase_seconds_count",
+            "pip_engine_sample_phase_seconds_count",
+        ]
+        .iter()
+        .map(|name| {
+            lines
+                .iter()
+                .find_map(|l| l.strip_prefix(name)?.trim().parse::<f64>().ok())
+                .unwrap_or_else(|| panic!("METRICS lacks {name}")) as u64
+        })
+        .collect()
+    };
+    let phases_before = phase_counts(&mut c);
+    let sql = GROUPED.strip_prefix("QUERY ").expect("QUERY verb");
+    c.writer
+        .write_all(format!("STREAM {sql}\n").as_bytes())
+        .expect("write");
+    assert_eq!(c.read_line(), "STREAM BEGIN");
+    let last = loop {
+        let line = c.read_line();
+        if line.starts_with("END") || line.starts_with("ERR") {
+            break line;
+        }
+    };
+    assert_eq!(last, "END 2 rows (fresh)");
+    let streamed = field(&c.send("STATS"), "queries_total=");
+    assert_eq!(
+        streamed,
+        queries_after + 1,
+        "STREAM is not counted in queries_total"
+    );
+    let phases_after = phase_counts(&mut c);
+    for (before, after) in phases_before.iter().zip(&phases_after) {
+        assert_eq!(
+            after,
+            &(before + 1),
+            "STREAM is not in the phase histograms"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -407,7 +452,7 @@ proptest! {
     /// Every admitted command is exactly one of completed, cancelled,
     /// inflight, or queued — `admitted == completed + cancelled +
     /// inflight + queued` — and every expensive command is exactly one
-    /// of admitted or rejected. Checked while concurrent pipelined
+    /// of admitted or rejected. Verified while concurrent pipelined
     /// clients hammer a tiny admission queue at 1, 2, and 4 scheduler
     /// workers, and exactly at quiescence.
     #[test]

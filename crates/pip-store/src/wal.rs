@@ -52,7 +52,7 @@ const PREALLOC_CHUNK: u64 = 256 * 1024;
 pub(crate) const MAX_FRAME_BYTES: u32 = 1 << 30;
 
 /// Would a payload of `len` bytes exceed what replay accepts as a
-/// legitimate frame? Checked before writing — a frame the reader would
+/// legitimate frame? Tested before writing — a frame the reader would
 /// refuse must never reach the log (and past `u32::MAX` the length
 /// field itself would wrap and corrupt everything after it).
 pub(crate) fn frame_too_large(len: usize) -> bool {
@@ -90,7 +90,7 @@ pub(crate) fn json_deeper_than(v: &serde_json::Value, budget: usize) -> bool {
     }
 }
 
-/// Would the parser refuse `v` for nesting too deeply? Checked at
+/// Would the parser refuse `v` for nesting too deeply? Tested at
 /// encode time (see [`encode_payload`] and snapshot writes), so a
 /// record that could not be read back fails loudly instead of being
 /// acknowledged and then misread as a torn tail (truncating it — and

@@ -79,9 +79,12 @@ fn join_db(cfg: &SamplerConfig) -> Database {
 /// Upper bounds on allocations per result row, warm. Analysing each
 /// joined row once took them from 63.5 to 21 for the query and from 48 to
 /// 13 for `expected_sum`. The query's bound is the 25 that analysis was
-/// set to reach; `expected_sum`'s is its count plus a margin.
+/// set to reach; `expected_sum`'s is its count plus a margin. `conf`'s
+/// analysis borrows a condition the query phase already simplified; the
+/// copy it made before cost one allocation per row (11.0 → 10.0).
 const MAX_QUERY_ALLOCS_PER_ROW: f64 = 25.0;
 const MAX_SUM_ALLOCS_PER_ROW: f64 = 16.0;
+const MAX_COUNT_ALLOCS_PER_ROW: f64 = 10.5;
 
 #[test]
 fn fig6_join_allocations_per_result_row() {
@@ -103,6 +106,10 @@ fn fig6_join_allocations_per_result_row() {
         allocations(|| pip::sampling::expected_sum(&symbolic, "agg_arg0", &cfg).unwrap());
     assert_eq!(sum, warm.unwrap());
     assert_eq!(sum.n_samples, 0, "every row is a closed form");
+    let warm = pip::sampling::expected_count(&symbolic, &cfg);
+    let (count, count_allocs) =
+        allocations(|| pip::sampling::expected_count(&symbolic, &cfg).unwrap());
+    assert_eq!(count, warm.unwrap());
 
     // The whole query, warm (statistics collected, plan shape settled).
     let first = sql::run(&db, QUERY, &cfg).unwrap();
@@ -111,9 +118,10 @@ fn fig6_join_allocations_per_result_row() {
 
     let per_row = |n: u64| n as f64 / rows as f64;
     println!(
-        "{rows} rows: query {:.1} allocations/row, expected_sum {:.1}",
+        "{rows} rows: query {:.1} allocations/row, expected_sum {:.1}, expected_count {:.2}",
         per_row(query_allocs),
-        per_row(sum_allocs)
+        per_row(sum_allocs),
+        per_row(count_allocs)
     );
     assert!(
         per_row(query_allocs) <= MAX_QUERY_ALLOCS_PER_ROW,
@@ -124,5 +132,10 @@ fn fig6_join_allocations_per_result_row() {
         per_row(sum_allocs) <= MAX_SUM_ALLOCS_PER_ROW,
         "expected_sum: {:.1} allocations per result row",
         per_row(sum_allocs)
+    );
+    assert!(
+        per_row(count_allocs) <= MAX_COUNT_ALLOCS_PER_ROW,
+        "expected_count: {:.2} allocations per result row",
+        per_row(count_allocs)
     );
 }
